@@ -114,7 +114,7 @@ BENCHMARK(BM_CustodyReject);
 void
 BM_FastswapResidentAccess(benchmark::State &state)
 {
-    FastswapConfig cfg;
+    RuntimeConfig cfg;
     cfg.farHeapBytes = 8 << 20;
     cfg.localMemBytes = 4 << 20;
     FastswapRuntime fs(cfg, CostParams{});

@@ -44,10 +44,10 @@ main()
         "exact reproduction; no working-set scaling involved");
 
     // --- Fastswap ---
-    FastswapConfig fs_cfg;
+    RuntimeConfig fs_cfg;
     fs_cfg.farHeapBytes = 64 << 20;
     fs_cfg.localMemBytes = 8 << 20;
-    fs_cfg.readaheadEnabled = true;
+    fs_cfg.pagedReadaheadPages = 8;
 
     // Local fault: page data arrived via readahead, PTE still unmapped.
     FastswapRuntime fs2(fs_cfg, costs);
@@ -62,8 +62,8 @@ main()
         minor_page++;
     });
 
-    FastswapConfig fs_cfg_nora = fs_cfg;
-    fs_cfg_nora.readaheadEnabled = false;
+    RuntimeConfig fs_cfg_nora = fs_cfg;
+    fs_cfg_nora.pagedReadaheadPages = 0;
     FastswapRuntime fs3(fs_cfg_nora, costs);
     const std::uint64_t heap3 = fs3.allocate(32 << 20);
     std::uint64_t major_page = 0;

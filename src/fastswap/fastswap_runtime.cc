@@ -1,299 +1,45 @@
 #include "fastswap_runtime.hh"
 
-#include <algorithm>
-#include <cstring>
-
 #include "obs/obs.hh"
-#include "sim/logging.hh"
 
 namespace tfm
 {
 
-FastswapRuntime::FastswapRuntime(const FastswapConfig &config,
+namespace
+{
+
+/** The runtime under the plane: page-sized objects, no prefetcher. */
+RuntimeConfig
+pagedConfig(RuntimeConfig config)
+{
+    config.objectSizeBytes = PagedPlane::pageSize;
+    config.prefetchEnabled = false;
+    config.obsKind = "fastswap";
+    return config;
+}
+
+} // anonymous namespace
+
+FastswapRuntime::FastswapRuntime(const RuntimeConfig &config,
                                  const CostParams &cost_params)
-    : cfg(config),
-      _costs(cost_params),
-      _net(_clock, _costs),
-      _remote(config.farHeapBytes),
-      pages(config.farHeapBytes, config.pageSizeBytes),
-      cache(config.localMemBytes, config.pageSizeBytes),
-      alloc_(config.farHeapBytes, config.pageSizeBytes)
-{
-    obs_ = cfg.obs ? cfg.obs : obs::defaultSink();
-    if (obs_) {
-        obsStream_ = obs_->registerStream(
-            cfg.obsLabel.empty() ? "fastswap" : cfg.obsLabel.c_str());
-        _net.attachObs(obs_, obsStream_);
-    }
-}
-
-std::uint64_t
-FastswapRuntime::allocate(std::uint64_t bytes)
-{
-    _clock.advance(_costs.allocCycles);
-    const std::uint64_t offset = alloc_.allocate(bytes);
-    TFM_ASSERT(offset != RegionAllocator::badOffset,
-               "fastswap heap exhausted");
-    return offset;
-}
-
-void
-FastswapRuntime::deallocate(std::uint64_t offset)
-{
-    _clock.advance(_costs.allocCycles);
-    alloc_.deallocate(offset);
-}
-
-std::byte *
-FastswapRuntime::access(std::uint64_t offset, bool for_write)
-{
-    const std::uint64_t page_id = pages.objectOf(offset);
-    ObjectMeta &meta = pages[page_id];
-    if (obs_ && obs_->seriesDue(obsStream_, _clock.now()))
-        obsEpochSample();
-
-    if (meta.present()) {
-        Frame &f = cache.frame(meta.frame());
-        f.refbit = true;
-        if (meta.inflight()) {
-            // Swap-cache hit: data arrived via readahead but the PTE is
-            // not mapped yet -> minor fault.
-            _clock.advance(_costs.pageFaultLocalCycles);
-            _net.waitUntil(f.arrivalCycle);
-            meta.clearInflight();
-            _stats.minorFaults++;
-            if (obs_ && obs_->trace().enabled()) {
-                obs_->trace().instant(obsStream_, TrackApp, "minor-fault",
-                                      "fault", _clock.now());
-                obs_->trace().arg("page", page_id);
-            }
-        }
-        if (for_write)
-            meta.setDirty();
-        return cache.frameData(meta.frame()) + pages.offsetInObject(offset);
-    }
-
-    // Major fault: fetch the whole architected page from remote. The
-    // span covers reclaim, the page transfer, and readahead issue; the
-    // reclaim/readahead instants land inside it.
-    const std::uint64_t faultStart = _clock.now();
-    if (obs_ && obs_->trace().enabled()) {
-        obs_->trace().begin(obsStream_, TrackApp, "major-fault", "fault",
-                            faultStart);
-        obs_->trace().arg("page", page_id);
-    }
-    const std::uint64_t frame_idx = takeFrame();
-    std::byte *data = cache.frameData(frame_idx);
-    _clock.advance(_costs.pageFaultLocalCycles +
-                   _costs.pageFaultRemoteSwCycles);
-    _remote.fetch(_net, page_id << pages.objectShift(), data,
-                  pages.objectSize());
-    meta.makeLocal(frame_idx);
-    if (for_write)
-        meta.setDirty();
-    Frame &f = cache.frame(frame_idx);
-    f.objId = page_id;
-    f.arrivalCycle = 0;
-    _stats.majorFaults++;
-
-    if (cfg.readaheadEnabled)
-        readahead(page_id);
-
-    if (obs_) {
-        obs_->faultLatency.record(_clock.now() - faultStart);
-        if (obs_->trace().enabled()) {
-            obs_->trace().end(obsStream_, TrackApp, "major-fault",
-                              "fault", _clock.now());
-        }
-    }
-
-    return data + pages.offsetInObject(offset);
-}
-
-void
-FastswapRuntime::readBytes(std::uint64_t offset, void *dst, std::size_t len)
-{
-    auto *out = static_cast<std::byte *>(dst);
-    std::size_t done = 0;
-    while (done < len) {
-        const std::uint64_t at = offset + done;
-        const std::uint64_t in_page = pages.offsetInObject(at);
-        const std::size_t piece = std::min<std::size_t>(
-            len - done, pages.objectSize() - in_page);
-        std::memcpy(out + done, access(at, false), piece);
-        done += piece;
-    }
-}
-
-void
-FastswapRuntime::writeBytes(std::uint64_t offset, const void *src,
-                            std::size_t len)
-{
-    const auto *in = static_cast<const std::byte *>(src);
-    std::size_t done = 0;
-    while (done < len) {
-        const std::uint64_t at = offset + done;
-        const std::uint64_t in_page = pages.offsetInObject(at);
-        const std::size_t piece = std::min<std::size_t>(
-            len - done, pages.objectSize() - in_page);
-        std::memcpy(access(at, true), in + done, piece);
-        done += piece;
-    }
-}
-
-void
-FastswapRuntime::readahead(std::uint64_t page_id)
-{
-    for (std::uint32_t k = 1; k <= cfg.readaheadPages; k++) {
-        const std::uint64_t target = page_id + k;
-        if (target >= pages.numObjects())
-            break;
-        ObjectMeta &meta = pages[target];
-        if (meta.present())
-            continue;
-        std::uint64_t frame_idx = cache.allocFrame();
-        if (frame_idx == FrameCache::noFrame) {
-            // Don't reclaim on behalf of readahead; stop speculating.
-            break;
-        }
-        std::byte *data = cache.frameData(frame_idx);
-        const std::uint64_t arrival = _remote.fetchAsync(
-            _net, target << pages.objectShift(), data, pages.objectSize());
-        meta.makeLocal(frame_idx);
-        meta.setInflight();
-        Frame &f = cache.frame(frame_idx);
-        f.objId = target;
-        f.arrivalCycle = arrival;
-        _stats.readaheads++;
-        if (obs_ && obs_->trace().enabled()) {
-            obs_->trace().instant(obsStream_, TrackApp, "readahead",
-                                  "fault", _clock.now());
-            obs_->trace().arg("page", target);
-        }
-    }
-}
-
-std::uint64_t
-FastswapRuntime::takeFrame()
-{
-    std::uint64_t frame_idx = cache.allocFrame();
-    if (frame_idx != FrameCache::noFrame)
-        return frame_idx;
-    const std::uint64_t victim = cache.pickVictim();
-    TFM_ASSERT(victim != FrameCache::noFrame, "fastswap reclaim found no victim");
-    evictFrame(victim);
-    frame_idx = cache.allocFrame();
-    TFM_ASSERT(frame_idx != FrameCache::noFrame, "reclaim freed no frame");
-    return frame_idx;
-}
-
-void
-FastswapRuntime::evictFrame(std::uint64_t frame_idx)
-{
-    Frame &f = cache.frame(frame_idx);
-    ObjectMeta &meta = pages[f.objId];
-    TFM_ASSERT(meta.present() && meta.frame() == frame_idx,
-               "page table / frame mismatch on reclaim");
-    _clock.advance(_costs.pageReclaimCycles);
-    if (obs_ && obs_->trace().enabled()) {
-        obs_->trace().instant(obsStream_, TrackApp, "reclaim", "fault",
-                              _clock.now());
-        obs_->trace().arg("page", f.objId);
-        obs_->trace().arg("dirty", meta.dirty() ? 1 : 0);
-    }
-    if (meta.dirty()) {
-        _remote.writeback(_net, f.objId << pages.objectShift(),
-                          cache.frameData(frame_idx), pages.objectSize());
-        _stats.pageouts++;
-    }
-    meta.makeRemote();
-    cache.releaseFrame(frame_idx);
-    _stats.reclaims++;
-}
-
-void
-FastswapRuntime::rawWrite(std::uint64_t offset, const void *src,
-                          std::size_t len)
-{
-    const auto *bytes = static_cast<const std::byte *>(src);
-    std::size_t done = 0;
-    while (done < len) {
-        const std::uint64_t at = offset + done;
-        const std::uint64_t page_id = pages.objectOf(at);
-        const std::uint64_t in_page = pages.offsetInObject(at);
-        const std::size_t chunk = std::min<std::size_t>(
-            len - done, pages.objectSize() - in_page);
-        _remote.rawWrite(at, bytes + done, chunk);
-        const ObjectMeta &meta = pages[page_id];
-        if (meta.present()) {
-            std::memcpy(cache.frameData(meta.frame()) + in_page,
-                        bytes + done, chunk);
-        }
-        done += chunk;
-    }
-}
-
-void
-FastswapRuntime::rawRead(std::uint64_t offset, void *dst, std::size_t len)
-{
-    auto *bytes = static_cast<std::byte *>(dst);
-    std::size_t done = 0;
-    while (done < len) {
-        const std::uint64_t at = offset + done;
-        const std::uint64_t page_id = pages.objectOf(at);
-        const std::uint64_t in_page = pages.offsetInObject(at);
-        const std::size_t chunk = std::min<std::size_t>(
-            len - done, pages.objectSize() - in_page);
-        const ObjectMeta &meta = pages[page_id];
-        if (meta.present()) {
-            std::memcpy(bytes + done,
-                        cache.frameData(meta.frame()) + in_page, chunk);
-        } else {
-            _remote.rawRead(at, bytes + done, chunk);
-        }
-        done += chunk;
-    }
-}
-
-void
-FastswapRuntime::evacuateAll()
-{
-    for (std::uint64_t i = 0; i < cache.numFrames(); i++) {
-        Frame &f = cache.frame(i);
-        if (!f.used)
-            continue;
-        ObjectMeta &meta = pages[f.objId];
-        if (meta.dirty()) {
-            _remote.rawWrite(f.objId << pages.objectShift(),
-                             cache.frameData(i), pages.objectSize());
-        }
-        meta.makeRemote();
-        cache.releaseFrame(i);
-    }
-}
+    : rt(pagedConfig(config), cost_params), plane(rt)
+{}
 
 void
 FastswapRuntime::exportStats(StatSet &set) const
 {
-    set.add("fastswap.minor_faults", _stats.minorFaults);
-    set.add("fastswap.major_faults", _stats.majorFaults);
-    set.add("fastswap.pageouts", _stats.pageouts);
-    set.add("fastswap.reclaims", _stats.reclaims);
-    set.add("fastswap.readaheads", _stats.readaheads);
-    set.add("net.bytes_fetched", _net.stats().bytesFetched);
-    set.add("net.bytes_written_back", _net.stats().bytesWrittenBack);
-    set.add("clock.cycles", _clock.now());
-    if (obs_)
-        obs_->exportStats(set);
-}
-
-void
-FastswapRuntime::obsEpochSample()
-{
-    obs_->counterSample(
-        obsStream_, _clock.now(),
-        {{"frames_used", cache.usedFrames()},
-         {"net_bytes", _net.stats().totalBytes()}});
+    const PagedStats &s = plane.stats();
+    set.add("fastswap.minor_faults", s.minorFaults);
+    set.add("fastswap.major_faults", s.majorFaults);
+    set.add("fastswap.pageouts", s.pageouts);
+    set.add("fastswap.reclaims", s.reclaims);
+    set.add("fastswap.readaheads", s.readaheads);
+    const NetStats net = netStats();
+    set.add("net.bytes_fetched", net.bytesFetched);
+    set.add("net.bytes_written_back", net.bytesWrittenBack);
+    set.add("clock.cycles", rt.clock().now());
+    if (Observability *obs = rt.obs())
+        obs->exportStats(set);
 }
 
 } // namespace tfm

@@ -19,6 +19,12 @@
  *  - Linux-style swap readahead fetches a cluster of pages around a
  *    major fault, which is what lets Fastswap amortize faults under
  *    temporal/spatial locality (section 5 "Lessons").
+ *
+ * Like AifmRuntime, this is a thin wrapper: a FarMemRuntime (4 KB
+ * objects, prefetcher off) owns the far heap, clock, remote tier,
+ * flight recorder and trace stream, and one PagedPlane — the same
+ * paging model the hybrid arbiter's paged sites use — covers every
+ * allocation and charges the faults.
  */
 
 #ifndef TRACKFM_FASTSWAP_FASTSWAP_RUNTIME_HH
@@ -26,82 +32,52 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
-#include "net/network_model.hh"
-#include "remote/remote_node.hh"
-#include "runtime/frame_cache.hh"
-#include "runtime/object_state_table.hh"
-#include "runtime/region_allocator.hh"
-#include "sim/cost_params.hh"
-#include "sim/cycle_clock.hh"
-#include "sim/stats.hh"
+#include "paged_plane.hh"
+#include "runtime/far_mem_runtime.hh"
 
 namespace tfm
 {
 
-/** Configuration for the Fastswap baseline. */
-struct FastswapConfig
-{
-    std::uint64_t farHeapBytes = 64ull << 20;
-    std::uint64_t localMemBytes = 16ull << 20;
-    /// Architected page size — fixed at 4 KB on the paper's testbed.
-    std::uint32_t pageSizeBytes = 4096;
-    /// Swap readahead window (pages fetched around a major fault).
-    std::uint32_t readaheadPages = 8;
-    bool readaheadEnabled = true;
-    /// Observability sink; null falls back to obs::defaultSink().
-    Observability *obs = nullptr;
-    /// Per-instance trace stream label; empty uses "fastswap".
-    std::string obsLabel;
-};
-
-/** Fault/paging counters (Fig. 14b and 16b plot these). */
-struct FastswapStats
-{
-    std::uint64_t minorFaults = 0; ///< data local, PTE fixup only
-    std::uint64_t majorFaults = 0; ///< remote fetch required
-    std::uint64_t pageouts = 0;    ///< dirty pages written back
-    std::uint64_t reclaims = 0;    ///< pages evicted
-    std::uint64_t readaheads = 0;  ///< pages pulled in speculatively
-};
-
 /**
- * The kernel-swap simulator.
- *
- * Reuses the frame cache and state table machinery at page granularity:
- * "present + !inflight" models a mapped PTE; "present + inflight" models
- * a page in the swap cache that is not yet mapped (readahead).
+ * The kernel-swap simulator. Reads the far heap's size, the local
+ * memory budget (pagedLocalMemBytes, else localMemBytes), the readahead
+ * window (pagedReadaheadPages, 0 = off), and the obs/recorder/cluster
+ * plumbing from RuntimeConfig; the object size and prefetcher settings
+ * are fixed.
  */
 class FastswapRuntime
 {
   public:
-    FastswapRuntime(const FastswapConfig &config,
+    FastswapRuntime(const RuntimeConfig &config,
                     const CostParams &cost_params);
 
-    CycleClock &clock() { return _clock; }
-    NetworkModel &net() { return _net; }
-    const CostParams &costs() const { return _costs; }
-    const FastswapConfig &config() const { return cfg; }
+    FarMemRuntime &runtime() { return rt; }
+    CycleClock &clock() { return rt.clock(); }
+    const CostParams &costs() const { return rt.costs(); }
 
     /** Allocate heap (ordinary malloc; any page may be swapped). */
-    std::uint64_t allocate(std::uint64_t bytes);
-    void deallocate(std::uint64_t offset);
-
-    /**
-     * Perform one access of @p len bytes at @p offset, taking page
-     * faults as needed. Returns a host pointer to the first byte.
-     */
-    std::byte *access(std::uint64_t offset, bool for_write);
+    std::uint64_t allocate(std::uint64_t bytes) { return rt.allocate(bytes); }
+    void deallocate(std::uint64_t offset) { rt.deallocate(offset); }
 
     /**
      * Multi-byte read; accesses spanning page boundaries fault on each
      * page touched.
      */
-    void readBytes(std::uint64_t offset, void *dst, std::size_t len);
+    void
+    readBytes(std::uint64_t offset, void *dst, std::size_t len)
+    {
+        plane.touch(offset, len, /*for_write=*/false);
+        rt.rawRead(offset, dst, len);
+    }
 
     /** Multi-byte write; one potential fault per page touched. */
-    void writeBytes(std::uint64_t offset, const void *src, std::size_t len);
+    void
+    writeBytes(std::uint64_t offset, const void *src, std::size_t len)
+    {
+        plane.touch(offset, len, /*for_write=*/true);
+        rt.rawWrite(offset, src, len);
+    }
 
     /** Typed access helpers. */
     template <typename T>
@@ -122,38 +98,29 @@ class FastswapRuntime
 
     /** @name Initialization (no accounting)
      * @{ */
-    void rawWrite(std::uint64_t offset, const void *src, std::size_t len);
-    void rawRead(std::uint64_t offset, void *dst, std::size_t len);
+    void
+    rawWrite(std::uint64_t offset, const void *src, std::size_t len)
+    {
+        rt.rawWrite(offset, src, len);
+    }
+    void
+    rawRead(std::uint64_t offset, void *dst, std::size_t len)
+    {
+        rt.rawRead(offset, dst, len);
+    }
     /** @} */
 
     /** Push every page remote so measurement starts cold. */
-    void evacuateAll();
+    void evacuateAll() { plane.evacuate(); }
 
-    const FastswapStats &stats() const { return _stats; }
-    const NetStats &netStats() const { return _net.stats(); }
+    const PagedStats &stats() const { return plane.stats(); }
+    NetStats netStats() const { return rt.backend().netStats(); }
+    /** fastswap.* counters, link bytes, the clock, and obs stats. */
     void exportStats(StatSet &set) const;
 
-    Observability *obs() const { return obs_; }
-    std::uint32_t obsStream() const { return obsStream_; }
-
   private:
-    std::uint64_t takeFrame();
-    void evictFrame(std::uint64_t frame_idx);
-    void readahead(std::uint64_t page_id);
-    /** Epoch time-series snapshot (residency, wire bytes). */
-    void obsEpochSample();
-
-    FastswapConfig cfg;
-    CostParams _costs;
-    CycleClock _clock;
-    NetworkModel _net;
-    RemoteNode _remote;
-    ObjectStateTable pages;
-    FrameCache cache;
-    RegionAllocator alloc_;
-    FastswapStats _stats;
-    Observability *obs_ = nullptr;
-    std::uint32_t obsStream_ = 0;
+    FarMemRuntime rt;
+    PagedPlane plane;
 };
 
 } // namespace tfm

@@ -4,18 +4,53 @@
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
-#include "tfm/tagged_ptr.hh"
 
 namespace tfm
 {
 
 PagedPlane::PagedPlane(FarMemRuntime &rt)
-    : rt_(rt), pageSize_(rt.config().pagedPageSizeBytes)
+    : rt_(rt),
+      table_((rt.config().farHeapBytes + pageSize - 1) / pageSize),
+      scratch_(pageSize)
 {
-    const std::uint64_t localBytes = rt.config().pagedLocalMemBytes
-                                         ? rt.config().pagedLocalMemBytes
-                                         : rt.config().localMemBytes;
-    frameBudget_ = std::max<std::uint64_t>(1, localBytes / pageSize_);
+    const RuntimeConfig &cfg = rt.config();
+    const std::uint64_t localBytes = cfg.pagedLocalMemBytes
+                                         ? cfg.pagedLocalMemBytes
+                                         : cfg.localMemBytes;
+    frameBudget_ = std::max<std::uint64_t>(1, localBytes / pageSize);
+    if (cfg.cluster.wantsCluster()) {
+        segmentBytes_ = cfg.cluster.stripeBytes ? cfg.cluster.stripeBytes
+                                                : cfg.objectSizeBytes;
+    }
+}
+
+template <typename Op>
+void
+PagedPlane::forEachSegment(std::uint64_t pageId, Op op)
+{
+    const std::uint64_t begin = pageId * pageSize;
+    const std::uint64_t end = std::min<std::uint64_t>(
+        begin + pageSize, rt_.config().farHeapBytes);
+    for (std::uint64_t at = begin; at < end;) {
+        const std::uint64_t next = std::min<std::uint64_t>(
+            end, (at / segmentBytes_ + 1) * segmentBytes_);
+        op(at, scratch_.data() + (at - begin), next - at);
+        at = next;
+    }
+}
+
+void
+PagedPlane::pageOut(std::uint64_t pageId)
+{
+    // The far heap already holds the page's bytes (writes go through
+    // rawWrite), so the remote copy is sent back to itself unchanged:
+    // only the transfer is new.
+    RemoteBackend &backend = rt_.backend();
+    forEachSegment(pageId, [&backend](std::uint64_t at, std::byte *buf,
+                                      std::size_t len) {
+        backend.rawRead(at, buf, len);
+        backend.writeback(at, buf, len);
+    });
 }
 
 void
@@ -23,27 +58,27 @@ PagedPlane::touch(std::uint64_t offset, std::size_t len, bool for_write)
 {
     if (len == 0)
         len = 1;
-    const std::uint64_t first = offset / pageSize_;
-    const std::uint64_t last = (offset + len - 1) / pageSize_;
+    const std::uint64_t first = offset / pageSize;
+    const std::uint64_t last = (offset + len - 1) / pageSize;
+    TFM_ASSERT(last < table_.size(), "paged access beyond the far heap");
     for (std::uint64_t pageId = first; pageId <= last; pageId++) {
-        auto it = table_.find(pageId);
-        if (it == table_.end()) {
+        Page &pg = table_[pageId];
+        if (!pg.resident) {
             majorFault(pageId, for_write);
             continue;
         }
-        Page &pg = it->second;
         pg.refbit = true;
         if (pg.inflight) {
             // Swap-cache hit: readahead landed the page but no fault has
             // mapped it yet -> minor fault (PTE fixup + residual wait).
             rt_.clock().advance(rt_.costs().pageFaultLocalCycles);
-            rt_.net().waitUntil(pg.arrival);
+            rt_.clock().advanceTo(pg.arrival);
             pg.inflight = false;
             _stats.minorFaults++;
             Observability *obs = rt_.obs();
             if (obs && obs->trace().enabled()) {
                 obs->trace().instant(rt_.obsStream(), TrackApp,
-                                     "pg-minor-fault", "paged",
+                                     "minor-fault", "fault",
                                      rt_.clock().now());
                 obs->trace().arg("page", pageId);
             }
@@ -59,8 +94,8 @@ PagedPlane::majorFault(std::uint64_t pageId, bool for_write)
     Observability *obs = rt_.obs();
     const std::uint64_t faultStart = rt_.clock().now();
     if (obs && obs->trace().enabled()) {
-        obs->trace().begin(rt_.obsStream(), TrackApp, "pg-major-fault",
-                           "paged", faultStart);
+        obs->trace().begin(rt_.obsStream(), TrackApp, "major-fault",
+                           "fault", faultStart);
         obs->trace().arg("page", pageId);
     }
 
@@ -69,22 +104,25 @@ PagedPlane::majorFault(std::uint64_t pageId, bool for_write)
 
     rt_.clock().advance(rt_.costs().pageFaultLocalCycles +
                         rt_.costs().pageFaultRemoteSwCycles);
-    rt_.net().fetchSync(pageSize_);
-    Page pg;
+    RemoteBackend &backend = rt_.backend();
+    forEachSegment(pageId, [&backend](std::uint64_t at, std::byte *buf,
+                                      std::size_t len) {
+        backend.fetch(at, buf, len);
+    });
+    Page &pg = table_[pageId];
+    pg.resident = true;
     pg.dirty = for_write;
     pg.refbit = true;
-    table_.emplace(pageId, pg);
     resident_.push_back(pageId);
     _stats.majorFaults++;
 
-    if (rt_.config().pagedReadaheadEnabled)
-        readahead(pageId);
+    readahead(pageId);
 
     if (obs) {
         obs->faultLatency.record(rt_.clock().now() - faultStart);
         if (obs->trace().enabled()) {
-            obs->trace().end(rt_.obsStream(), TrackApp, "pg-major-fault",
-                             "paged", rt_.clock().now());
+            obs->trace().end(rt_.obsStream(), TrackApp, "major-fault",
+                             "fault", rt_.clock().now());
         }
         obsCounters();
     }
@@ -102,7 +140,7 @@ PagedPlane::reclaimOne()
         if (clockHand_ >= resident_.size())
             clockHand_ = 0;
         const std::uint64_t pageId = resident_[clockHand_];
-        Page &pg = table_.at(pageId);
+        Page &pg = table_[pageId];
         if (pg.inflight || pg.refbit) {
             pg.refbit = pg.inflight && pg.refbit;
             clockHand_++;
@@ -110,17 +148,17 @@ PagedPlane::reclaimOne()
         }
         rt_.clock().advance(rt_.costs().pageReclaimCycles);
         if (pg.dirty) {
-            rt_.net().writebackAsync(pageSize_);
+            pageOut(pageId);
             _stats.pageouts++;
         }
         Observability *obs = rt_.obs();
         if (obs && obs->trace().enabled()) {
-            obs->trace().instant(rt_.obsStream(), TrackApp, "pg-reclaim",
-                                 "paged", rt_.clock().now());
+            obs->trace().instant(rt_.obsStream(), TrackApp, "reclaim",
+                                 "fault", rt_.clock().now());
             obs->trace().arg("page", pageId);
             obs->trace().arg("dirty", pg.dirty ? 1 : 0);
         }
-        table_.erase(pageId);
+        pg = Page{};
         resident_.erase(resident_.begin() +
                         static_cast<std::ptrdiff_t>(clockHand_));
         _stats.reclaims++;
@@ -130,7 +168,7 @@ PagedPlane::reclaimOne()
     // anyway (its readahead bytes are sunk cost; no writeback needed).
     const std::uint64_t pageId = resident_.front();
     rt_.clock().advance(rt_.costs().pageReclaimCycles);
-    table_.erase(pageId);
+    table_[pageId] = Page{};
     resident_.erase(resident_.begin());
     clockHand_ = 0;
     _stats.reclaims++;
@@ -139,29 +177,32 @@ PagedPlane::reclaimOne()
 void
 PagedPlane::readahead(std::uint64_t pageId)
 {
-    const std::uint64_t lastPage =
-        (rt_.config().farHeapBytes - 1) / pageSize_;
     for (std::uint32_t k = 1; k <= rt_.config().pagedReadaheadPages; k++) {
         const std::uint64_t target = pageId + k;
-        if (target > lastPage)
+        if (target >= table_.size())
             break;
         if (resident_.size() >= frameBudget_) {
             // Don't reclaim on behalf of speculation; stop the window.
             break;
         }
-        if (table_.count(target))
+        Page &pg = table_[target];
+        if (pg.resident)
             continue;
-        Page pg;
+        pg.resident = true;
         pg.inflight = true;
-        pg.refbit = false;
-        pg.arrival = rt_.net().fetchAsync(pageSize_);
-        table_.emplace(target, pg);
+        RemoteBackend &backend = rt_.backend();
+        forEachSegment(target, [&backend, &pg](std::uint64_t at,
+                                               std::byte *buf,
+                                               std::size_t len) {
+            pg.arrival =
+                std::max(pg.arrival, backend.fetchAsync(at, buf, len));
+        });
         resident_.push_back(target);
         _stats.readaheads++;
         Observability *obs = rt_.obs();
         if (obs && obs->trace().enabled()) {
-            obs->trace().instant(rt_.obsStream(), TrackApp, "pg-readahead",
-                                 "paged", rt_.clock().now());
+            obs->trace().instant(rt_.obsStream(), TrackApp, "readahead",
+                                 "fault", rt_.clock().now());
             obs->trace().arg("page", target);
         }
     }
@@ -170,12 +211,8 @@ PagedPlane::readahead(std::uint64_t pageId)
 void
 PagedPlane::evacuate()
 {
-    for (const std::uint64_t pageId : resident_) {
-        const Page &pg = table_.at(pageId);
-        if (pg.dirty)
-            rt_.net().writebackAsync(pageSize_);
-    }
-    table_.clear();
+    for (const std::uint64_t pageId : resident_)
+        table_[pageId] = Page{};
     resident_.clear();
     clockHand_ = 0;
 }

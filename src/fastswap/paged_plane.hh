@@ -1,79 +1,96 @@
 /**
  * @file
- * Paged data plane for the hybrid path arbiter (DESIGN.md §4l).
+ * The 4 KB paging model: kernel-swap residency and fault costs over a
+ * FarMemRuntime's far heap.
  *
- * Allocation sites the PathArbiterPass routes away from the guard plane
- * get fastswap-style cost semantics: resident mapped pages cost nothing
- * per access, a first touch takes a page fault that moves a whole 4 KB
- * page, and reclamation charges kernel-style per-page eviction. The
- * plane is a *residency and cost model only*: it shares the owning
- * FarMemRuntime's clock, network link, and observability stream, and it
- * never stores data — paged accesses read and write the far heap
- * through FarMemRuntime::rawRead/rawWrite, so routing a site to the
- * paging plane can change cycle counts but never program results or
- * the heap checksum. That is the legality contract the differential
- * hybrid gate checks.
+ * This is the one paging model in the repository. FastswapRuntime
+ * covers its whole heap with a plane (the kernel-based baseline), and
+ * the hybrid path arbiter (DESIGN.md §4l) routes individual allocation
+ * sites to TfmRuntime's plane. Either way a resident mapped page costs
+ * nothing per access, a first touch takes a page fault that moves a
+ * whole 4 KB page, and reclamation charges kernel-style per-page
+ * eviction. The plane is a *residency and cost model only*: it shares
+ * the owning FarMemRuntime's clock, remote tier (so page transfers are
+ * metered, recorded and replayed like object transfers), and
+ * observability stream, and it never changes data — callers read and
+ * write the far heap through FarMemRuntime::rawRead/rawWrite, so
+ * routing a site to the paging plane can change cycle counts but never
+ * program results or the heap checksum. That is the legality contract
+ * the differential hybrid gate checks.
  */
 
 #ifndef TRACKFM_FASTSWAP_PAGED_PLANE_HH
 #define TRACKFM_FASTSWAP_PAGED_PLANE_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
-#include "fastswap_runtime.hh" // FastswapStats
 #include "runtime/far_mem_runtime.hh"
 
 namespace tfm
 {
 
+/** Fault/paging counters (Fig. 14b and 16b plot these). */
+struct PagedStats
+{
+    std::uint64_t minorFaults = 0; ///< data local, PTE fixup only
+    std::uint64_t majorFaults = 0; ///< remote fetch required
+    std::uint64_t pageouts = 0;    ///< dirty pages written back
+    std::uint64_t reclaims = 0;    ///< pages evicted
+    std::uint64_t readaheads = 0;  ///< pages pulled in speculatively
+};
+
 /**
  * Kernel-swap residency model over the shared far heap.
  *
  * Pages are 4 KB windows of the far-heap offset space. "Mapped" pages
- * (present, not in flight) model a valid PTE; "in flight" pages model
+ * (resident, not in flight) model a valid PTE; "in flight" pages model
  * swap-cache entries readahead has fetched but no fault has mapped yet
  * (a touch pays only the local minor-fault price). Victim selection is
- * a CLOCK sweep with reference bits, like the frame cache.
+ * a CLOCK sweep with reference bits over the resident pages in the
+ * order they were brought in.
  */
 class PagedPlane
 {
   public:
+    /// Architected page size — fixed at 4 KB on the paper's testbed.
+    static constexpr std::uint32_t pageSize = 4096;
+
     explicit PagedPlane(FarMemRuntime &rt);
 
     /**
      * Account one @p len byte access at far-heap @p offset, taking
      * minor/major faults per 4 KB page touched. Charges cycles and
-     * meters page transfers on the shared link; moves no data.
+     * sends page transfers over the remote tier; changes no data.
      */
     void touch(std::uint64_t offset, std::size_t len, bool for_write);
 
     /**
-     * Drop every resident page (metering writebacks for dirty ones) so
-     * a measurement can start from a fully remote heap.
+     * Drop every resident page so a measurement can start from a fully
+     * remote heap. Charges nothing: the far heap already holds every
+     * byte, and evacuation sits outside the measurement window (the
+     * same rule as FarMemRuntime::evacuateAll).
      */
     void evacuate();
 
-    const FastswapStats &stats() const { return _stats; }
+    const PagedStats &stats() const { return _stats; }
     std::uint64_t residentPages() const { return resident_.size(); }
-    std::uint32_t pageSize() const { return pageSize_; }
-    std::uint64_t frameBudget() const { return frameBudget_; }
 
-    /** Counters under "paged.*" (mirrors FastswapRuntime's export). */
+    /** Counters under "paged.*". */
     void exportStats(StatSet &set) const;
 
   private:
-    /** Swap-cache / PTE state for one resident or in-flight page. */
+    /** Swap-cache / PTE state of one page of the far heap. */
     struct Page
     {
+        bool resident = false;
         bool dirty = false;
         bool inflight = false; ///< fetched by readahead, not yet mapped
-        bool refbit = true;    ///< CLOCK reference bit
+        bool refbit = false;   ///< CLOCK reference bit
         std::uint64_t arrival = 0; ///< in-flight completion cycle
     };
 
-    /** Fault in page @p pageId (present afterwards). */
+    /** Fault in page @p pageId (resident afterwards). */
     void majorFault(std::uint64_t pageId, bool for_write);
     /** Evict one victim via the CLOCK sweep (budget pressure). */
     void reclaimOne();
@@ -81,15 +98,29 @@ class PagedPlane
     void readahead(std::uint64_t pageId);
     /** Cumulative paged.* counter emission into the trace (no cycles). */
     void obsCounters();
+    /**
+     * Call @p op(offset, buffer, len) for each run of page @p pageId one
+     * remote operation may carry: the whole page (the last page of the
+     * heap may be short), or one cluster stripe, since an operation
+     * must not straddle shards.
+     */
+    template <typename Op>
+    void forEachSegment(std::uint64_t pageId, Op op);
+    /** Write dirty page @p pageId back over the remote tier. */
+    void pageOut(std::uint64_t pageId);
 
     FarMemRuntime &rt_;
-    std::uint32_t pageSize_;
     std::uint64_t frameBudget_; ///< resident-page cap
-    /// pageId -> state; std::map keeps sweeps/evacuation deterministic.
-    std::map<std::uint64_t, Page> table_;
+    std::vector<Page> table_;   ///< indexed by page id, whole far heap
     std::vector<std::uint64_t> resident_; ///< CLOCK ring of page ids
     std::size_t clockHand_ = 0;
-    FastswapStats _stats;
+    /// Remote operations split pages at multiples of this (a cluster
+    /// stripe; a whole page on the single-node tier).
+    std::uint64_t segmentBytes_ = pageSize;
+    /// Landing buffer for page transfers; the bytes are discarded
+    /// because callers read the far heap through rawRead.
+    std::vector<std::byte> scratch_;
+    PagedStats _stats;
 };
 
 } // namespace tfm

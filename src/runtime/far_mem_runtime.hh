@@ -71,21 +71,18 @@ struct RuntimeConfig
     /// on the same object skip the object-state-table lookup.
     bool guardCacheEnabled = true;
 
-    /** @name Paged data plane (hybrid path arbiter; DESIGN.md §4l)
+    /** @name Paged data plane (PagedPlane; DESIGN.md §4l)
      *
-     * Sites the arbiter routes to the paging plane are backed by a
-     * fastswap-style residency model sharing this runtime's clock and
-     * network link. The paged plane is a cost/residency model only:
-     * data still lives in the far heap and moves through rawRead /
-     * rawWrite, so plane choice can never change program results.
+     * The 4 KB kernel-paging model behind both FastswapRuntime (every
+     * allocation) and the hybrid arbiter's paged sites. It shares this
+     * runtime's clock and remote tier and is a cost/residency model
+     * only: data still lives in the far heap and moves through rawRead
+     * / rawWrite, so plane choice can never change program results.
      * @{ */
-    /// Page size for the paged plane (kernel-style 4 KB).
-    std::uint32_t pagedPageSizeBytes = 4096;
     /// Local memory budget for paged-plane resident pages; 0 means
     /// "share the guard plane's budget" (localMemBytes).
     std::uint64_t pagedLocalMemBytes = 0;
-    /// Fault-side readahead window in pages (fastswap-style).
-    bool pagedReadaheadEnabled = true;
+    /// Fault-side readahead window in pages; 0 turns readahead off.
     std::uint32_t pagedReadaheadPages = 8;
     /** @} */
 

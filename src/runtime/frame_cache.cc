@@ -167,22 +167,6 @@ FrameCache::reclaimFrames(std::uint32_t shard,
     return reclaimed;
 }
 
-std::uint64_t
-FrameCache::allocFrame()
-{
-    TFM_ASSERT(shards.size() == 1,
-               "allocFrame() without a shard is single-shard only");
-    return allocFrameIn(0);
-}
-
-std::uint64_t
-FrameCache::pickVictim()
-{
-    TFM_ASSERT(shards.size() == 1,
-               "pickVictim() without a shard is single-shard only");
-    return pickVictimIn(0);
-}
-
 void
 FrameCache::releaseFrame(std::uint64_t frame_idx)
 {

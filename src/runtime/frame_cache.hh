@@ -141,14 +141,6 @@ class FrameCache
     }
     /** @} */
 
-    /** @name Single-shard legacy API (Fastswap runtime, unit tests)
-     * @{ */
-    /** Take a free frame if one exists (single-shard caches only). */
-    std::uint64_t allocFrame();
-    /** CLOCK victim (single-shard caches only). */
-    std::uint64_t pickVictim();
-    /** @} */
-
     /** Return a frame to its shard's free list immediately (the
      *  single-thread eviction path: no limbo, no epoch). */
     void releaseFrame(std::uint64_t frame_idx);

@@ -100,11 +100,11 @@ class TfmRuntime
      * The pg_malloc family backs allocation sites the PathArbiterPass
      * routed to the paging plane. Pointers carry the bit-61 tag (so
      * guards custody-reject them and the interpreter's memory choke
-     * point resolves them here); accesses charge fastswap-style fault
-     * costs through a lazily created PagedPlane sharing this runtime's
-     * clock and link, while the data itself moves through the far
-     * heap's raw read/write — results are plane-independent by
-     * construction.
+     * point resolves them here); accesses charge fault costs through a
+     * lazily created PagedPlane — the paging model FastswapRuntime also
+     * runs on — sharing this runtime's clock and remote tier, while the
+     * data itself moves through the far heap's raw read/write: results
+     * are plane-independent by construction.
      * @{ */
     std::uint64_t pagedMalloc(std::size_t bytes);
     std::uint64_t pagedCalloc(std::size_t count, std::size_t size);

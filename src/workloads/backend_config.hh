@@ -39,12 +39,6 @@ struct BackendConfig
     /// Enable the runtime stride prefetcher (TrackFM/AIFM).
     bool prefetchEnabled = true;
     std::uint32_t prefetchDepth = 8;
-    /// Kernel swap readahead for Fastswap. Off by default: Fastswap's
-    /// frontswap/RDMA path fetches faulted pages individually, and the
-    /// paper's results show kernel-side prefetching far weaker than
-    /// the compiler-informed kind ("post hoc inferences based on
-    /// run-time page faults").
-    bool kernelReadahead = false;
     /// TrackFM loop-chunking policy.
     ChunkPolicy chunkPolicy = ChunkPolicy::CostModel;
     /// Optional per-instance trace stream label. When several backends

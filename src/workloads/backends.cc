@@ -500,16 +500,21 @@ class FastswapBackend : public MemBackend
     }
 
   private:
-    static FastswapConfig
+    /**
+     * Swap readahead stays off: Fastswap's frontswap/RDMA path fetches
+     * faulted pages individually, and the paper's results show
+     * kernel-side prefetching far weaker than the compiler-informed
+     * kind ("post hoc inferences based on run-time page faults").
+     */
+    static RuntimeConfig
     fastswapConfig(const BackendConfig &config)
     {
-        FastswapConfig fc;
-        fc.farHeapBytes = config.farHeapBytes;
-        fc.localMemBytes = config.localMemBytes;
-        fc.readaheadEnabled = config.kernelReadahead;
-        fc.readaheadPages = config.prefetchDepth;
-        fc.obsLabel = config.obsLabel;
-        return fc;
+        RuntimeConfig rc;
+        rc.farHeapBytes = config.farHeapBytes;
+        rc.localMemBytes = config.localMemBytes;
+        rc.pagedReadaheadPages = 0;
+        rc.obsLabel = config.obsLabel;
+        return rc;
     }
 
     void

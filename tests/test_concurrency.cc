@@ -42,17 +42,17 @@ mix64(std::uint64_t x)
  * deterministic replay gates depend on sharding being invisible at
  * shard_count=1. Pin the canonical sweep (clear-and-skip referenced
  * frames, skip pinned frames, second sweep guaranteed to find a
- * victim) and drive the legacy and the shard-aware entry points in
- * lockstep on two caches, asserting identical victim sequences.
+ * victim) and drive two identical caches in lockstep, asserting
+ * identical victim sequences (the sweep depends on cache state only).
  */
 TEST(FrameCacheClock, SingleShardMatchesSeedOrder)
 {
-    FrameCache legacy(8 * 64, 64, 1);
+    FrameCache replica(8 * 64, 64, 1);
     FrameCache sharded(8 * 64, 64, 1);
-    ASSERT_EQ(legacy.numFrames(), 8u);
+    ASSERT_EQ(replica.numFrames(), 8u);
 
     for (int i = 0; i < 8; i++) {
-        const std::uint64_t a = legacy.allocFrame();
+        const std::uint64_t a = replica.allocFrameIn(0);
         const std::uint64_t b = sharded.allocFrameIn(0);
         ASSERT_EQ(a, b);
         // Descending free list: allocation hands out 0,1,2,... exactly
@@ -62,31 +62,31 @@ TEST(FrameCacheClock, SingleShardMatchesSeedOrder)
 
     // All refbits start set; the first sweep clears them and the second
     // returns the frame under the (wrapped) hand: frame 0.
-    std::uint64_t v = legacy.pickVictim();
+    std::uint64_t v = replica.pickVictimIn(0);
     EXPECT_EQ(v, 0u);
     EXPECT_EQ(sharded.pickVictimIn(0), v);
-    legacy.releaseFrame(v);
+    replica.releaseFrame(v);
     sharded.releaseFrame(v);
-    EXPECT_EQ(legacy.allocFrame(), 0u);
+    EXPECT_EQ(replica.allocFrameIn(0), 0u);
     EXPECT_EQ(sharded.allocFrameIn(0), 0u);
 
     // Hand sits at 1. Re-referenced frames 1 and 2 get cleared and
     // skipped; frame 3 is the victim.
-    for (FrameCache *c : {&legacy, &sharded}) {
+    for (FrameCache *c : {&replica, &sharded}) {
         c->frame(1).refbit.store(true);
         c->frame(2).refbit.store(true);
     }
-    v = legacy.pickVictim();
+    v = replica.pickVictimIn(0);
     EXPECT_EQ(v, 3u);
     EXPECT_EQ(sharded.pickVictimIn(0), v);
-    legacy.releaseFrame(v);
+    replica.releaseFrame(v);
     sharded.releaseFrame(v);
 
     // Hand sits at 4. A pinned frame is skipped without clearing its
     // refbit; frame 5 (refbit already cleared above) is the victim.
-    for (FrameCache *c : {&legacy, &sharded})
+    for (FrameCache *c : {&replica, &sharded})
         c->frame(4).pins.store(1);
-    v = legacy.pickVictim();
+    v = replica.pickVictimIn(0);
     EXPECT_EQ(v, 5u);
     EXPECT_EQ(sharded.pickVictimIn(0), v);
 }
@@ -96,10 +96,10 @@ TEST(FrameCacheClock, AllPinnedReturnsNoFrame)
 {
     FrameCache cache(4 * 64, 64, 1);
     for (int i = 0; i < 4; i++) {
-        const std::uint64_t f = cache.allocFrame();
+        const std::uint64_t f = cache.allocFrameIn(0);
         cache.frame(f).pins.store(1);
     }
-    EXPECT_EQ(cache.pickVictim(), FrameCache::noFrame);
+    EXPECT_EQ(cache.pickVictimIn(0), FrameCache::noFrame);
 }
 
 /**

@@ -5,22 +5,29 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <string>
 
 #include "fastswap/fastswap_runtime.hh"
+#include "obs/flight_recorder.hh"
+#include "sim/rng.hh"
+#include "tfm/tfm_runtime.hh"
 
 namespace tfm
 {
 namespace
 {
 
-FastswapConfig
+RuntimeConfig
 smallConfig(std::uint64_t frames = 16, bool readahead = false)
 {
-    FastswapConfig cfg;
+    RuntimeConfig cfg;
     cfg.farHeapBytes = 4 << 20;
     cfg.localMemBytes = frames * 4096;
-    cfg.readaheadEnabled = readahead;
+    cfg.pagedReadaheadPages = readahead ? 8 : 0;
     return cfg;
 }
 
@@ -156,6 +163,144 @@ TEST(Fastswap, ExportStats)
     fs.exportStats(set);
     EXPECT_EQ(set.get("fastswap.major_faults"), 1u);
     EXPECT_EQ(set.get("net.bytes_fetched"), 4096u);
+}
+
+/**
+ * FastswapRuntime and the hybrid arbiter's paged sites share one paging
+ * model, so one seeded page trace (sequential runs, random jumps,
+ * page-straddling accesses, a budget far below the touched set) must
+ * fault, reclaim and charge identically on both.
+ */
+TEST(Fastswap, AgreesWithTheHybridPagedPlane)
+{
+    const RuntimeConfig cfg = smallConfig(12, /*readahead=*/true);
+    FastswapRuntime fs(cfg, CostParams{});
+    TfmRuntime tfm(cfg, CostParams{});
+    constexpr std::uint64_t kPages = 64;
+    const std::uint64_t fsHeap = fs.allocate(kPages * 4096);
+    const std::uint64_t pgHeap = tfm.pagedMalloc(kPages * 4096);
+    ASSERT_EQ(fsHeap, tfmOffsetOf(pgHeap));
+    const std::uint64_t fsStart = fs.clock().now();
+    const std::uint64_t tfmStart = tfm.clock().now();
+
+    Rng rng(20240417);
+    std::uint64_t page = 0;
+    std::uint8_t fsBuf[96];
+    std::uint8_t pgBuf[96];
+    for (int step = 0; step < 20000; step++) {
+        page = rng.below(10) < 7 ? (page + 1) % kPages : rng.below(kPages);
+        const std::uint64_t at = page * 4096 + rng.below(4096);
+        const std::size_t len = std::min<std::uint64_t>(
+            1 + rng.below(sizeof(fsBuf)), kPages * 4096 - at);
+        if (rng.below(10) < 3) {
+            std::memset(fsBuf, step & 0xff, len);
+            fs.writeBytes(fsHeap + at, fsBuf, len);
+            tfm.pagedWrite(pgHeap + at, fsBuf, len);
+        } else {
+            fs.readBytes(fsHeap + at, fsBuf, len);
+            tfm.pagedRead(pgHeap + at, pgBuf, len);
+            ASSERT_EQ(std::memcmp(fsBuf, pgBuf, len), 0) << "step " << step;
+        }
+    }
+
+    const PagedStats &a = fs.stats();
+    const PagedStats &b = tfm.pagedPlane()->stats();
+    EXPECT_EQ(a.majorFaults, b.majorFaults);
+    EXPECT_EQ(a.minorFaults, b.minorFaults);
+    EXPECT_EQ(a.reclaims, b.reclaims);
+    EXPECT_EQ(a.pageouts, b.pageouts);
+    EXPECT_EQ(a.readaheads, b.readaheads);
+    EXPECT_EQ(fs.clock().now() - fsStart, tfm.clock().now() - tfmStart);
+    // The trace reaches every fault and reclaim path.
+    EXPECT_GT(a.minorFaults, 0u);
+    EXPECT_GT(a.pageouts, 0u);
+    EXPECT_GT(a.reclaims, a.pageouts);
+}
+
+/**
+ * A cluster stripe smaller than a page (a paged site next to 64 B
+ * TrackFM objects): the page still crosses whole, as one operation per
+ * stripe, so no operation straddles a shard.
+ */
+TEST(PagedPlane, SplitsPageTransfersAtClusterStripes)
+{
+    RuntimeConfig cfg = smallConfig();
+    cfg.objectSizeBytes = 64;
+    cfg.cluster.shardCount = 4;
+    cfg.pagedLocalMemBytes = 4096; // one resident page
+    TfmRuntime tfm(cfg, CostParams{});
+    const std::uint64_t heap = tfm.pagedMalloc(2 * 4096);
+    const std::uint64_t value = 7;
+    tfm.pagedWrite(heap, &value, sizeof(value));
+    std::uint64_t got = 0;
+    tfm.pagedRead(heap + 4096, &got, sizeof(got)); // evicts dirty page 0
+    tfm.pagedRead(heap, &got, sizeof(got));
+    EXPECT_EQ(got, value);
+
+    const PagedStats &stats = tfm.pagedPlane()->stats();
+    EXPECT_EQ(stats.majorFaults, 3u);
+    EXPECT_EQ(stats.pageouts, 1u);
+    const NetStats net = tfm.runtime().backend().netStats();
+    EXPECT_EQ(net.bytesFetched, 3u * 4096);
+    EXPECT_EQ(net.fetchMessages, 3u * 4096 / 64);
+    EXPECT_EQ(net.bytesWrittenBack, 4096u);
+    EXPECT_EQ(net.writebackMessages, 4096u / 64);
+}
+
+/** Runs the same faulting read/write mix on a recorder-attached runtime. */
+void
+faultingMix(FastswapRuntime &fs)
+{
+    const std::uint64_t heap = fs.allocate(96 * 4096);
+    for (std::uint64_t i = 0; i < 96; i++)
+        fs.rawWrite(heap + i * 4096, &i, sizeof(i));
+    for (std::uint64_t pass = 0; pass < 3; pass++) {
+        for (std::uint64_t i = 0; i < 96; i += 1 + pass) {
+            const std::uint64_t v = fs.load<std::uint64_t>(heap + i * 4096);
+            fs.store<std::uint64_t>(heap + i * 4096 + 8, v + pass);
+        }
+    }
+}
+
+TEST(Fastswap, RecordedRunReplaysBitExact)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "tfm_fastswap_replay.tfr")
+            .string();
+    std::uint64_t cycles = 0;
+    std::uint64_t heap = 0;
+    StatSet recorded;
+    std::string error;
+    {
+        FlightRecorder recorder;
+        RuntimeConfig cfg = smallConfig(8, /*readahead=*/true);
+        cfg.recorder = &recorder;
+        FastswapRuntime fs(cfg, CostParams{});
+        faultingMix(fs);
+        cycles = fs.clock().now();
+        heap = fs.runtime().heapChecksum();
+        fs.exportStats(recorded);
+        EXPECT_GT(recorder.size(), 0u);
+        ASSERT_TRUE(recorder.save(path, error)) << error;
+    }
+    auto replayer = FlightRecorder::loadForReplay(path, error);
+    ASSERT_NE(replayer, nullptr) << error;
+    RuntimeConfig cfg = smallConfig(8, /*readahead=*/true);
+    cfg.recorder = replayer.get();
+    FastswapRuntime fs(cfg, CostParams{});
+    faultingMix(fs);
+    EXPECT_NO_THROW(replayer->finishReplay());
+    EXPECT_EQ(fs.clock().now(), cycles);
+    EXPECT_EQ(fs.runtime().heapChecksum(), heap);
+    StatSet replayed;
+    fs.exportStats(replayed);
+    for (const char *name :
+         {"fastswap.major_faults", "fastswap.minor_faults",
+          "fastswap.pageouts", "net.bytes_fetched",
+          "net.bytes_written_back"}) {
+        EXPECT_EQ(replayed.get(name), recorded.get(name)) << name;
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace

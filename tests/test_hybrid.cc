@@ -703,6 +703,48 @@ exit:
     ASSERT_TRUE(result.ok()) << result.trapMessage;
 }
 
+/**
+ * Evacuation sits outside the measurement window on both planes: the
+ * tfm_evacuate_all builtin drops dirty paged pages without charging
+ * their writeback to the link, like FarMemRuntime::evacuateAll.
+ */
+TEST(PathArbiter, EvacuateAllBuiltinChargesNoPagedWriteback)
+{
+    const std::string body = R"(
+func @main() -> i64 {
+entry:
+  %a = call ptr @malloc(32768)
+  br loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %i2, loop ]
+  %p = gep %a, %i, 8
+  store %i, %p
+  %i2 = add %i, 1
+  %c = icmp.slt %i2, 4096
+  condbr %c, loop, exit
+exit:
+)";
+    const auto run = [&body](const char *tail) {
+        System system(hybridConfig(ArbiterMode::ForceAllPaged, true));
+        CompileResult compiled = system.compile(body + tail);
+        EXPECT_TRUE(compiled.ok()) << compiled.error;
+        const RunResult result = system.run(*compiled.program);
+        EXPECT_TRUE(result.ok()) << result.trapMessage;
+        return system.stats();
+    };
+    const StatSet kept = run("  ret 0\n}\n");
+    const StatSet evacuated =
+        run("  call void @tfm_evacuate_all()\n  ret 0\n}\n");
+    // Eight dirty pages (plus a readahead page) were resident, then
+    // dropped...
+    EXPECT_GE(kept.get("paged.resident_pages"), 8u);
+    EXPECT_EQ(evacuated.get("paged.resident_pages"), 0u);
+    // ...and dropping them added no link traffic.
+    EXPECT_EQ(evacuated.get("net.bytes_written_back"),
+              kept.get("net.bytes_written_back"));
+    EXPECT_EQ(evacuated.get("net.bytes_written_back"), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Mixed-plane safety diagnostic
 // ---------------------------------------------------------------------

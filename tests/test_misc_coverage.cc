@@ -85,10 +85,10 @@ TEST(GuardTraceMisc, DumpIsTraceEventJson)
 
 TEST(FastswapMisc, EvacuateAllFlushesReadaheadState)
 {
-    FastswapConfig cfg;
+    RuntimeConfig cfg;
     cfg.farHeapBytes = 1 << 20;
     cfg.localMemBytes = 64 << 10;
-    cfg.readaheadEnabled = true;
+    cfg.pagedReadaheadPages = 8;
     FastswapRuntime fs(cfg, CostParams{});
     const std::uint64_t heap = fs.allocate(512 << 10);
     fs.store<std::uint64_t>(heap, 99); // major fault + readahead

@@ -366,7 +366,7 @@ TEST(RuntimeTrace, TfmGuardSlowPathsAreTraced)
 TEST(RuntimeTrace, FastswapFaultsProduceSpans)
 {
     Observability obs;
-    FastswapConfig cfg;
+    RuntimeConfig cfg;
     cfg.farHeapBytes = 1 << 20;
     cfg.localMemBytes = 64 << 10;
     cfg.obs = &obs;

@@ -140,8 +140,8 @@ TEST(FrameCache, AllocatesUntilFull)
     FrameCache cache(4 * 4096, 4096);
     EXPECT_EQ(cache.numFrames(), 4u);
     for (int i = 0; i < 4; i++)
-        EXPECT_NE(cache.allocFrame(), FrameCache::noFrame);
-    EXPECT_EQ(cache.allocFrame(), FrameCache::noFrame);
+        EXPECT_NE(cache.allocFrameIn(0), FrameCache::noFrame);
+    EXPECT_EQ(cache.allocFrameIn(0), FrameCache::noFrame);
 }
 
 TEST(FrameCache, ClockEvictsUnreferencedFirst)
@@ -149,33 +149,33 @@ TEST(FrameCache, ClockEvictsUnreferencedFirst)
     FrameCache cache(4 * 4096, 4096);
     std::uint64_t frames[4];
     for (int i = 0; i < 4; i++) {
-        frames[i] = cache.allocFrame();
+        frames[i] = cache.allocFrameIn(0);
         cache.frame(frames[i]).objId = i;
     }
     // Clear one frame's reference bit; CLOCK must pick it eventually.
     cache.frame(frames[2]).refbit = false;
-    const std::uint64_t victim = cache.pickVictim();
+    const std::uint64_t victim = cache.pickVictimIn(0);
     EXPECT_EQ(victim, frames[2]);
 }
 
 TEST(FrameCache, PinnedFramesAreNeverVictims)
 {
     FrameCache cache(2 * 4096, 4096);
-    const std::uint64_t a = cache.allocFrame();
-    const std::uint64_t b = cache.allocFrame();
+    const std::uint64_t a = cache.allocFrameIn(0);
+    const std::uint64_t b = cache.allocFrameIn(0);
     cache.frame(a).pins = 1;
     cache.frame(a).refbit = false;
     cache.frame(b).refbit = false;
-    EXPECT_EQ(cache.pickVictim(), b);
+    EXPECT_EQ(cache.pickVictimIn(0), b);
     cache.frame(b).pins = 1;
-    EXPECT_EQ(cache.pickVictim(), FrameCache::noFrame);
+    EXPECT_EQ(cache.pickVictimIn(0), FrameCache::noFrame);
 }
 
 TEST(FrameCache, ReleaseReturnsFrameToFreeList)
 {
     FrameCache cache(2 * 4096, 4096);
-    const std::uint64_t a = cache.allocFrame();
-    cache.allocFrame();
+    const std::uint64_t a = cache.allocFrameIn(0);
+    cache.allocFrameIn(0);
     EXPECT_EQ(cache.freeFrames(), 0u);
     cache.releaseFrame(a);
     EXPECT_EQ(cache.freeFrames(), 1u);

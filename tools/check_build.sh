@@ -12,6 +12,17 @@ cmake -B "${BUILD_DIR}" -S . -DTFM_WERROR=ON
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
+# Benchmark anchor: perfbench/ is a CMake package of its own (it
+# compiles src/ into one library), so configure it into its own build
+# dir and run its anchor test. The anchor pins bench_hybrid's three
+# planes and Fig. 12's Fastswap cycles, i.e. both users of the one
+# paging model (PagedPlane).
+PB_DIR="${BUILD_DIR}/perfbench_anchor"
+cmake -S perfbench -B "${PB_DIR}" > /dev/null
+cmake --build "${PB_DIR}" -j "$(nproc)" --target perfbench_anchor_test
+"${PB_DIR}/perfbench_anchor_test"
+echo "check_build: perfbench anchor OK"
+
 # Observability smoke test: run one bench with --trace, check that the
 # emitted file is Perfetto-loadable JSON and that tfm-stat reads it.
 TRACE_FILE="${BUILD_DIR}/smoke_trace.json"
@@ -74,6 +85,13 @@ for example in examples/*.tir; do
             "${example}" 2> /dev/null \
             | grep -v "^simulated time" > "${HYB_DIR}/${tag}_hybrid.out"
         cmp "${HYB_DIR}/${tag}_guard.out" "${HYB_DIR}/${tag}_hybrid.out"
+        # Paged-plane faults go through the remote tier, so the hybrid
+        # recording replays bit-exactly too.
+        "${BUILD_DIR}/tools/tfmc" --run --check-safety --hybrid \
+            ${optflag} --replay="${HYB_DIR}/${tag}_hybrid.tfr" \
+            "${example}" 2> /dev/null \
+            | grep -v "^simulated time" > "${HYB_DIR}/${tag}_replay.out"
+        cmp "${HYB_DIR}/${tag}_hybrid.out" "${HYB_DIR}/${tag}_replay.out"
     done
 done
 "${BUILD_DIR}/bench/bench_hybrid" --check > /dev/null
@@ -171,6 +189,17 @@ if command -v python3 > /dev/null; then
     python3 tools/validate_trace.py "${REC_DIR}/bench_trace.json" \
         | grep -q "recorder counters"
 fi
+
+# (f2) The Fastswap baseline runs on FarMemRuntime's remote tier, so
+# its page faults, readahead and pageouts record and replay like object
+# transfers (Fig. 12 runs TrackFM and Fastswap side by side).
+"${BUILD_DIR}/bench/bench_fig12_stream_vs_fastswap" \
+    --record="${REC_DIR}/fastswap.tfr" > "${REC_DIR}/fastswap.out" \
+    2> /dev/null
+"${BUILD_DIR}/bench/bench_fig12_stream_vs_fastswap" \
+    --replay="${REC_DIR}/fastswap.tfr" > "${REC_DIR}/fastswap_replay.out" \
+    2> /dev/null
+cmp "${REC_DIR}/fastswap.out" "${REC_DIR}/fastswap_replay.out"
 
 # (g) Recording off must stay free: the guard fast paths never touch
 # the recorder (only the cold choke points check the pointer), so the
