@@ -45,7 +45,19 @@ main()
         "TrackFM ~2.7x (Sum) and ~2.9x (Copy) faster than Fastswap",
         "8 MB working set standing in for the paper's 12 GB");
 
+    // Every cell, keyed e.g. "copy_fastswap_cycles_l25"; the build
+    // check compares them exactly against bench/expected/fig12.json.
+    bench::JsonLine json("fig12_stream_vs_fastswap");
+    const auto cell = [&json](const char *kernel, const char *system,
+                          double fraction, std::uint64_t value) {
+        char key[48];
+        std::snprintf(key, sizeof(key), "%s_%s_cycles_l%d", kernel, system,
+                      static_cast<int>(fraction * 100.0 + 0.5));
+        json.field(key, value);
+    };
+
     for (const bool copy : {false, true}) {
+        const char *kernel = copy ? "copy" : "sum";
         bench::section(copy ? "Copy" : "Sum");
         std::printf("%10s %16s %16s %10s\n", "local mem",
                     "Fastswap cyc", "TrackFM cyc", "speedup");
@@ -61,9 +73,12 @@ main()
                         static_cast<unsigned long long>(tfm_cycles),
                         static_cast<double>(fsw) /
                             static_cast<double>(tfm_cycles));
+            cell(kernel, "fastswap", fraction, fsw);
+            cell(kernel, "trackfm", fraction, tfm_cycles);
         }
     }
     std::printf("\nPaper reference: TrackFM wins by ~2-3x in the "
                 "memory-pressured region.\n");
+    json.emit();
     return 0;
 }

@@ -18,6 +18,8 @@ namespace
 
 struct Point
 {
+    std::uint64_t cycles;
+    std::uint64_t bytesFetched;
     double seconds;
     double fetchedGb;
     double amplification;
@@ -48,6 +50,8 @@ runOne(SystemKind kind, double local_fraction, const CostParams &costs)
     workload.run(); // warm-up: exclude the one-time cold fill
     const HashmapResult r = workload.run();
     Point point;
+    point.cycles = r.delta.cycles;
+    point.bytesFetched = r.delta.bytesFetched;
     point.seconds = bench::seconds(r.delta.cycles, costs);
     point.fetchedGb =
         static_cast<double>(r.delta.bytesFetched) / 1e9;
@@ -68,6 +72,18 @@ main()
         "objects) only ~2.3x, for an average ~12x speedup",
         "60K keys / 200K lookups standing in for 2 GB WS / 50M lookups");
 
+    // The cycles behind table (a) and the bytes behind table (b), keyed
+    // e.g. "fastswap_cycles_l25"; the build check compares them exactly
+    // against bench/expected/fig13.json.
+    bench::JsonLine json("fig13_io_amplification");
+    const auto cell = [&json](const char *system, const char *what,
+                          double fraction, std::uint64_t value) {
+        char key[48];
+        std::snprintf(key, sizeof(key), "%s_%s_l%d", system, what,
+                      static_cast<int>(fraction * 100.0 + 0.5));
+        json.field(key, value);
+    };
+
     bench::section("(a) execution time (simulated seconds)");
     std::printf("%10s %14s %14s %10s\n", "local mem", "TrackFM 64B",
                 "Fastswap", "speedup");
@@ -81,6 +97,8 @@ main()
                     bench::pct(fraction).c_str(), tfm_point.seconds,
                     fsw_point.seconds,
                     fsw_point.seconds / tfm_point.seconds);
+        cell("trackfm", "cycles", fraction, tfm_point.cycles);
+        cell("fastswap", "cycles", fraction, fsw_point.cycles);
     }
 
     bench::section("(b) total data fetched (x working set)");
@@ -95,8 +113,11 @@ main()
         std::printf("%10s %13.1fx %13.1fx\n",
                     bench::pct(fraction).c_str(),
                     tfm_point.amplification, fsw_point.amplification);
+        cell("trackfm", "bytes_fetched", fraction, tfm_point.bytesFetched);
+        cell("fastswap", "bytes_fetched", fraction, fsw_point.bytesFetched);
     }
     std::printf("\nPaper reference: Fastswap ~43x WS transferred vs "
                 "TrackFM ~2.3x; ~12x average speedup.\n");
+    json.emit();
     return 0;
 }

@@ -269,12 +269,14 @@ linearize(const Value *value, std::int64_t mult, const LoopNest &nest,
         return false;
     if (value->isConstant())
         return true;
-    auto ivIt = nest.ivByPhi.find(
-        static_cast<const Instruction *>(value));
-    if (value->isInstruction() && ivIt != nest.ivByPhi.end() &&
-        ivIt->second.first->contains(accessBlock)) {
-        coeffs[ivIt->first] += mult;
-        return true;
+    if (value->isInstruction()) {
+        auto ivIt = nest.ivByPhi.find(
+            static_cast<const Instruction *>(value));
+        if (ivIt != nest.ivByPhi.end() &&
+            ivIt->second.first->contains(accessBlock)) {
+            coeffs[ivIt->first] += mult;
+            return true;
+        }
     }
     // Anything invariant in the outermost enclosing loop contributes
     // only to the (ignored) base term.

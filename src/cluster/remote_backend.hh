@@ -124,6 +124,18 @@ class RemoteBackend
                           std::size_t len) = 0;
     virtual void rawRead(std::uint64_t offset, std::byte *dst,
                          std::size_t len) const = 0;
+    /**
+     * Host address of far-heap bytes [offset, offset + len) when one
+     * store holds them contiguously as their only copy, so a caller may
+     * read and write them in place exactly as rawRead/rawWrite would.
+     * nullptr when there is no such span: the default, and always the
+     * answer of a striped or replicated tier.
+     */
+    virtual std::byte *
+    rawSpan(std::uint64_t /*offset*/, std::size_t /*len*/)
+    {
+        return nullptr;
+    }
     /** @} */
 
     /** Aggregate link statistics (sum over shards). */
@@ -229,6 +241,12 @@ class SingleNodeBackend final : public RemoteBackend
             std::size_t len) const override
     {
         node_.rawRead(offset, dst, len);
+    }
+
+    std::byte *
+    rawSpan(std::uint64_t offset, std::size_t len) override
+    {
+        return node_.span(offset, len);
     }
 
     NetStats netStats() const override { return net_.stats(); }

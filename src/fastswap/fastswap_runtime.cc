@@ -1,6 +1,9 @@
 #include "fastswap_runtime.hh"
 
+#include <algorithm>
+
 #include "obs/obs.hh"
+#include "sim/logging.hh"
 
 namespace tfm
 {
@@ -15,6 +18,13 @@ pagedConfig(RuntimeConfig config)
     config.objectSizeBytes = PagedPlane::pageSize;
     config.prefetchEnabled = false;
     config.obsKind = "fastswap";
+    // Nothing is ever localized into the object cache (pages live in
+    // the far-heap store), so the plane gets the local budget and the
+    // cache its two-frame minimum.
+    if (config.pagedLocalMemBytes == 0)
+        config.pagedLocalMemBytes = config.localMemBytes;
+    config.localMemBytes = 2ull * PagedPlane::pageSize;
+    config.cacheShards = 1;
     return config;
 }
 
@@ -24,6 +34,30 @@ FastswapRuntime::FastswapRuntime(const RuntimeConfig &config,
                                  const CostParams &cost_params)
     : rt(pagedConfig(config), cost_params), plane(rt)
 {}
+
+void
+FastswapRuntime::fillWindow(PageWindow &window, std::uint64_t offset,
+                            std::size_t len)
+{
+    // The store is the newest copy of every byte only because no object
+    // is ever localized or parked for writeback (prefetcher off, no
+    // guards).
+    TFM_ASSERT(rt.stats().localizeCalls == 0 && rt.pendingWritebacks() == 0,
+               "a Fastswap page window needs the far-heap store to hold "
+               "the newest bytes");
+    const std::uint64_t pageId =
+        (offset + (len ? len - 1 : 0)) / PagedPlane::pageSize;
+    const std::uint64_t begin = pageId * PagedPlane::pageSize;
+    const std::uint64_t end = std::min<std::uint64_t>(
+        begin + PagedPlane::pageSize, rt.config().farHeapBytes);
+    window.host = plane.mappedAndReferenced(pageId)
+                      ? rt.backend().rawSpan(begin, end - begin)
+                      : nullptr;
+    window.begin = begin;
+    window.end = window.host ? end : begin;
+    window.epoch = plane.mapEpoch();
+    window.writable = plane.dirty(pageId);
+}
 
 void
 FastswapRuntime::exportStats(StatSet &set) const

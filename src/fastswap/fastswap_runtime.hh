@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "paged_plane.hh"
 #include "runtime/far_mem_runtime.hh"
@@ -79,6 +80,53 @@ class FastswapRuntime
         rt.rawWrite(offset, src, len);
     }
 
+    /**
+     * A host window onto one mapped page: far-heap bytes [begin, end)
+     * live at @c host and may be read (and written, when @c writable)
+     * in place while the plane's map epoch still equals @c epoch.
+     * Empty (begin == end) until an access fills it.
+     */
+    struct PageWindow
+    {
+        std::byte *host = nullptr;
+        std::uint64_t begin = 0;
+        std::uint64_t end = 0;
+        std::uint64_t epoch = 0;
+        bool writable = false;
+    };
+
+    /**
+     * readBytes through @p window. An access inside a valid window is
+     * the copy alone: it skips only the plane's mapped-page branch,
+     * which would re-set a reference bit that is already set. Any other
+     * access takes readBytes' path, then refills the window from the
+     * page it left mapped.
+     */
+    void
+    readVia(PageWindow &window, std::uint64_t offset, void *dst,
+            std::size_t len)
+    {
+        if (inWindow(window, offset, len)) {
+            std::memcpy(dst, window.host + (offset - window.begin), len);
+            return;
+        }
+        readBytes(offset, dst, len);
+        fillWindow(window, offset, len);
+    }
+
+    /** writeBytes through @p window; a hit also needs a dirty page. */
+    void
+    writeVia(PageWindow &window, std::uint64_t offset, const void *src,
+             std::size_t len)
+    {
+        if (window.writable && inWindow(window, offset, len)) {
+            std::memcpy(window.host + (offset - window.begin), src, len);
+            return;
+        }
+        writeBytes(offset, src, len);
+        fillWindow(window, offset, len);
+    }
+
     /** Typed access helpers. */
     template <typename T>
     T
@@ -101,12 +149,18 @@ class FastswapRuntime
     void
     rawWrite(std::uint64_t offset, const void *src, std::size_t len)
     {
-        rt.rawWrite(offset, src, len);
+        if (std::byte *host = rt.backend().rawSpan(offset, len))
+            std::memcpy(host, src, len);
+        else
+            rt.rawWrite(offset, src, len);
     }
     void
     rawRead(std::uint64_t offset, void *dst, std::size_t len)
     {
-        rt.rawRead(offset, dst, len);
+        if (const std::byte *host = rt.backend().rawSpan(offset, len))
+            std::memcpy(dst, host, len);
+        else
+            rt.rawRead(offset, dst, len);
     }
     /** @} */
 
@@ -119,6 +173,21 @@ class FastswapRuntime
     void exportStats(StatSet &set) const;
 
   private:
+    /** Does @p window still cover [offset, offset + len)? */
+    bool
+    inWindow(const PageWindow &window, std::uint64_t offset,
+             std::size_t len) const
+    {
+        // Unsigned wrap rejects offsets below begin and empty windows.
+        return offset - window.begin < window.end - window.begin &&
+               len <= window.end - offset &&
+               window.epoch == plane.mapEpoch();
+    }
+
+    /** Point @p window at the page holding the access's last byte. */
+    void fillWindow(PageWindow &window, std::uint64_t offset,
+                    std::size_t len);
+
     FarMemRuntime rt;
     PagedPlane plane;
 };

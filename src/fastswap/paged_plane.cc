@@ -132,6 +132,7 @@ void
 PagedPlane::reclaimOne()
 {
     TFM_ASSERT(!resident_.empty(), "paged reclaim with no resident pages");
+    mapEpoch_++;
     // CLOCK sweep: clear reference bits until an unreferenced mapped page
     // comes around. In-flight pages are skipped (their fetch is already
     // paid for); if everything is referenced the sweep degrades to FIFO
@@ -211,6 +212,7 @@ PagedPlane::readahead(std::uint64_t pageId)
 void
 PagedPlane::evacuate()
 {
+    mapEpoch_++;
     for (const std::uint64_t pageId : resident_)
         table_[pageId] = Page{};
     resident_.clear();

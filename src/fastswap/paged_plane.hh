@@ -73,6 +73,23 @@ class PagedPlane
      */
     void evacuate();
 
+    /**
+     * Map epoch: bumped at every reclaimOne() and evacuate(), the only
+     * operations that can clear a mapped page's reference or dirty bit
+     * or unmap it. While the epoch is unchanged, a page that was
+     * mappedAndReferenced() stays so and a dirty one stays dirty, so
+     * touching it again would change nothing.
+     */
+    std::uint64_t mapEpoch() const { return mapEpoch_; }
+    /** Is @p pageId mapped (resident, not in flight) and referenced? */
+    bool
+    mappedAndReferenced(std::uint64_t pageId) const
+    {
+        const Page &pg = table_[pageId];
+        return pg.resident && !pg.inflight && pg.refbit;
+    }
+    bool dirty(std::uint64_t pageId) const { return table_[pageId].dirty; }
+
     const PagedStats &stats() const { return _stats; }
     std::uint64_t residentPages() const { return resident_.size(); }
 
@@ -114,6 +131,7 @@ class PagedPlane
     std::vector<Page> table_;   ///< indexed by page id, whole far heap
     std::vector<std::uint64_t> resident_; ///< CLOCK ring of page ids
     std::size_t clockHand_ = 0;
+    std::uint64_t mapEpoch_ = 0;
     /// Remote operations split pages at multiples of this (a cluster
     /// stripe; a whole page on the single-node tier).
     std::uint64_t segmentBytes_ = pageSize;

@@ -75,6 +75,12 @@ class RecordingBackend final : public RemoteBackend
         inner_->rawRead(offset, dst, len);
     }
 
+    std::byte *
+    rawSpan(std::uint64_t offset, std::size_t len) override
+    {
+        return inner_->rawSpan(offset, len);
+    }
+
     NetStats netStats() const override { return inner_->netStats(); }
     RemoteStats remoteStats() const override
     {
@@ -167,6 +173,12 @@ class ReplayBackend final : public RemoteBackend
             std::size_t len) const override
     {
         node_.rawRead(offset, dst, len);
+    }
+
+    std::byte *
+    rawSpan(std::uint64_t offset, std::size_t len) override
+    {
+        return node_.span(offset, len);
     }
 
     /** Aggregated from the recorded net stream (context events). */

@@ -128,6 +128,18 @@ class RemoteNode
     /** Direct read for verification in tests (no accounting). */
     void rawRead(std::uint64_t offset, std::byte *dst, std::size_t len) const;
 
+    /**
+     * Host address of the @p len stored bytes at @p offset, read and
+     * written in place with no accounting (RemoteBackend::rawSpan).
+     * Bounds-checked like rawRead.
+     */
+    std::byte *
+    span(std::uint64_t offset, std::size_t len)
+    {
+        checkRange(offset, len);
+        return store.data() + offset;
+    }
+
     const RemoteStats &stats() const { return _stats; }
 
   private:

@@ -419,29 +419,36 @@ class FastswapBackend : public MemBackend
       public:
         Stream(FastswapBackend &backend, std::uint64_t addr,
                std::uint32_t elem_size)
-            : b(backend), cur(addr), elemSize(elem_size)
+            : b(backend), clock(backend.fs.clock()),
+              seqCycles(backend.fs.costs().seqAccessCycles), cur(addr),
+              elemSize(elem_size)
         {}
 
         void
         read(void *dst) override
         {
-            b.fs.clock().advance(b.fs.costs().seqAccessCycles);
-            b.fs.readBytes(cur, dst, elemSize);
+            clock.advance(seqCycles);
+            b.fs.readVia(window, cur, dst, elemSize);
             cur += elemSize;
         }
 
         void
         write(const void *src) override
         {
-            b.fs.clock().advance(b.fs.costs().seqAccessCycles);
-            b.fs.writeBytes(cur, src, elemSize);
+            clock.advance(seqCycles);
+            b.fs.writeVia(window, cur, src, elemSize);
             cur += elemSize;
         }
 
       private:
         FastswapBackend &b;
+        /// Looked up once: Fastswap never binds worker clocks.
+        CycleClock &clock;
+        const std::uint64_t seqCycles;
         std::uint64_t cur;
         std::uint32_t elemSize;
+        /// The page under the cursor: a mapped page runs at host speed.
+        FastswapRuntime::PageWindow window;
     };
 
     std::unique_ptr<SeqStream>

@@ -469,5 +469,50 @@ TEST(ClusterKnobs, PerShardBandwidthOverrideSlowsTransfers)
               fetchCycles(costs.netBytesPerCycle));
 }
 
+/**
+ * rawSpan is the single-node store itself: reading the span reads what
+ * rawRead reads, and writing through it is what rawRead sees next.
+ */
+TEST(RawSpan, SingleNodeSpanIsTheStore)
+{
+    const CostParams costs;
+    CycleClock clock;
+    SingleNodeBackend backend(clock, costs, 8 * kObj);
+    std::vector<std::byte> init(8 * kObj);
+    fillPattern(init, 5);
+    backend.rawWrite(0, init.data(), init.size());
+
+    std::byte *span = backend.rawSpan(3 * kObj + 16, kObj);
+    ASSERT_NE(span, nullptr);
+    std::vector<std::byte> viaRead(kObj);
+    backend.rawRead(3 * kObj + 16, viaRead.data(), kObj);
+    EXPECT_EQ(std::memcmp(span, viaRead.data(), kObj), 0);
+
+    span[0] = std::byte{0x5a};
+    backend.rawRead(3 * kObj + 16, viaRead.data(), 1);
+    EXPECT_EQ(viaRead[0], std::byte{0x5a});
+    EXPECT_EQ(clock.now(), 0u);
+    EXPECT_EQ(backend.netStats().totalMessages(), 0u);
+}
+
+TEST(RawSpan, SingleNodeSpanOutOfRangePanics)
+{
+    const CostParams costs;
+    CycleClock clock;
+    SingleNodeBackend backend(clock, costs, 8 * kObj);
+    EXPECT_DEATH(backend.rawSpan(8 * kObj - 4, 8), "range");
+}
+
+/** A striped tier keeps no contiguous copy, so it offers no span. */
+TEST(RawSpan, ShardedClusterHasNone)
+{
+    const CostParams costs;
+    CycleClock clock;
+    ClusterConfig cfg;
+    cfg.shardCount = 2;
+    ShardedCluster cluster(clock, costs, 8 * kObj, kObj, cfg);
+    EXPECT_EQ(cluster.rawSpan(0, kObj), nullptr);
+}
+
 } // anonymous namespace
 } // namespace tfm

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include "obs/flight_recorder.hh"
 #include "sim/rng.hh"
 #include "tfm/tfm_runtime.hh"
+#include "workloads/backend_config.hh"
 
 namespace tfm
 {
@@ -247,6 +249,219 @@ TEST(PagedPlane, SplitsPageTransfersAtClusterStripes)
     EXPECT_EQ(net.writebackMessages, 4096u / 64);
 }
 
+/// Elements per stream in the page-window tests: 20 pages of int32.
+constexpr std::uint64_t kStreamElems = 20 * 1024;
+
+/**
+ * Three 21-page arrays whose streams start at different offsets within
+ * a page, so a fault taken by one stream lands while the others are in
+ * the middle of their pages.
+ */
+template <typename Alloc>
+std::array<std::uint64_t, 3>
+staggeredArrays(Alloc alloc)
+{
+    const std::uint64_t stagger[3] = {0, 1364, 2732};
+    std::array<std::uint64_t, 3> at{};
+    for (int k = 0; k < 3; k++)
+        at[k] = alloc(21 * 4096) + stagger[k];
+    return at;
+}
+
+/**
+ * One STREAM cursor over a backend: its stream() (page windows), or one
+ * read/write per element with the Sequential hint, which charges the
+ * same seqAccessCycles.
+ */
+class Cursor
+{
+  public:
+    Cursor(MemBackend &backend, std::uint64_t addr, bool streamed,
+           StreamMode mode)
+        : backend_(backend), at_(addr),
+          stream_(streamed ? backend.stream(addr, 4, kStreamElems, mode)
+                           : nullptr)
+    {}
+
+    std::int32_t
+    read()
+    {
+        std::int32_t value = 0;
+        if (stream_)
+            stream_->read(&value);
+        else
+            backend_.read(at_, &value, 4, AccessHint::Sequential);
+        at_ += 4;
+        return value;
+    }
+
+    void
+    write(std::int32_t value)
+    {
+        if (stream_)
+            stream_->write(&value);
+        else
+            backend_.write(at_, &value, 4, AccessHint::Sequential);
+        at_ += 4;
+    }
+
+  private:
+    MemBackend &backend_;
+    std::uint64_t at_;
+    std::unique_ptr<SeqStream> stream_;
+};
+
+/** STREAM copy (b = a) and triad (c = a + 3b) on a four-page budget. */
+std::unique_ptr<MemBackend>
+copyAndTriad(bool streamed, std::array<std::uint64_t, 3> &at)
+{
+    BackendConfig cfg;
+    cfg.kind = SystemKind::Fastswap;
+    cfg.farHeapBytes = 1 << 20;
+    cfg.localMemBytes = 4 * 4096;
+    auto backend = makeBackend(cfg, CostParams{});
+    at = staggeredArrays(
+        [&backend](std::uint64_t bytes) { return backend->alloc(bytes); });
+    for (std::uint64_t i = 0; i < kStreamElems; i++) {
+        const auto value = static_cast<std::int32_t>(i % 1000) - 500;
+        backend->initT<std::int32_t>(at[0] + 4 * i, value);
+    }
+    backend->dropCaches();
+    {
+        Cursor a(*backend, at[0], streamed, StreamMode::Read);
+        Cursor b(*backend, at[1], streamed, StreamMode::Write);
+        for (std::uint64_t i = 0; i < kStreamElems; i++)
+            b.write(a.read());
+    }
+    Cursor a(*backend, at[0], streamed, StreamMode::Read);
+    Cursor b(*backend, at[1], streamed, StreamMode::Read);
+    Cursor c(*backend, at[2], streamed, StreamMode::Write);
+    for (std::uint64_t i = 0; i < kStreamElems; i++) {
+        const std::int32_t va = a.read();
+        const std::int32_t vb = b.read();
+        backend->compute(1);
+        c.write(va + 3 * vb);
+    }
+    return backend;
+}
+
+/**
+ * A stream's page window skips only accesses the plane would charge
+ * nothing for, so copy and triad through windows must match the same
+ * accesses made one at a time: the same clock, faults, reclaims,
+ * pageouts, link bytes and heap bytes. With four resident pages and
+ * three staggered streams, faults keep reclaiming pages other streams
+ * hold windows on, mid-page.
+ */
+TEST(Fastswap, StreamWindowsMatchSingleAccesses)
+{
+    std::array<std::uint64_t, 3> at{};
+    std::array<std::uint64_t, 3> atRef{};
+    const auto windowed = copyAndTriad(true, at);
+    const auto single = copyAndTriad(false, atRef);
+    ASSERT_EQ(at, atRef);
+
+    EXPECT_EQ(windowed->cycles(), single->cycles());
+    EXPECT_EQ(windowed->bytesTransferred(), single->bytesTransferred());
+    const StatSet a = windowed->stats();
+    const StatSet b = single->stats();
+    EXPECT_EQ(a.all(), b.all());
+    EXPECT_GT(a.get("fastswap.reclaims"), 3 * 20u);
+    EXPECT_GT(a.get("fastswap.pageouts"), 20u);
+    for (int k = 0; k < 3; k++) {
+        for (std::uint64_t i = 0; i < kStreamElems; i++) {
+            const std::uint64_t addr = at[k] + 4 * i;
+            ASSERT_EQ(windowed->peekT<std::int32_t>(addr),
+                      single->peekT<std::int32_t>(addr))
+                << "array " << k << " element " << i;
+        }
+    }
+}
+
+/**
+ * Copy through page windows on FastswapRuntime itself (windowed) or
+ * through readBytes/writeBytes, charging seqAccessCycles per element
+ * either way.
+ */
+void
+runtimeCopy(FastswapRuntime &fs, bool windowed)
+{
+    const auto at = staggeredArrays(
+        [&fs](std::uint64_t bytes) { return fs.allocate(bytes); });
+    for (std::uint64_t i = 0; i < kStreamElems; i++) {
+        const auto value = static_cast<std::int32_t>(i * 7);
+        fs.rawWrite(at[0] + 4 * i, &value, 4);
+    }
+    fs.evacuateAll();
+    FastswapRuntime::PageWindow src;
+    FastswapRuntime::PageWindow dst;
+    const std::uint64_t seq = fs.costs().seqAccessCycles;
+    for (std::uint64_t i = 0; i < kStreamElems; i++) {
+        std::int32_t value = 0;
+        fs.clock().advance(seq);
+        if (windowed)
+            fs.readVia(src, at[0] + 4 * i, &value, 4);
+        else
+            fs.readBytes(at[0] + 4 * i, &value, 4);
+        fs.clock().advance(seq);
+        if (windowed)
+            fs.writeVia(dst, at[1] + 4 * i, &value, 4);
+        else
+            fs.writeBytes(at[1] + 4 * i, &value, 4);
+    }
+}
+
+void
+expectSameRun(FastswapRuntime &a, FastswapRuntime &b)
+{
+    EXPECT_EQ(a.clock().now(), b.clock().now());
+    EXPECT_EQ(a.stats().majorFaults, b.stats().majorFaults);
+    EXPECT_EQ(a.stats().minorFaults, b.stats().minorFaults);
+    EXPECT_EQ(a.stats().reclaims, b.stats().reclaims);
+    EXPECT_EQ(a.stats().pageouts, b.stats().pageouts);
+    EXPECT_EQ(a.stats().readaheads, b.stats().readaheads);
+    const NetStats na = a.netStats();
+    const NetStats nb = b.netStats();
+    EXPECT_EQ(na.bytesFetched, nb.bytesFetched);
+    EXPECT_EQ(na.bytesWrittenBack, nb.bytesWrittenBack);
+    EXPECT_EQ(na.fetchMessages, nb.fetchMessages);
+    EXPECT_EQ(na.writebackMessages, nb.writebackMessages);
+    EXPECT_EQ(na.fetchPayloads, nb.fetchPayloads);
+    EXPECT_EQ(na.writebackPayloads, nb.writebackPayloads);
+    EXPECT_EQ(a.runtime().heapChecksum(), b.runtime().heapChecksum());
+}
+
+TEST(Fastswap, RuntimeWindowsMatchSingleAccesses)
+{
+    // Readahead on: windows also fill after minor faults.
+    const RuntimeConfig cfg = smallConfig(5, /*readahead=*/true);
+    FastswapRuntime windowed(cfg, CostParams{});
+    FastswapRuntime single(cfg, CostParams{});
+    runtimeCopy(windowed, true);
+    runtimeCopy(single, false);
+    expectSameRun(windowed, single);
+    EXPECT_GT(windowed.stats().minorFaults, 0u);
+    EXPECT_GT(windowed.stats().pageouts, 0u);
+}
+
+/**
+ * A striped tier has no host span (each stripe lives on its own shard),
+ * so every windowed access takes the ordinary path and the run matches
+ * the element-wise one.
+ */
+TEST(Fastswap, ClusterTierHasNoWindowAndStillMatches)
+{
+    RuntimeConfig cfg = smallConfig(5);
+    cfg.cluster.shardCount = 2;
+    FastswapRuntime windowed(cfg, CostParams{});
+    FastswapRuntime single(cfg, CostParams{});
+    EXPECT_EQ(windowed.runtime().backend().rawSpan(0, 4096), nullptr);
+    runtimeCopy(windowed, true);
+    runtimeCopy(single, false);
+    expectSameRun(windowed, single);
+    EXPECT_GT(windowed.stats().reclaims, 0u);
+}
+
 /** Runs the same faulting read/write mix on a recorder-attached runtime. */
 void
 faultingMix(FastswapRuntime &fs)
@@ -259,6 +474,16 @@ faultingMix(FastswapRuntime &fs)
             const std::uint64_t v = fs.load<std::uint64_t>(heap + i * 4096);
             fs.store<std::uint64_t>(heap + i * 4096 + 8, v + pass);
         }
+    }
+    // Stream-driven: two page windows walking the heap in step, one
+    // reading and one writing half the heap further on.
+    FastswapRuntime::PageWindow src;
+    FastswapRuntime::PageWindow dst;
+    for (std::uint64_t at = 0; at < 48 * 4096; at += 8) {
+        std::uint64_t v = 0;
+        fs.readVia(src, heap + at, &v, sizeof(v));
+        v = v * 3 + at;
+        fs.writeVia(dst, heap + 48 * 4096 + at, &v, sizeof(v));
     }
 }
 

@@ -23,6 +23,22 @@ cmake --build "${PB_DIR}" -j "$(nproc)" --target perfbench_anchor_test
 "${PB_DIR}/perfbench_anchor_test"
 echo "check_build: perfbench anchor OK"
 
+# Fastswap figure gate: Fig. 12 and Fig. 13 print every simulated
+# cycle and byte cell of their tables as one BENCH_JSON line, and each
+# cell must equal bench/expected/<fig>.json exactly. An intended model
+# change regenerates the expected file from the bench's line.
+FIG_DIR="${BUILD_DIR}/figure_gate"
+mkdir -p "${FIG_DIR}"
+for fig in fig12:bench_fig12_stream_vs_fastswap \
+           fig13:bench_fig13_io_amplification; do
+    "${BUILD_DIR}/bench/${fig#*:}" > "${FIG_DIR}/${fig%%:*}.out"
+    if command -v python3 > /dev/null; then
+        python3 tools/check_bench_json.py "${FIG_DIR}/${fig%%:*}.out" \
+            "bench/expected/${fig%%:*}.json"
+    fi
+done
+echo "check_build: Fastswap figure cells OK"
+
 # Observability smoke test: run one bench with --trace, check that the
 # emitted file is Perfetto-loadable JSON and that tfm-stat reads it.
 TRACE_FILE="${BUILD_DIR}/smoke_trace.json"
