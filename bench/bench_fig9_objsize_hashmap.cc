@@ -57,6 +57,19 @@ main()
 
     const std::uint32_t sizes[] = {4096, 2048, 1024, 512, 256};
 
+    // Every (a) cell's cycles and fetched bytes, keyed e.g.
+    // "cycles_s256_l25"; the build check compares them exactly against
+    // bench/expected/fig9.json, so a sampler change cannot move a draw
+    // unnoticed. (b) reruns the 25% row and adds no cells.
+    bench::JsonLine json("fig9_objsize_hashmap");
+    const auto cell = [&json](const char *metric, std::uint32_t size,
+                              double fraction, std::uint64_t value) {
+        char key[48];
+        std::snprintf(key, sizeof(key), "%s_s%u_l%d", metric, size,
+                      static_cast<int>(fraction * 100.0 + 0.5));
+        json.field(key, value);
+    };
+
     bench::section("(a) throughput (MOps/s) vs local memory");
     std::printf("%10s", "local mem");
     for (const std::uint32_t size : sizes)
@@ -69,6 +82,8 @@ main()
             const HashmapResult r = runHashmap(size, fraction, costs);
             std::printf(" %10.3f",
                         r.throughputMopsPerSec(costs.cpuGhz));
+            cell("cycles", size, fraction, r.delta.cycles);
+            cell("bytes_fetched", size, fraction, r.delta.bytesFetched);
         }
         std::printf("\n");
     }
@@ -82,5 +97,6 @@ main()
     }
     std::printf("\nPaper reference: throughput increases monotonically "
                 "as object size shrinks toward 256 B.\n");
+    json.emit();
     return 0;
 }

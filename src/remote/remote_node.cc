@@ -1,7 +1,10 @@
 #include "remote_node.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+
+#include <sys/mman.h>
 
 #include "obs/obs.hh"
 #include "sim/logging.hh"
@@ -30,6 +33,29 @@ observeServe(const NetworkModel &net, const char *name, std::uint64_t at,
 }
 
 } // anonymous namespace
+
+RemoteNode::ZeroFilledBytes::ZeroFilledBytes(std::uint64_t size) : len(size)
+{
+    if (size == 0)
+        return;
+    void *p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) {
+        char msg[128];
+        std::snprintf(msg, sizeof(msg),
+                      "cannot map %llu bytes of remote store: %s",
+                      static_cast<unsigned long long>(size),
+                      std::strerror(errno));
+        TFM_PANIC(msg);
+    }
+    bytes = static_cast<std::byte *>(p);
+}
+
+RemoteNode::ZeroFilledBytes::~ZeroFilledBytes()
+{
+    if (bytes != nullptr)
+        munmap(bytes, len);
+}
 
 void
 RemoteNode::checkRange(std::uint64_t offset, std::size_t len) const

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/network_model.hh"
@@ -65,12 +66,16 @@ struct RemoteWriteSeg
  * store into a local frame; writes (writeback) copy a local frame into
  * the store. Network accounting is the caller's job via the helpers that
  * take the NetworkModel, keeping the store itself transport-agnostic.
+ *
+ * The store starts all zero, lazily: it is an anonymous private
+ * mapping, so the kernel supplies zero pages on first touch and a far
+ * heap costs host memory only for the pages a run writes.
  */
 class RemoteNode
 {
   public:
     explicit RemoteNode(std::uint64_t capacityBytes)
-        : store(capacityBytes, std::byte{0})
+        : store(capacityBytes)
     {}
 
     std::uint64_t capacity() const { return store.size(); }
@@ -143,9 +148,38 @@ class RemoteNode
     const RemoteStats &stats() const { return _stats; }
 
   private:
+    /** Owner of one zero-filled anonymous mapping (munmap on drop). */
+    class ZeroFilledBytes
+    {
+      public:
+        explicit ZeroFilledBytes(std::uint64_t size);
+        ~ZeroFilledBytes();
+
+        ZeroFilledBytes(ZeroFilledBytes &&other) noexcept
+            : bytes(std::exchange(other.bytes, nullptr)),
+              len(std::exchange(other.len, 0))
+        {}
+        ZeroFilledBytes &
+        operator=(ZeroFilledBytes &&other) noexcept
+        {
+            std::swap(bytes, other.bytes);
+            std::swap(len, other.len);
+            return *this;
+        }
+        ZeroFilledBytes(const ZeroFilledBytes &) = delete;
+        ZeroFilledBytes &operator=(const ZeroFilledBytes &) = delete;
+
+        std::byte *data() const { return bytes; }
+        std::uint64_t size() const { return len; }
+
+      private:
+        std::byte *bytes = nullptr;
+        std::uint64_t len = 0;
+    };
+
     void checkRange(std::uint64_t offset, std::size_t len) const;
 
-    std::vector<std::byte> store;
+    ZeroFilledBytes store;
     RemoteStats _stats;
 };
 

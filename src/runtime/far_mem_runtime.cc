@@ -183,9 +183,7 @@ FarMemRuntime::tryFast(std::uint64_t offset, bool for_write)
     ObjectMeta &meta = ost[obj_id];
     if (!meta.safeForFastPath())
         return nullptr;
-    Frame &f = cache.frame(meta.frame());
-    f.refbit = true;
-    meta.setHot();
+    cache.frame(meta.frame()).refbit.store(true, std::memory_order_relaxed);
     if (for_write)
         meta.setDirty();
     return cache.frameData(meta.frame()) + ost.offsetInObject(offset);
@@ -203,8 +201,7 @@ FarMemRuntime::localize(std::uint64_t offset, bool for_write,
 
     if (meta.present()) {
         Frame &f = cache.frame(meta.frame());
-        f.refbit = true;
-        meta.setHot();
+        f.refbit.store(true, std::memory_order_relaxed);
         Localized result = Localized::AlreadyLocal;
         if (meta.inflight()) {
             // An in-flight (possibly batched) fetch already covers this
@@ -666,7 +663,6 @@ FarMemRuntime::tryFastReadMt(WorkerContext &w, std::uint64_t offset,
         std::memcpy(dst, base + ost.offsetInObject(offset), len);
         cache.frame(frame_idx).refbit.store(true,
                                             std::memory_order_relaxed);
-        ost[obj_id].setHot();
         if (fill) {
             fill->valid = true;
             fill->objId = obj_id;
@@ -702,7 +698,6 @@ FarMemRuntime::tryCachedReadMt(WorkerContext &w, const MtFill &fill,
         std::memcpy(dst, fill.frameBase + ost.offsetInObject(offset),
                     len);
         fill.frame->refbit.store(true, std::memory_order_relaxed);
-        fill.meta->setHot();
     }
     epochExit(w);
     return hit;
@@ -726,7 +721,6 @@ FarMemRuntime::localizeReadMt(WorkerContext &w, std::uint64_t offset,
         frame_idx = meta.frame();
         Frame &f = cache.frame(frame_idx);
         f.refbit.store(true, std::memory_order_relaxed);
-        meta.setHot();
         if (meta.inflight()) {
             // Setup-time prefetch leftovers only; the MT data plane is
             // demand-only.
@@ -760,7 +754,6 @@ FarMemRuntime::localizeReadMt(WorkerContext &w, std::uint64_t offset,
             w.stats.demandFetches++;
             result = Localized::RemoteFetch;
         }
-        meta.setHot();
     }
     // Copy out under the shard lock: the frame cannot be unmapped while
     // its stripe is held.
@@ -820,7 +813,6 @@ FarMemRuntime::localizeWriteMt(WorkerContext &w, std::uint64_t offset,
         }
         meta.makeLocal(frame_idx);
     }
-    meta.setHot();
     meta.setDirty();
     // In-place update under the shard lock; there is no lock-free
     // write path, so two writers to one object always serialize here.

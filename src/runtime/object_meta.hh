@@ -31,7 +31,7 @@ namespace tfm
  *   61  inflight     an asynchronous prefetch has been issued but the
  *                    payload may not have arrived yet
  *   60  pinned       a loop-chunk locality guard pinned the object
- *   59  hot          accessed since the evacuator last scanned it
+ *   59..40           free (CLOCK recency lives in Frame::refbit)
  *   39..0            frame index (valid only when present)
  *
  * The fast-path guard's safety test is a single mask: the object is safe
@@ -46,7 +46,6 @@ class ObjectMeta
     static constexpr std::uint64_t dirtyBit = 1ull << 62;
     static constexpr std::uint64_t inflightBit = 1ull << 61;
     static constexpr std::uint64_t pinnedBit = 1ull << 60;
-    static constexpr std::uint64_t hotBit = 1ull << 59;
     static constexpr std::uint64_t frameMask = (1ull << 40) - 1;
 
     ObjectMeta() : bits(0) {}
@@ -55,7 +54,6 @@ class ObjectMeta
     bool dirty() const { return raw() & dirtyBit; }
     bool inflight() const { return raw() & inflightBit; }
     bool pinned() const { return raw() & pinnedBit; }
-    bool hot() const { return raw() & hotBit; }
 
     /**
      * The guard fast path's safety predicate: localized and not mid-
@@ -73,14 +71,24 @@ class ObjectMeta
 
     void makeRemote() { bits.store(0); }
 
-    void setDirty() { bits.fetch_or(dirtyBit); }
+    /**
+     * Skips the locked read-modify-write when the bit is already set,
+     * so repeat stores to a dirty object cost the guard one plain load.
+     * Concurrent workers clear the bit (makeLocal, makeRemote) and set
+     * it only under the object's shard lock, so the test cannot race a
+     * clear.
+     */
+    void
+    setDirty()
+    {
+        if (!(raw() & dirtyBit))
+            bits.fetch_or(dirtyBit);
+    }
     void clearDirty() { bits.fetch_and(~dirtyBit); }
     void setInflight() { bits.fetch_or(inflightBit); }
     void clearInflight() { bits.fetch_and(~inflightBit); }
     void setPinned() { bits.fetch_or(pinnedBit); }
     void clearPinned() { bits.fetch_and(~pinnedBit); }
-    void setHot() { bits.fetch_or(hotBit); }
-    void clearHot() { bits.fetch_and(~hotBit); }
 
     /**
      * One coherent snapshot of the word. The concurrent guard fast path

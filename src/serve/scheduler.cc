@@ -22,14 +22,6 @@ namespace tfm
 namespace
 {
 
-/** One queued request. */
-struct Request
-{
-    std::uint64_t arrivalCycle = 0;
-    std::uint64_t client = 0;
-    std::uint64_t key = 0;
-};
-
 /** Expand one seed into independent per-purpose sub-seeds. */
 struct SeedChain
 {
@@ -39,6 +31,14 @@ struct SeedChain
 };
 
 } // anonymous namespace
+
+/** One queued request. */
+struct Scheduler::Request
+{
+    std::uint64_t arrivalCycle = 0;
+    std::uint64_t client = 0;
+    std::uint64_t key = 0;
+};
 
 /**
  * A live tenant: its backend, its per-request workload, its key/client
@@ -112,15 +112,16 @@ struct Scheduler::Tenant
         arrivalShape = ac;
     }
 
-    /** Attach the (shared-shape) arrival stream; run() calls this so
-     *  meanServiceCycles() never consumes arrival randomness. */
-    void
+    /** Attach the (shared-shape) arrival stream and return the cycle
+     *  of its first arrival; run() calls this so meanServiceCycles()
+     *  never consumes arrival randomness. */
+    std::uint64_t
     startArrivals(const ArrivalConfig &shape)
     {
         ArrivalConfig ac = shape;
         ac.ratePerCycle = arrivalShape.ratePerCycle;
         arrivals = std::make_unique<ArrivalProcess>(ac, arrivalSeed);
-        nextArrival = arrivals->nextGapCycles();
+        return arrivals->nextGapCycles();
     }
 
     /** Execute one request; returns service cycles. */
@@ -157,7 +158,6 @@ struct Scheduler::Tenant
     std::unique_ptr<ArrivalProcess> arrivals;
     ArrivalConfig arrivalShape;
     std::uint64_t arrivalSeed = 0;
-    std::uint64_t nextArrival = 0; ///< absolute cycle of next arrival
     std::deque<Request> queue;
     TenantReport report;
 };
@@ -236,6 +236,51 @@ Scheduler::epochSample(std::uint64_t now)
                          {"serve.completed", completed_}});
 }
 
+void
+Scheduler::startArrivals()
+{
+    for (auto &t : tenants_)
+        nextArrival_.push_back(t->startArrivals(cfg.arrivals));
+}
+
+std::size_t
+Scheduler::earliestArrival() const
+{
+    return static_cast<std::size_t>(
+        std::min_element(nextArrival_.begin(), nextArrival_.end()) -
+        nextArrival_.begin());
+}
+
+Scheduler::Request
+Scheduler::admit(std::size_t i)
+{
+    Tenant &t = *tenants_[i];
+    Request r;
+    r.arrivalCycle = nextArrival_[i];
+    r.client = t.arrivals->nextClient();
+    r.key = t.keySampler->next();
+    nextArrival_[i] = r.arrivalCycle + t.arrivals->nextGapCycles();
+    t.report.arrivals++;
+    generated_++;
+    return r;
+}
+
+void
+Scheduler::mergeTenantReports(ServeReport &out) const
+{
+    TenantReport &all = out.aggregate;
+    for (const auto &t : tenants_) {
+        const TenantReport &rep = t->report;
+        all.arrivals += rep.arrivals;
+        all.completions += rep.completions;
+        all.sloViolations += rep.sloViolations;
+        all.queueDelay.merge(rep.queueDelay);
+        all.serviceTime.merge(rep.serviceTime);
+        all.sojourn.merge(rep.sojourn);
+        out.tenants.push_back(rep);
+    }
+}
+
 ServeReport
 Scheduler::run()
 {
@@ -247,47 +292,16 @@ Scheduler::run()
     ServeReport out;
     out.aggregate.name = "all";
     out.workers.resize(cfg.workers);
-    for (auto &t : tenants_)
-        t->startArrivals(cfg.arrivals);
+    startArrivals();
 
     std::vector<std::uint64_t> worker_free(cfg.workers, 0);
     std::size_t rr_cursor = 0; ///< round-robin fairness pointer
 
-    const auto record_completion = [&](Tenant &t, const Request &r,
-                                       std::uint64_t start,
-                                       std::uint64_t service) {
-        const std::uint64_t done = start + service;
-        const std::uint64_t qdelay = start - r.arrivalCycle;
-        const std::uint64_t sojourn = done - r.arrivalCycle;
-        for (TenantReport *rep : {&t.report, &out.aggregate}) {
-            rep->completions++;
-            rep->queueDelay.record(qdelay);
-            rep->serviceTime.record(service);
-            rep->sojourn.record(sojourn);
-            if (cfg.sloCycles && sojourn > cfg.sloCycles)
-                rep->sloViolations++;
-        }
-        if (done > out.endCycle)
-            out.endCycle = done;
-        completed_++;
-        queued_--;
-        epochSample(start);
-    };
-
     while (completed_ < cfg.totalRequests) {
         // Earliest pending arrival (only while the open-loop generator
         // still owes requests).
-        Tenant *arriving = nullptr;
-        std::uint64_t arrival_cycle =
-            std::numeric_limits<std::uint64_t>::max();
-        if (generated_ < cfg.totalRequests) {
-            for (auto &t : tenants_) {
-                if (t->nextArrival < arrival_cycle) {
-                    arrival_cycle = t->nextArrival;
-                    arriving = t.get();
-                }
-            }
-        }
+        const bool generating = generated_ < cfg.totalRequests;
+        const std::size_t arriving = generating ? earliestArrival() : 0;
 
         // Earliest free worker.
         std::size_t w = 0;
@@ -299,32 +313,24 @@ Scheduler::run()
 
         // Admit the arrival if it precedes the next possible dispatch,
         // or if there is nothing queued to dispatch.
-        if (arriving != nullptr &&
-            (queued_ == 0 || arrival_cycle <= worker_cycle)) {
-            Request r;
-            r.arrivalCycle = arrival_cycle;
-            r.client = arriving->arrivals->nextClient();
-            r.key = arriving->keySampler->next();
-            arriving->queue.push_back(r);
-            arriving->nextArrival =
-                arrival_cycle + arriving->arrivals->nextGapCycles();
-            generated_++;
+        if (generating &&
+            (queued_ == 0 || nextArrival_[arriving] <= worker_cycle)) {
+            Tenant &t = *tenants_[arriving];
+            const Request r = admit(arriving);
+            t.queue.push_back(r);
             queued_++;
-            out.lastArrivalCycle = arrival_cycle;
+            out.lastArrivalCycle = r.arrivalCycle;
 
-            for (TenantReport *rep :
-                 {&arriving->report, &out.aggregate})
-                rep->arrivals++;
-            arriving->report.queueDepth.record(
-                arriving->queue.size());
+            const std::uint64_t depth = t.queue.size();
+            t.report.queueDepth.record(depth);
+            if (depth > t.report.maxQueueDepth)
+                t.report.maxQueueDepth = depth;
+            // The aggregate's depth observes the global queue, which no
+            // tenant report holds, so it is recorded live.
             out.aggregate.queueDepth.record(queued_);
-            if (arriving->queue.size() >
-                arriving->report.maxQueueDepth)
-                arriving->report.maxQueueDepth =
-                    arriving->queue.size();
             if (queued_ > out.aggregate.maxQueueDepth)
                 out.aggregate.maxQueueDepth = queued_;
-            epochSample(arrival_cycle);
+            epochSample(r.arrivalCycle);
             continue;
         }
 
@@ -352,20 +358,36 @@ Scheduler::run()
             worker_cycle > r.arrivalCycle ? worker_cycle
                                           : r.arrivalCycle;
         const std::uint64_t service = serveOne(*victim, r.key);
-        worker_free[w] = start + service;
+        const std::uint64_t done = start + service;
+        worker_free[w] = done;
         WorkerReport &wr = out.workers[w];
         wr.completions++;
         wr.busyCycles += service;
-        if (worker_free[w] > wr.endCycle)
-            wr.endCycle = worker_free[w];
-        record_completion(*victim, r, start, service);
+        if (done > wr.endCycle)
+            wr.endCycle = done;
+
+        // Recorded once, per tenant; mergeTenantReports() builds the
+        // aggregate at drain time.
+        const std::uint64_t sojourn = done - r.arrivalCycle;
+        TenantReport &rep = victim->report;
+        rep.completions++;
+        rep.queueDelay.record(start - r.arrivalCycle);
+        rep.serviceTime.record(service);
+        rep.sojourn.record(sojourn);
+        if (cfg.sloCycles && sojourn > cfg.sloCycles)
+            rep.sloViolations++;
+        if (done > out.endCycle)
+            out.endCycle = done;
+        completed_++;
+        queued_--;
+        epochSample(start);
     }
 
     for (auto &t : tenants_) {
         TFM_ASSERT(t->queue.empty(),
                    "serving run ended with queued requests");
-        out.tenants.push_back(t->report);
     }
+    mergeTenantReports(out);
     // Close the epoch series at the drain point.
     epochSample(out.endCycle);
     return out;
@@ -380,13 +402,12 @@ Scheduler::runConcurrent()
     ServeReport out;
     out.aggregate.name = "all";
     out.workers.resize(cfg.workers);
-    for (auto &t : tenants_)
-        t->startArrivals(cfg.arrivals);
+    startArrivals();
 
     // Pre-generate the arrival schedule with the deterministic loop's
-    // sampling order (earliest nextArrival, first tenant wins ties,
-    // client drawn before key), so the offered load is identical for
-    // every worker count and independent of thread interleaving.
+    // sampling order (earliestArrival() then admit()), so the offered
+    // load is identical for every worker count and independent of
+    // thread interleaving.
     struct Item
     {
         std::uint64_t arrival = 0;
@@ -396,27 +417,14 @@ Scheduler::runConcurrent()
     std::vector<Item> schedule;
     schedule.reserve(cfg.totalRequests);
     while (schedule.size() < cfg.totalRequests) {
-        std::uint32_t who = 0;
-        std::uint64_t cyc = std::numeric_limits<std::uint64_t>::max();
-        for (std::uint32_t i = 0; i < tenants_.size(); i++) {
-            if (tenants_[i]->nextArrival < cyc) {
-                cyc = tenants_[i]->nextArrival;
-                who = i;
-            }
-        }
-        Tenant &t = *tenants_[who];
-        t.arrivals->nextClient(); // keep the per-tenant RNG streams in
-                                  // the deterministic mode's order
+        const std::size_t who = earliestArrival();
+        const Request r = admit(who);
         Item it;
-        it.arrival = cyc;
-        it.tenant = who;
-        it.key = t.keySampler->next();
+        it.arrival = r.arrivalCycle;
+        it.tenant = static_cast<std::uint32_t>(who);
+        it.key = r.key;
         schedule.push_back(it);
-        t.nextArrival = cyc + t.arrivals->nextGapCycles();
-        t.report.arrivals++;
-        out.aggregate.arrivals++;
-        out.lastArrivalCycle = cyc;
-        generated_++;
+        out.lastArrivalCycle = r.arrivalCycle;
     }
 
     // Worker clocks start at the shared runtime's post-setup cycle;
@@ -527,15 +535,7 @@ Scheduler::runConcurrent()
             out.endCycle = wr.endCycle;
         completed_ += wr.completions;
     }
-    for (auto &t : tenants_) {
-        TenantReport &rep = t->report;
-        out.aggregate.completions += rep.completions;
-        out.aggregate.sloViolations += rep.sloViolations;
-        out.aggregate.queueDelay.merge(rep.queueDelay);
-        out.aggregate.serviceTime.merge(rep.serviceTime);
-        out.aggregate.sojourn.merge(rep.sojourn);
-        out.tenants.push_back(rep);
-    }
+    mergeTenantReports(out);
     TFM_ASSERT(completed_ == generated_,
                "concurrent serving lost requests");
 

@@ -172,6 +172,7 @@ class Scheduler
 
   private:
     struct Tenant;
+    struct Request;
     friend double meanServiceCycles(const TenantConfig &tenant,
                                     const CostParams &costs,
                                     std::uint64_t seed,
@@ -183,6 +184,23 @@ class Scheduler
     void epochSample(std::uint64_t now);
     /** Concurrent-mode run body: real threads, shared runtime. */
     ServeReport runConcurrent();
+    /** Attach every tenant's arrival stream and fill nextArrival_. */
+    void startArrivals();
+    /** Tenant owning the earliest pending arrival (first wins ties). */
+    std::size_t earliestArrival() const;
+    /**
+     * Generate tenant @p i's pending arrival: draws its client, then
+     * its key, then the gap to its next arrival — the one sampling
+     * order both modes share.
+     */
+    Request admit(std::size_t i);
+    /**
+     * Copy the tenant reports into @p out and fold their arrivals,
+     * completions, SLO violations and latency histograms into
+     * out.aggregate. Histogram::merge is exact, so the aggregate equals
+     * recording every sample twice.
+     */
+    void mergeTenantReports(ServeReport &out) const;
 
     ServeConfig cfg;
     CostParams costs_;
@@ -190,6 +208,9 @@ class Scheduler
     /// backend views and every worker thread binds into.
     std::unique_ptr<TfmRuntime> shared_;
     std::vector<std::unique_ptr<Tenant>> tenants_;
+    /// Absolute cycle of each tenant's next arrival, flat so the
+    /// per-event earliest-arrival scan reads one array.
+    std::vector<std::uint64_t> nextArrival_;
     Observability *obs_ = nullptr;
     std::uint32_t obsStream_ = 0;
     bool ran = false;

@@ -377,8 +377,7 @@ class TfmRuntime
             !lastObjCache.meta->safeForFastPath()) {
             return nullptr;
         }
-        lastObjCache.frame->refbit = true;
-        lastObjCache.meta->setHot();
+        lastObjCache.frame->refbit.store(true, std::memory_order_relaxed);
         if (for_write)
             lastObjCache.meta->setDirty();
         return lastObjCache.frameBase +

@@ -284,6 +284,30 @@ TEST(RemoteNode, AsyncFetchReportsArrival)
     EXPECT_GT(arrival, clock.now());
 }
 
+/**
+ * The store is a lazily zero-filled mapping that the cluster and replay
+ * backends move around: untouched bytes read zero, and a move carries
+ * the written bytes and the capacity with it.
+ */
+TEST(RemoteNode, StoreStartsZeroAndSurvivesMoves)
+{
+    RemoteNode node(8 << 20);
+    std::vector<std::byte> out(4096, std::byte{0xFF});
+    node.rawRead((8 << 20) - 4096, out.data(), out.size());
+    EXPECT_EQ(out, std::vector<std::byte>(4096, std::byte{0}));
+
+    const std::vector<std::byte> payload(64, std::byte{0x5A});
+    node.rawWrite(4 << 20, payload.data(), payload.size());
+
+    RemoteNode moved(std::move(node));
+    RemoteNode assigned(1024);
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.capacity(), 8u << 20);
+    std::vector<std::byte> back(64);
+    assigned.rawRead(4 << 20, back.data(), back.size());
+    EXPECT_EQ(back, payload);
+}
+
 TEST(RemoteNodeDeath, OutOfRangeAccessPanics)
 {
     CycleClock clock;

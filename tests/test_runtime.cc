@@ -56,11 +56,9 @@ TEST(ObjectMeta, MakeRemoteClearsEverything)
     ObjectMeta meta;
     meta.makeLocal(7);
     meta.setDirty();
-    meta.setHot();
     meta.makeRemote();
     EXPECT_FALSE(meta.present());
     EXPECT_FALSE(meta.dirty());
-    EXPECT_FALSE(meta.hot());
 }
 
 TEST(ObjectStateTable, MapsOffsetsToObjects)

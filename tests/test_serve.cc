@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/histogram.hh"
 #include "serve/arrival.hh"
 #include "serve/scheduler.hh"
 #include "sim/cost_params.hh"
@@ -254,6 +255,60 @@ TEST(Scheduler, SloViolationsGateGoodput)
     EXPECT_GT(agg.sloViolations, 0u);
     EXPECT_LT(agg.sloViolations, agg.completions);
     EXPECT_EQ(agg.goodput(), agg.completions - agg.sloViolations);
+}
+
+/**
+ * The aggregate is built at drain time from the tenant reports: its
+ * counts are the tenant-wise sums and its latency histograms the merge
+ * of the tenants', on a 3-tenant, 2-worker run with queueing and SLO
+ * violations in it.
+ */
+TEST(Scheduler, AggregateIsTheMergeOfTenants)
+{
+    const CostParams costs;
+    ServeConfig sc = baseConfig(0.0, 1200);
+    sc.tenants.push_back(smallTenant(TenantWorkloadKind::Analytics));
+    sc.workers = 2;
+    const double mean_service =
+        meanServiceCycles(sc.tenants[0], costs, sc.seed, 100);
+    sc.arrivals.ratePerCycle = 2.5 / mean_service; // overload
+    sc.sloCycles = static_cast<std::uint64_t>(4.0 * mean_service);
+
+    Scheduler sched(sc, costs);
+    const ServeReport report = sched.run();
+    ASSERT_EQ(report.tenants.size(), 3u);
+
+    std::uint64_t arrivals = 0, completions = 0, violations = 0;
+    Histogram delay, service, sojourn;
+    for (const TenantReport &t : report.tenants) {
+        EXPECT_GT(t.completions, 0u) << t.name;
+        arrivals += t.arrivals;
+        completions += t.completions;
+        violations += t.sloViolations;
+        delay.merge(t.queueDelay);
+        service.merge(t.serviceTime);
+        sojourn.merge(t.sojourn);
+    }
+    const TenantReport &agg = report.aggregate;
+    EXPECT_EQ(agg.arrivals, arrivals);
+    EXPECT_EQ(agg.completions, completions);
+    EXPECT_EQ(agg.sloViolations, violations);
+    EXPECT_EQ(completions, 1200u);
+    EXPECT_GT(violations, 0u);
+
+    const auto same = [](const Histogram &got, const Histogram &want,
+                         const char *what) {
+        EXPECT_EQ(got.count(), want.count()) << what;
+        EXPECT_EQ(got.sum(), want.sum()) << what;
+        EXPECT_EQ(got.min(), want.min()) << what;
+        EXPECT_EQ(got.max(), want.max()) << what;
+        for (const double p : {50.0, 99.0, 99.9})
+            EXPECT_EQ(got.percentile(p), want.percentile(p))
+                << what << " p" << p;
+    };
+    same(agg.queueDelay, delay, "queue delay");
+    same(agg.serviceTime, service, "service");
+    same(agg.sojourn, sojourn, "sojourn");
 }
 
 TEST(ServeReport, ExportsServeStats)

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "sim/cost_params.hh"
@@ -171,6 +173,69 @@ TEST(Zipf, FrequenciesMatchThetaExponent)
     const double expected_ratio = std::pow(10.0, theta);
     EXPECT_NEAR(ratio, expected_ratio, 0.2 * expected_ratio);
 }
+
+/**
+ * The guide table only narrows the search: rankOf(u) must return the
+ * rank the whole-table lower_bound it replaced returns, for seeded
+ * draws and for every boundary a bucketing or search bug would trip
+ * on (each CDF entry, each bucket edge j/n, their neighbours, 0 and
+ * the largest double below 1). The oracle rebuilds the CDF with the
+ * sampler's own loop.
+ */
+class ZipfGuideTable
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>>
+{};
+
+TEST_P(ZipfGuideTable, RankMatchesWholeTableSearch)
+{
+    const auto [n, skew] = GetParam();
+    std::vector<double> cdf(n);
+    double sum = 0.0;
+    for (std::uint64_t k = 0; k < n; k++) {
+        sum += 1.0 / std::pow(static_cast<double>(k + 1), skew);
+        cdf[k] = sum;
+    }
+    const double inv = 1.0 / sum;
+    for (auto &p : cdf)
+        p *= inv;
+    const auto oracle = [&cdf, n = n](double u) -> std::uint64_t {
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        if (it == cdf.end())
+            return n - 1;
+        return static_cast<std::uint64_t>(it - cdf.begin());
+    };
+
+    const ZipfGenerator zipf(n, skew, 1);
+    std::uint64_t mismatches = 0;
+    const auto check = [&](double u) {
+        if (zipf.rankOf(u) != oracle(u) && mismatches++ < 5) {
+            ADD_FAILURE() << "u=" << u << " rankOf=" << zipf.rankOf(u)
+                          << " oracle=" << oracle(u);
+        }
+    };
+    const auto check_around = [&](double u) {
+        check(std::nextafter(u, 0.0));
+        check(u);
+        check(std::nextafter(u, 2.0));
+    };
+
+    Rng rng(0x2193);
+    for (int i = 0; i < 1000000; i++)
+        check(rng.uniform());
+    for (const double p : cdf)
+        check_around(p);
+    for (std::uint64_t j = 0; j <= n; j++)
+        check_around(static_cast<double>(j) / static_cast<double>(n));
+    check(0.0);
+    check(std::nextafter(1.0, 0.0));
+    EXPECT_EQ(mismatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, ZipfGuideTable,
+    ::testing::Combine(::testing::Values<std::uint64_t>(1, 2, 3, 1000,
+                                                        250000),
+                       ::testing::Values(0.0, 1.02, 1.3)));
 
 TEST(UsrDist, SizesMatchUsrPool)
 {

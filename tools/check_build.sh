@@ -23,21 +23,26 @@ cmake --build "${PB_DIR}" -j "$(nproc)" --target perfbench_anchor_test
 "${PB_DIR}/perfbench_anchor_test"
 echo "check_build: perfbench anchor OK"
 
-# Fastswap figure gate: Fig. 12 and Fig. 13 print every simulated
-# cycle and byte cell of their tables as one BENCH_JSON line, and each
-# cell must equal bench/expected/<fig>.json exactly. An intended model
-# change regenerates the expected file from the bench's line.
+# Figure gate: Fig. 9, Fig. 12 and Fig. 13 print every simulated
+# cycle and byte cell of their tables as one BENCH_JSON line, and
+# bench_serving its default-mode SLO summary; each cell must equal
+# bench/expected/<name>.json exactly. Fig. 9 and serving draw every key
+# from the Zipf sampler, so they also pin that a sampler or scheduler
+# change moves no draw. An intended model change regenerates the
+# expected file from the bench's line.
 FIG_DIR="${BUILD_DIR}/figure_gate"
 mkdir -p "${FIG_DIR}"
-for fig in fig12:bench_fig12_stream_vs_fastswap \
-           fig13:bench_fig13_io_amplification; do
+for fig in fig9:bench_fig9_objsize_hashmap \
+           fig12:bench_fig12_stream_vs_fastswap \
+           fig13:bench_fig13_io_amplification \
+           serving:bench_serving; do
     "${BUILD_DIR}/bench/${fig#*:}" > "${FIG_DIR}/${fig%%:*}.out"
     if command -v python3 > /dev/null; then
         python3 tools/check_bench_json.py "${FIG_DIR}/${fig%%:*}.out" \
             "bench/expected/${fig%%:*}.json"
     fi
 done
-echo "check_build: Fastswap figure cells OK"
+echo "check_build: figure cells OK"
 
 # Observability smoke test: run one bench with --trace, check that the
 # emitted file is Perfetto-loadable JSON and that tfm-stat reads it.
