@@ -114,6 +114,18 @@ main()
                 "size before", "size after", "growth", "parse ms",
                 "pipeline ms", "ratio", "guards O0", "guards opt");
 
+    // Each row's deterministic cells (sizes and static guard counts,
+    // keyed e.g. "size_after_l64"); the build check compares them
+    // exactly against bench/expected/sec46.json. The millisecond
+    // columns are host timing and stay out of the line.
+    bench::JsonLine json("sec46_compile_costs");
+    const auto cell = [&json](const char *what, int loops,
+                              std::uint64_t value) {
+        char key[48];
+        std::snprintf(key, sizeof(key), "%s_l%d", what, loops);
+        json.field(key, value);
+    };
+
     for (const int loops : {4, 16, 64, 256}) {
         const std::string text = synthesizeProgram(loops);
 
@@ -158,7 +170,12 @@ main()
             pipeline_ms / (parse_ms > 0.0001 ? parse_ms : 0.0001),
             static_cast<unsigned long long>(raw.guards),
             static_cast<unsigned long long>(opt.guards + opt.revals));
+        cell("size_before", loops, before);
+        cell("size_after", loops, after);
+        cell("guards_o0", loops, raw.guards);
+        cell("guards_opt", loops, opt.guards + opt.revals);
     }
+    json.emit();
     std::printf("\nPaper reference: average code growth 2.4x; compile "
                 "time under 6x of standard LLVM.\n");
     std::printf("\"guards opt\" counts guard + guard.reval sites after "

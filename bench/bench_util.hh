@@ -12,7 +12,6 @@
 #ifndef TRACKFM_BENCH_BENCH_UTIL_HH
 #define TRACKFM_BENCH_BENCH_UTIL_HH
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -210,27 +209,6 @@ repeatConfig()
     config.repeats = read("repeat", "TFM_REPEAT", config.repeats);
     config.warmup = read("warmup", "TFM_WARMUP", config.warmup);
     return config;
-}
-
-/** Minimum wall-clock seconds of @p fn over the configured repeats. */
-template <typename Fn>
-double
-minWallSeconds(const RepeatConfig &config, Fn &&fn)
-{
-    for (int i = 0; i < config.warmup; i++)
-        fn();
-    double best = 0.0;
-    for (int i = 0; i < config.repeats; i++) {
-        const auto begin = std::chrono::steady_clock::now();
-        fn();
-        const double elapsed =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - begin)
-                .count();
-        if (i == 0 || elapsed < best)
-            best = elapsed;
-    }
-    return best;
 }
 
 /// One session per bench process, live from static init to exit.

@@ -53,17 +53,23 @@ LoopInfo::LoopInfo(const ir::Function &function, const Cfg &cfg,
     }
 
     // Depths: a loop nested in another has a strictly smaller body.
-    // Iterate to a fixpoint so chains of nesting propagate.
-    for (std::size_t round = 0; round < _loops.size(); round++)
-    for (auto &outer : _loops) {
-        for (auto &inner : _loops) {
-            if (inner.get() == outer.get())
-                continue;
-            if (inner->blocks.size() < outer->blocks.size() &&
-                std::includes(outer->blocks.begin(), outer->blocks.end(),
-                              inner->blocks.begin(),
-                              inner->blocks.end())) {
-                inner->depth = std::max(inner->depth, outer->depth + 1);
+    // Iterate to a fixpoint so chains of nesting propagate; a round
+    // that changes no depth is the fixpoint.
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (auto &outer : _loops) {
+            for (auto &inner : _loops) {
+                if (inner.get() == outer.get() ||
+                    inner->depth > outer->depth)
+                    continue;
+                if (inner->blocks.size() < outer->blocks.size() &&
+                    std::includes(outer->blocks.begin(),
+                                  outer->blocks.end(),
+                                  inner->blocks.begin(),
+                                  inner->blocks.end())) {
+                    inner->depth = outer->depth + 1;
+                    changed = true;
+                }
             }
         }
     }

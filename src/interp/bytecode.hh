@@ -2,10 +2,11 @@
  * @file
  * Pre-decoded register bytecode for the IR interpreter.
  *
- * The tree-walking reference engine resolves every operand through a
- * `std::map<const ir::Value *, Slot>` and re-matches phi incoming lists
- * on every block entry. This module compiles each `ir::Function` once
- * into a dense instruction stream over numbered register slots:
+ * The tree-walking reference engine checks every operand read against
+ * the stamp of its frame entry, re-inspects each opcode and re-matches
+ * phi incoming lists on every block entry. This module compiles each
+ * `ir::Function` once into a dense instruction stream over numbered
+ * register slots:
  *
  *  - the frame is one flat `std::vector<Slot>` indexed by register
  *    number (constants pre-materialized, register 0 a write-only sink

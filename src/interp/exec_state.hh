@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "interp/bytecode.hh"
@@ -166,10 +167,29 @@ struct Interpreter::Impl
             hostAllocations.back().get());
     }
 
+    /** One value-id entry of a reference-engine frame: the slot plus
+     *  the value that last wrote it. */
+    struct FrameEntry
+    {
+        Slot slot;
+        const ir::Value *def = nullptr;
+    };
+
     /** Per-call state of the reference engine. */
     struct Frame
     {
-        std::map<const ir::Value *, Slot> values;
+        /// Indexed by ir::Value::localId(); sized to the function's
+        /// valueIdLimit() on entry (one allocation per call).
+        std::vector<FrameEntry> values;
+
+        void
+        define(const ir::Value &value, Slot slot)
+        {
+            FrameEntry &entry = values[value.localId()];
+            entry.slot = slot;
+            entry.def = &value;
+        }
+
         /// Live chunk cursors created by chunk.begin in this frame.
         struct Cursor
         {
@@ -225,10 +245,12 @@ struct Interpreter::Impl
                     static_cast<std::uint64_t>(constant->intValue());
             return slot;
         }
-        auto it = frame.values.find(value);
-        if (it == frame.values.end())
+        // The stamp check keeps use-before-def detection, and rejects
+        // an operand of another function whose id merely collides.
+        const std::uint32_t id = value->localId();
+        if (id >= frame.values.size() || frame.values[id].def != value)
             trap("use of undefined value %" + value->name());
-        return it->second;
+        return frame.values[id].slot;
     }
 
     /** Raw memory access; traps on tagged (unguarded) addresses. */
@@ -374,6 +396,16 @@ struct Interpreter::Impl
         }
         return result;
     }
+
+    /** A call instruction's target, resolved on first execution. */
+    struct CallSite
+    {
+        Builtin builtin = Builtin::None;
+        /// User callee; null for a builtin or an unknown function.
+        const ir::Function *target = nullptr;
+    };
+    /// Reference engine: call instruction -> resolved target.
+    std::unordered_map<const ir::Instruction *, CallSite> callSites;
 
     /** Defined in interpreter.cc: intrinsics plus user calls. */
     Slot callIntrinsicOrFunction(Frame &frame,

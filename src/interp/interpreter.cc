@@ -2,12 +2,14 @@
  * @file
  * The tree-walking reference engine, plus the Interpreter facade.
  *
- * This engine resolves every operand lazily through the frame's value
- * map, which makes it the semantic baseline the bytecode engine
- * (bytecode.cc) must match bit-exactly — and the only engine that can
- * execute IR the bytecode compiler bails out on (non-canonical SSA,
- * uses of undefined values) with faithful trap behavior. The
- * far-memory sanitizer runs exclusively here.
+ * This engine resolves every operand lazily through the frame — a flat
+ * array indexed by the IR's per-function value ids, each entry stamped
+ * with the value that wrote it — which makes it the semantic baseline
+ * the bytecode engine (bytecode.cc) must match bit-exactly, and the
+ * only engine that can execute IR the bytecode compiler bails out on
+ * (non-canonical SSA, uses of undefined values) with faithful trap
+ * behavior. It shares no code with the bytecode compiler or its
+ * register allocator. The far-memory sanitizer runs exclusively here.
  */
 
 #include "interp/exec_state.hh"
@@ -195,22 +197,36 @@ Interpreter::Impl::callIntrinsicOrFunction(Frame &frame,
     auto arg = [&](std::size_t index) {
         return valueOf(frame, inst.operand(index));
     };
-    const Builtin builtin = builtinOf(inst.callee);
-    if (builtin != Builtin::None)
-        return runBuiltin(builtin, inst, arg);
+    auto [site_it, fresh] = callSites.try_emplace(&inst);
+    CallSite &site = site_it->second;
+    if (fresh) {
+        site.builtin = builtinOf(inst.callee);
+        if (site.builtin == Builtin::None)
+            site.target = module.findFunction(inst.callee);
+    }
+    if (site.builtin != Builtin::None)
+        return runBuiltin(site.builtin, inst, arg);
 
-    const ir::Function *target = module.findFunction(inst.callee);
-    if (!target)
+    if (!site.target)
         trap("call to unknown function @" + inst.callee);
     if (depth > 200)
         trap("call depth limit exceeded");
-    std::vector<Slot> call_args;
-    for (std::size_t i = 0; i < inst.numOperands(); i++)
-        call_args.push_back(arg(i));
+    // Arguments live on the host stack; only an unusually wide call
+    // spills to the heap.
+    constexpr std::size_t inlineArgs = 8;
+    Slot inline_args[inlineArgs];
+    std::vector<Slot> spilled;
+    const std::size_t nargs = inst.numOperands();
+    Slot *call_args = inline_args;
+    if (nargs > inlineArgs) {
+        spilled.resize(nargs);
+        call_args = spilled.data();
+    }
+    for (std::size_t i = 0; i < nargs; i++)
+        call_args[i] = arg(i);
     // Route through the engine dispatcher: a reference-engine frame
     // may call into a compiled callee and vice versa.
-    return callFunction(*target, call_args.data(), call_args.size(),
-                        depth + 1);
+    return callFunction(*site.target, call_args, nargs, depth + 1);
 }
 
 Slot
@@ -230,8 +246,9 @@ Interpreter::Impl::execFunctionRef(const ir::Function &function,
     };
     if (nargs != function.arguments().size())
         trap("argument count mismatch calling @" + function.name());
+    frame.values.resize(function.valueIdLimit());
     for (std::size_t i = 0; i < nargs; i++)
-        frame.values[function.arguments()[i].get()] = args[i];
+        frame.define(*function.arguments()[i], args[i]);
 
     const ir::BasicBlock *block = function.entry();
     const ir::BasicBlock *previous = nullptr;
@@ -263,7 +280,7 @@ Interpreter::Impl::execFunctionRef(const ir::Function &function,
                 step();
             }
             for (const auto &[phi, slot] : phi_values)
-                frame.values[phi] = slot;
+                frame.define(*phi, slot);
 
             const ir::BasicBlock *next = nullptr;
             for (const auto &owned : block->instructions()) {
@@ -576,11 +593,14 @@ Interpreter::Impl::execFunctionRef(const ir::Function &function,
                 }
                 if (inst.type() != ir::Type::Void &&
                     !inst.name().empty()) {
-                    frame.values[&inst] = result;
+                    frame.define(inst, result);
                 }
             }
             if (!next)
                 trap("block fell through without a terminator");
+            // Frame entries exist only for this function's value ids.
+            if (next->parent() != &function)
+                trap("branch to foreign block " + next->name());
             previous = block;
             block = next;
         }

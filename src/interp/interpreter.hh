@@ -69,6 +69,12 @@ struct RunResult
 class Interpreter
 {
   public:
+    /**
+     * @p module must not change while the interpreter exists: both
+     * engines cache per-instruction decisions (compiled bytecode,
+     * resolved call sites, profiling and sanitizer tables) on first
+     * use.
+     */
     Interpreter(const ir::Module &module, TfmRuntime &runtime);
     ~Interpreter();
 

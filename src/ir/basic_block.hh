@@ -44,23 +44,15 @@ class BasicBlock
         return insts.back().get();
     }
 
-    /** Append an instruction (takes ownership). */
-    Instruction *
-    append(std::unique_ptr<Instruction> inst)
-    {
-        inst->setParent(this);
-        insts.push_back(std::move(inst));
-        return insts.back().get();
-    }
+    /**
+     * Append an instruction (takes ownership) and stamp it with the
+     * parent function's next value id. Defined in function.hh.
+     */
+    Instruction *append(std::unique_ptr<Instruction> inst);
 
-    /** Insert before position @p index. */
-    Instruction *
-    insertAt(std::size_t index, std::unique_ptr<Instruction> inst)
-    {
-        inst->setParent(this);
-        auto it = insts.begin() + static_cast<std::ptrdiff_t>(index);
-        return insts.insert(it, std::move(inst))->get();
-    }
+    /** Insert before position @p index (stamps like append()). */
+    Instruction *insertAt(std::size_t index,
+                          std::unique_ptr<Instruction> inst);
 
     /** Index of an instruction in this block (or size() if absent). */
     std::size_t
@@ -73,7 +65,8 @@ class BasicBlock
         return insts.size();
     }
 
-    /** Remove (and destroy) the instruction at @p index. */
+    /** Remove (and destroy) the instruction at @p index; its value id
+     *  stays retired. */
     void
     removeAt(std::size_t index)
     {

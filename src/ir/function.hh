@@ -33,6 +33,7 @@ class Function
         args.push_back(std::make_unique<Argument>(
             type, std::move(arg_name),
             static_cast<unsigned>(args.size())));
+        stampValue(*args.back());
         return args.back().get();
     }
 
@@ -95,6 +96,13 @@ class Function
         return changed;
     }
 
+    /**
+     * One past the highest Value::localId() handed out in this
+     * function: every argument and instruction id is below it. Holes
+     * left by removed instructions are not reclaimed.
+     */
+    std::uint32_t valueIdLimit() const { return nextValueId; }
+
     /** Total instruction count (IR size metric for section 4.6). */
     std::size_t
     instructionCount() const
@@ -124,12 +132,35 @@ class Function
     }
 
   private:
+    friend class BasicBlock;
+
+    void stampValue(Value &value) { value._localId = nextValueId++; }
+
     std::string _name;
     Type retType;
+    std::uint32_t nextValueId = 0;
     std::vector<std::unique_ptr<Argument>> args;
     std::vector<std::unique_ptr<BasicBlock>> blocks;
     std::vector<std::unique_ptr<Constant>> constants;
 };
+
+inline Instruction *
+BasicBlock::append(std::unique_ptr<Instruction> inst)
+{
+    inst->setParent(this);
+    _parent->stampValue(*inst);
+    insts.push_back(std::move(inst));
+    return insts.back().get();
+}
+
+inline Instruction *
+BasicBlock::insertAt(std::size_t index, std::unique_ptr<Instruction> inst)
+{
+    inst->setParent(this);
+    _parent->stampValue(*inst);
+    auto it = insts.begin() + static_cast<std::ptrdiff_t>(index);
+    return insts.insert(it, std::move(inst))->get();
+}
 
 /** A module: a set of functions. */
 class Module

@@ -15,6 +15,8 @@
 namespace tfm::ir
 {
 
+class Function;
+
 /** Base of everything that can appear as an operand. */
 class Value
 {
@@ -46,9 +48,25 @@ class Value
     bool isConstant() const { return _kind == Kind::Constant; }
     bool isInstruction() const { return _kind == Kind::Instruction; }
 
+    /** localId() of a value that never entered a function. */
+    static constexpr std::uint32_t noLocalId = ~std::uint32_t{0};
+
+    /**
+     * Dense per-function id, below the owning function's
+     * valueIdLimit(). Function::addArgument, BasicBlock::append and
+     * BasicBlock::insertAt stamp it; ids are never reused, so a removed
+     * instruction leaves a hole. Constants (and instructions not yet in
+     * a block) read noLocalId.
+     */
+    std::uint32_t localId() const { return _localId; }
+
   private:
+    friend class Function;
+
     Kind _kind;
     Type _type;
+    /// Sits in the padding after _type: sizeof(Value) does not grow.
+    std::uint32_t _localId = noLocalId;
     std::string _name;
 };
 

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "analysis/cfg.hh"
 #include "analysis/dominators.hh"
 #include "analysis/heap_provenance.hh"
 #include "analysis/induction_variable.hh"
 #include "analysis/loop_info.hh"
+#include "ir/builder.hh"
 #include "ir/parser.hh"
 #include "ir_test_programs.hh"
 
@@ -245,6 +248,69 @@ exit:
     ASSERT_NE(inner, nullptr);
     EXPECT_EQ(inner->header, fn->findBlock("inner"));
     EXPECT_EQ(inner->depth, 2u);
+}
+
+TEST(Loops, DeepNestDepthsReachTheFixpoint)
+{
+    // A 4-deep nest (self-loop h4 inside h3 inside h2 inside h1) and
+    // three sibling self-loops after it. The headers are created
+    // innermost-first, so the depth pass, which visits loops in
+    // header-address order, tends to meet inner loops before the
+    // loops around them: the order that needs one round per level.
+    ir::Module module;
+    ir::Function *fn = module.addFunction("f", ir::Type::I64);
+    ir::Argument *c = fn->addArgument(ir::Type::I64, "c");
+    ir::BasicBlock *entry = fn->addBlock("entry");
+    ir::BasicBlock *h4 = fn->addBlock("h4");
+    ir::BasicBlock *x4 = fn->addBlock("x4");
+    ir::BasicBlock *h3 = fn->addBlock("h3");
+    ir::BasicBlock *x3 = fn->addBlock("x3");
+    ir::BasicBlock *h2 = fn->addBlock("h2");
+    ir::BasicBlock *x2 = fn->addBlock("x2");
+    ir::BasicBlock *h1 = fn->addBlock("h1");
+    ir::BasicBlock *s1 = fn->addBlock("s1");
+    ir::BasicBlock *s2 = fn->addBlock("s2");
+    ir::BasicBlock *s3 = fn->addBlock("s3");
+    ir::BasicBlock *exit = fn->addBlock("exit");
+    ir::IRBuilder b(fn);
+    b.setBlock(entry);
+    b.br(h1);
+    b.setBlock(h1);
+    b.br(h2);
+    b.setBlock(h2);
+    b.br(h3);
+    b.setBlock(h3);
+    b.br(h4);
+    b.setBlock(h4);
+    b.condBr(c, h4, x4);
+    b.setBlock(x4);
+    b.condBr(c, h3, x3);
+    b.setBlock(x3);
+    b.condBr(c, h2, x2);
+    b.setBlock(x2);
+    b.condBr(c, h1, s1);
+    b.setBlock(s1);
+    b.condBr(c, s1, s2);
+    b.setBlock(s2);
+    b.condBr(c, s2, s3);
+    b.setBlock(s3);
+    b.condBr(c, s3, exit);
+    b.setBlock(exit);
+    b.ret(c);
+
+    const Cfg cfg(*fn);
+    const DominatorTree dom(*fn, cfg);
+    const LoopInfo loops(*fn, cfg, dom);
+    ASSERT_EQ(loops.loops().size(), 7u);
+    const std::map<const ir::BasicBlock *, unsigned> expected = {
+        {h1, 1}, {h2, 2}, {h3, 3}, {h4, 4}, {s1, 1}, {s2, 1}, {s3, 1}};
+    for (const auto &loop : loops.loops()) {
+        auto it = expected.find(loop->header);
+        ASSERT_NE(it, expected.end()) << loop->header->name();
+        EXPECT_EQ(loop->depth, it->second) << loop->header->name();
+    }
+    EXPECT_EQ(loops.innermostLoopFor(h4)->header, h4);
+    EXPECT_EQ(loops.innermostLoopFor(x4)->header, h3);
 }
 
 TEST(InductionVariablesAnalysis, FindsLoopCounter)

@@ -50,6 +50,50 @@ transform(ir::Module &module, ChunkPolicy policy = ChunkPolicy::CostModel,
     ASSERT_TRUE(report.ok()) << report.verifierError;
 }
 
+/** One engine's run of @p module's main on a fresh runtime. */
+std::pair<RunResult, std::uint64_t>
+runOn(const ir::Module &module, InterpEngine engine)
+{
+    TfmRuntime rt(interpConfig(), CostParams{});
+    Interpreter interp(module, rt);
+    interp.engine = engine;
+    RunResult result = interp.run("main");
+    return {result, rt.clock().now()};
+}
+
+/**
+ * Run main on both engines and expect them to agree on everything
+ * observable: trap text, return value, output, steps and cycles.
+ * Returns the reference engine's result.
+ */
+RunResult
+runBothEngines(const ir::Module &module)
+{
+    const auto [ref, ref_cycles] = runOn(module, InterpEngine::Reference);
+    const auto [bc, bc_cycles] = runOn(module, InterpEngine::Bytecode);
+    EXPECT_EQ(ref.engine, "ref");
+    EXPECT_EQ(bc.engine, "bytecode");
+    EXPECT_EQ(ref.trapped, bc.trapped);
+    EXPECT_EQ(ref.trapMessage, bc.trapMessage);
+    EXPECT_EQ(ref.returnValue, bc.returnValue);
+    EXPECT_EQ(ref.output, bc.output);
+    EXPECT_EQ(ref.instructionsExecuted, bc.instructionsExecuted);
+    EXPECT_EQ(ref_cycles, bc_cycles);
+    return ref;
+}
+
+ir::Instruction *
+findInst(const ir::Function &function, const std::string &name)
+{
+    for (const auto &block : function.basicBlocks()) {
+        for (const auto &inst : block->instructions()) {
+            if (inst->name() == name)
+                return inst.get();
+        }
+    }
+    return nullptr;
+}
+
 TEST(Interp, RunsUntransformedSumProgram)
 {
     auto module = parseOrDie(testprogs::sumProgram);
@@ -314,6 +358,212 @@ TEST(Interp, GuardsChargeSimulatedCycles)
     plain.run("main");
 
     EXPECT_GT(naive_rt.clock().now(), plain_rt.clock().now());
+}
+
+TEST(InterpFrames, RecursiveActivationsKeepTheirOwnValues)
+{
+    // %m is defined before the recursive call and read after it: each
+    // activation must see its own %m and %n, not the callee's.
+    const char *text = R"(
+func @f(%n: i64) -> i64 {
+entry:
+  %small = icmp.slt %n, 1
+  condbr %small, base, rec
+base:
+  ret 0
+rec:
+  %m = mul %n, 10
+  %n1 = sub %n, 1
+  %r = call i64 @f(%n1)
+  %s = add %r, %m
+  %t = add %s, %n
+  ret %t
+}
+
+func @main() -> i64 {
+entry:
+  %r = call i64 @f(5)
+  ret %r
+}
+)";
+    auto module = parseOrDie(text);
+    const RunResult result = runBothEngines(*module);
+    ASSERT_TRUE(result.ok()) << result.trapMessage;
+    EXPECT_EQ(result.returnValue, 11 * (1 + 2 + 3 + 4 + 5));
+}
+
+TEST(InterpFrames, CalleeCannotReadItsCallersEntries)
+{
+    // The outer activation defines %v, then recurses; the innermost one
+    // takes the other branch and reads %v, which its own frame never
+    // defined. Shared entries would return 101 instead of trapping.
+    const char *text = R"(
+func @g(%n: i64) -> i64 {
+entry:
+  %c = icmp.sgt %n, 0
+  condbr %c, rec, use
+rec:
+  %v = add %n, 100
+  %n1 = sub %n, 1
+  %r = call i64 @g(%n1)
+  ret %r
+use:
+  ret %v
+}
+
+func @main() -> i64 {
+entry:
+  %r = call i64 @g(1)
+  ret %r
+}
+)";
+    auto module = parseOrDie(text);
+    const RunResult result = runBothEngines(*module);
+    EXPECT_TRUE(result.trapped);
+    EXPECT_EQ(result.trapMessage, "use of undefined value %v");
+}
+
+TEST(InterpFrames, PhiSwapInALoopReadsTheOldValues)
+{
+    // Phis evaluate simultaneously on block entry: %a and %b swap on
+    // every back edge. Sequential evaluation would make both 2.
+    const char *text = R"(
+func @main() -> i64 {
+entry:
+  br loop
+loop:
+  %a = phi i64 [ 1, entry ], [ %b, loop ]
+  %b = phi i64 [ 2, entry ], [ %a, loop ]
+  %i = phi i64 [ 0, entry ], [ %i2, loop ]
+  call void @print_i64(%a)
+  %i2 = add %i, 1
+  %c = icmp.slt %i2, 4
+  condbr %c, loop, exit
+exit:
+  %r = mul %a, 10
+  %s = add %r, %b
+  ret %s
+}
+)";
+    auto module = parseOrDie(text);
+    const RunResult result = runBothEngines(*module);
+    ASSERT_TRUE(result.ok()) << result.trapMessage;
+    EXPECT_EQ(result.output, (std::vector<std::int64_t>{1, 2, 1, 2}));
+    EXPECT_EQ(result.returnValue, 21);
+}
+
+TEST(InterpFrames, MidBlockInsertAndRemovalHole)
+{
+    // A pass-style edit: insert %sq in the middle of the loop body,
+    // route %acc2 through it, and delete the dead %dead. The new value
+    // gets a fresh id past every old one; the removed id stays a hole.
+    const char *text = R"(
+func @main() -> i64 {
+entry:
+  br loop
+loop:
+  %i = phi i64 [ 0, entry ], [ %i2, loop ]
+  %acc = phi i64 [ 0, entry ], [ %acc2, loop ]
+  %dead = mul %i, 7
+  %acc2 = add %acc, %i
+  %i2 = add %i, 1
+  %c = icmp.slt %i2, 10
+  condbr %c, loop, exit
+exit:
+  ret %acc2
+}
+)";
+    auto module = parseOrDie(text);
+    ir::Function *fn = module->findFunction("main");
+    ir::BasicBlock *loop = fn->findBlock("loop");
+    ir::Instruction *i = findInst(*fn, "i");
+    ir::Instruction *dead = findInst(*fn, "dead");
+    ir::Instruction *acc2 = findInst(*fn, "acc2");
+    const std::uint32_t limit = fn->valueIdLimit();
+
+    auto sq = std::make_unique<ir::Instruction>(ir::Opcode::Mul,
+                                                ir::Type::I64, "sq");
+    sq->addOperand(i);
+    sq->addOperand(i);
+    ir::Instruction *sq_ptr = loop->insertAt(2, std::move(sq));
+    acc2->setOperand(1, sq_ptr);
+    EXPECT_EQ(sq_ptr->localId(), limit);
+    loop->removeAt(loop->indexOf(dead));
+    EXPECT_EQ(fn->valueIdLimit(), limit + 1);
+    EXPECT_LT(fn->instructionCount(), fn->valueIdLimit());
+
+    const RunResult result = runBothEngines(*module);
+    ASSERT_TRUE(result.ok()) << result.trapMessage;
+    EXPECT_EQ(result.returnValue, 285); // sum of i*i for i < 10
+}
+
+TEST(InterpFrames, OperandFromAnotherFunctionTraps)
+{
+    // %b's operand is @other's argument %x, whose id equals main's %a:
+    // an entry that is defined, but by a different value. Reading it
+    // must trap, not return %a's slot.
+    const char *text = R"(
+func @other(%x: i64) -> i64 {
+entry:
+  %y = add %x, 1
+  ret %y
+}
+
+func @main() -> i64 {
+entry:
+  %a = add 1, 2
+  %b = add %a, 3
+  ret %b
+}
+)";
+    auto module = parseOrDie(text);
+    const ir::Function *other = module->findFunction("other");
+    const ir::Function *main_fn = module->findFunction("main");
+    ir::Argument *x = other->arguments()[0].get();
+    ir::Instruction *a = findInst(*main_fn, "a");
+    ASSERT_EQ(x->localId(), a->localId());
+    findInst(*main_fn, "b")->setOperand(0, x);
+
+    const RunResult result = runBothEngines(*module);
+    EXPECT_TRUE(result.trapped);
+    EXPECT_EQ(result.trapMessage, "use of undefined value %x");
+}
+
+TEST(InterpFrames, BranchToAnotherFunctionsBlockTraps)
+{
+    // Hand-built IR the verifier would reject: main branches into a
+    // block of @other, whose instruction ids lie past main's frame.
+    // Reference engine only: the bytecode compiler assumes the
+    // verifier's block structure and does not compile this.
+    const char *text = R"(
+func @other(%x: i64) -> i64 {
+entry:
+  %y = add %x, 1
+  %z = add %y, 1
+  br tail
+tail:
+  %w = add 40, 2
+  ret %w
+}
+
+func @main() -> i64 {
+entry:
+  br done
+done:
+  ret 0
+}
+)";
+    auto module = parseOrDie(text);
+    ir::Function *main_fn = module->findFunction("main");
+    ir::BasicBlock *tail = module->findFunction("other")->findBlock("tail");
+    ASSERT_GE(findInst(*module->findFunction("other"), "w")->localId(),
+              main_fn->valueIdLimit());
+    main_fn->entry()->terminator()->succ0 = tail;
+
+    const RunResult result =
+        runOn(*module, InterpEngine::Reference).first;
+    EXPECT_TRUE(result.trapped);
+    EXPECT_EQ(result.trapMessage, "branch to foreign block tail");
 }
 
 } // namespace

@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/system.hh"
 #include "ir/builder.hh"
 #include "ir/parser.hh"
 #include "ir/printer.hh"
@@ -344,6 +352,103 @@ TEST(IrVerifier, AcceptsAllTestPrograms)
           testprogs::twoObjectProgram}) {
         auto result = parseOrDie(program);
         EXPECT_EQ(verifyModule(*result.module), "");
+    }
+}
+
+/**
+ * Every argument and instruction of @p module has an id unique within
+ * its function and below valueIdLimit(); constant operands have none.
+ */
+void
+expectDenseValueIds(const Module &module, const std::string &label)
+{
+    for (const auto &function : module.allFunctions()) {
+        const std::uint32_t limit = function->valueIdLimit();
+        std::vector<bool> seen(limit, false);
+        auto claim = [&](const Value &value) {
+            ASSERT_LT(value.localId(), limit)
+                << label << ": @" << function->name() << " %"
+                << value.name();
+            EXPECT_FALSE(seen[value.localId()])
+                << label << ": @" << function->name() << " %"
+                << value.name() << " reuses id " << value.localId();
+            seen[value.localId()] = true;
+        };
+        for (const auto &arg : function->arguments())
+            claim(*arg);
+        for (const auto &block : function->basicBlocks()) {
+            for (const auto &inst : block->instructions()) {
+                claim(*inst);
+                for (const Value *operand : inst->operands()) {
+                    if (operand->isConstant()) {
+                        EXPECT_EQ(operand->localId(), Value::noLocalId)
+                            << label;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(IrValueIds, StampedInOrderAndNeverReused)
+{
+    Module module;
+    Function *fn = module.addFunction("f", Type::I64);
+    Argument *x = fn->addArgument(Type::I64, "x");
+    BasicBlock *entry = fn->addBlock("entry");
+    IRBuilder builder(fn);
+    Instruction *a = builder.binary(Opcode::Add, x, x, "a");
+    Instruction *ret = builder.ret(a);
+    EXPECT_EQ(x->localId(), 0u);
+    EXPECT_EQ(a->localId(), 1u);
+    EXPECT_EQ(ret->localId(), 2u);
+    EXPECT_EQ(fn->valueIdLimit(), 3u);
+    EXPECT_EQ(builder.constI64(5)->localId(), Value::noLocalId);
+
+    entry->removeAt(0);
+    EXPECT_EQ(fn->valueIdLimit(), 3u); // the hole is not reclaimed
+    auto b = std::make_unique<Instruction>(Opcode::Add, Type::I64, "b");
+    EXPECT_EQ(b->localId(), Value::noLocalId);
+    b->addOperand(x);
+    b->addOperand(x);
+    EXPECT_EQ(entry->insertAt(0, std::move(b))->localId(), 3u);
+    EXPECT_EQ(fn->valueIdLimit(), 4u);
+    // The id sits in padding: a Value is a vtable pointer, the kind,
+    // type and id words, and the name.
+    EXPECT_EQ(sizeof(Value), sizeof(void *) + 8 + sizeof(std::string));
+}
+
+TEST(IrValueIds, DenseAfterParseAndFullPipeline)
+{
+    std::vector<std::pair<std::string, std::string>> sources;
+    for (const testprogs::CorpusProgram &entry : testprogs::kCorpus)
+        sources.emplace_back(entry.name, entry.source);
+    const std::filesystem::path dir =
+        std::filesystem::path(TFM_REPO_ROOT) / "examples";
+    for (const auto &file : std::filesystem::directory_iterator(dir)) {
+        if (file.path().extension() != ".tir")
+            continue;
+        std::ifstream in(file.path());
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        sources.emplace_back(file.path().filename().string(),
+                             buffer.str());
+    }
+    ASSERT_GT(sources.size(), std::size(testprogs::kCorpus));
+    for (const auto &[name, source] : sources) {
+        const ParseResult parsed = parseOrDie(source.c_str());
+        ASSERT_TRUE(parsed.ok()) << name;
+        expectDenseValueIds(*parsed.module, name + "/parsed");
+        for (const bool hybrid : {false, true}) {
+            SystemConfig config;
+            config.passes.arbiterMode =
+                hybrid ? ArbiterMode::Auto : ArbiterMode::Off;
+            System system(config);
+            const CompileResult compiled = system.compile(source);
+            ASSERT_TRUE(compiled.ok()) << name << ": " << compiled.error;
+            expectDenseValueIds(compiled.program->ir(),
+                                name + (hybrid ? "/hybrid" : "/full"));
+        }
     }
 }
 
