@@ -51,7 +51,19 @@ main()
         "as more of the working set is local",
         "8 MB working set standing in for the paper's 12 GB");
 
+    // Every cell, keyed e.g. "copy_prefetch_cycles_l25"; the build check
+    // compares them exactly against bench/expected/fig11.json.
+    bench::JsonLine json("fig11_prefetch");
+    const auto cell = [&json](const char *kernel, const char *variant,
+                              double fraction, std::uint64_t value) {
+        char key[48];
+        std::snprintf(key, sizeof(key), "%s_%s_cycles_l%d", kernel, variant,
+                      static_cast<int>(fraction * 100.0 + 0.5));
+        json.field(key, value);
+    };
+
     for (const bool copy : {false, true}) {
+        const char *kernel = copy ? "copy" : "sum";
         bench::section(copy ? "Copy" : "Sum");
         std::printf("%10s %16s %16s %10s\n", "local mem",
                     "no-prefetch cyc", "prefetch cyc", "speedup");
@@ -65,9 +77,12 @@ main()
                         static_cast<unsigned long long>(on),
                         static_cast<double>(off) /
                             static_cast<double>(on));
+            cell(kernel, "noprefetch", fraction, off);
+            cell(kernel, "prefetch", fraction, on);
         }
     }
     std::printf("\nPaper reference: ~5x at the far-memory-dominated "
                 "left edge, tapering toward 1x at full local memory.\n");
+    json.emit();
     return 0;
 }

@@ -59,6 +59,9 @@ main()
     // fixed element size are powers of two as well; the crossover falls
     // between the 512 and 1024 points, bracketing the predicted 730.
     const std::uint32_t elem_bytes = 8;
+    // Every cell, keyed e.g. "chunked_cycles_d1024"; the build check
+    // compares them exactly against bench/expected/fig6.json.
+    bench::JsonLine json("fig6_cost_model");
     for (const std::uint32_t density :
          {64u, 128u, 256u, 512u, 1024u, 2048u}) {
         const std::uint32_t object_size = density * elem_bytes;
@@ -72,6 +75,11 @@ main()
                     static_cast<unsigned long long>(naive),
                     static_cast<unsigned long long>(chunked), speedup,
                     model.shouldChunk(density) ? "chunk" : "don't");
+        char key[32];
+        std::snprintf(key, sizeof(key), "naive_cycles_d%u", density);
+        json.field(key, naive);
+        std::snprintf(key, sizeof(key), "chunked_cycles_d%u", density);
+        json.field(key, chunked);
     }
     std::printf(
         "\nPaper reference: the model predicts ~730 elements/object and "
@@ -82,5 +90,6 @@ main()
         "decision threshold is kept, making the compiler strictly "
         "conservative\n(it never chunks a loop our runtime would not "
         "profit from).\n");
+    json.emit();
     return 0;
 }

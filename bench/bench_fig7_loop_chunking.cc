@@ -56,7 +56,19 @@ main()
         "working set 8 MB standing in for the paper's 12 GB; sweep is "
         "over fractions so shapes are preserved");
 
+    // Every cell, keyed e.g. "copy_chunked_cycles_l25"; the build check
+    // compares them exactly against bench/expected/fig7.json.
+    bench::JsonLine json("fig7_loop_chunking");
+    const auto cell = [&json](const char *kernel, const char *variant,
+                              double fraction, std::uint64_t value) {
+        char key[48];
+        std::snprintf(key, sizeof(key), "%s_%s_cycles_l%d", kernel, variant,
+                      static_cast<int>(fraction * 100.0 + 0.5));
+        json.field(key, value);
+    };
+
     for (const bool copy : {false, true}) {
+        const char *kernel = copy ? "copy" : "sum";
         bench::section(copy ? "Copy (two accesses per iteration)"
                             : "Sum (one access per iteration)");
         std::printf("%10s %14s %14s %10s\n", "local mem", "naive cyc",
@@ -73,9 +85,12 @@ main()
                         static_cast<unsigned long long>(chunked),
                         static_cast<double>(naive) /
                             static_cast<double>(chunked));
+            cell(kernel, "naive", fraction, naive);
+            cell(kernel, "chunked", fraction, chunked);
         }
     }
     std::printf("\nPaper reference: speedups between ~1.5x and ~2x, "
                 "rising toward full local memory.\n");
+    json.emit();
     return 0;
 }
