@@ -100,13 +100,13 @@ class FastswapRuntime
      * the copy alone: it skips only the plane's mapped-page branch,
      * which would re-set a reference bit that is already set. Any other
      * access takes readBytes' path, then refills the window from the
-     * page it left mapped.
+     * page it left mapped. @p len must be nonzero.
      */
     void
     readVia(PageWindow &window, std::uint64_t offset, void *dst,
             std::size_t len)
     {
-        if (inWindow(window, offset, len)) {
+        if (len <= windowBytes(window, offset, /*for_write=*/false)) {
             std::memcpy(dst, window.host + (offset - window.begin), len);
             return;
         }
@@ -119,12 +119,31 @@ class FastswapRuntime
     writeVia(PageWindow &window, std::uint64_t offset, const void *src,
              std::size_t len)
     {
-        if (window.writable && inWindow(window, offset, len)) {
+        if (len <= windowBytes(window, offset, /*for_write=*/true)) {
             std::memcpy(window.host + (offset - window.begin), src, len);
             return;
         }
         writeBytes(offset, src, len);
         fillWindow(window, offset, len);
+    }
+
+    /**
+     * The window's coverage query: how many bytes from @p offset to the
+     * window's end an access may move in place, for a read or (with
+     * @p for_write) a write. 0 once the plane's map epoch has moved,
+     * outside the window, and for a write to a clean page. A stream's
+     * run (SeqStream::run) is this many elements.
+     */
+    std::uint64_t
+    windowBytes(const PageWindow &window, std::uint64_t offset,
+                bool for_write) const
+    {
+        // Unsigned wrap rejects offsets below begin and empty windows.
+        if (offset - window.begin >= window.end - window.begin ||
+            window.epoch != plane.mapEpoch() ||
+            (for_write && !window.writable))
+            return 0;
+        return window.end - offset;
     }
 
     /** Typed access helpers. */
@@ -173,17 +192,6 @@ class FastswapRuntime
     void exportStats(StatSet &set) const;
 
   private:
-    /** Does @p window still cover [offset, offset + len)? */
-    bool
-    inWindow(const PageWindow &window, std::uint64_t offset,
-             std::size_t len) const
-    {
-        // Unsigned wrap rejects offsets below begin and empty windows.
-        return offset - window.begin < window.end - window.begin &&
-               len <= window.end - offset &&
-               window.epoch == plane.mapEpoch();
-    }
-
     /** Point @p window at the page holding the access's last byte. */
     void fillWindow(PageWindow &window, std::uint64_t offset,
                     std::size_t len);

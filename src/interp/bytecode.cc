@@ -637,8 +637,14 @@ Compiler::run()
 
     for (const ir::BasicBlock *block : layout)
         lowerBlock(block);
-    for (std::size_t i = 0; i < out.edges.size(); i++)
-        out.edges[i].target = blockStart.at(edgeTargets[i]);
+    for (std::size_t i = 0; i < out.edges.size(); i++) {
+        // Only unverified IR branches into another function's block;
+        // the reference engine traps on it.
+        const auto target = blockStart.find(edgeTargets[i]);
+        if (target == blockStart.end())
+            throw BailOut{"branch to a block of another function"};
+        out.edges[i].target = target->second;
+    }
 
     out.ok = true;
     return out;

@@ -13,6 +13,7 @@
 #ifndef TRACKFM_TFM_CHUNK_HH
 #define TRACKFM_TFM_CHUNK_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -64,8 +65,7 @@ class ChunkCursorRaw
     {
         if (needRefill)
             refill();
-        std::memcpy(dst, window + inWindow, elemSize);
-        advance();
+        readRun(dst, 1);
     }
 
     /** Write the current element from @p src and advance. */
@@ -74,22 +74,61 @@ class ChunkCursorRaw
     {
         if (needRefill)
             refill();
-        std::memcpy(window + inWindow, src, elemSize);
-        advance();
+        writeRun(src, 1);
+    }
+
+    /**
+     * Elements, at most @p max, left in the pinned object: 0 exactly
+     * when a refill is due, since advance() schedules one once the
+     * window is used up.
+     */
+    std::uint64_t
+    run(std::uint64_t max) const
+    {
+        return std::min<std::uint64_t>(max,
+                                       (windowLen - inWindow) / elemSize);
+    }
+
+    /**
+     * Read @p k <= run(k) elements with one copy, charging k boundary
+     * checks, exactly as k read() calls would.
+     */
+    void
+    readRun(void *dst, std::uint64_t k)
+    {
+        std::memcpy(dst, span(k), k * elemSize);
+        advance(k);
+    }
+
+    /** Write @p k <= run(k) elements; see readRun(). */
+    void
+    writeRun(const void *src, std::uint64_t k)
+    {
+        std::memcpy(span(k), src, k * elemSize);
+        advance(k);
     }
 
     /** Tagged address of the current element. */
     std::uint64_t currentAddr() const { return addr; }
 
   private:
+    /** The next @p k elements, which must lie in the pinned object. */
+    std::byte *
+    span(std::uint64_t k) const
+    {
+        TFM_ASSERT(k * elemSize <= windowLen - inWindow,
+                   "chunked access past the pinned object");
+        return window + inWindow;
+    }
+
     void
-    advance()
+    advance(std::uint64_t k)
     {
         // The object-boundary check the transformation inserts on every
         // iteration (yellow nodes in Fig. 5).
-        _rt.boundaryCheck();
-        addr += elemSize;
-        inWindow += elemSize;
+        _rt.boundaryCheck(k);
+        addr += k * elemSize;
+        inWindow += k * elemSize;
         // Refill lazily on the next access: the loop may exit here, and
         // a trailing refill could walk past the end of the collection.
         if (inWindow >= windowLen)

@@ -275,12 +275,12 @@ class TfmRuntime
     std::byte *localityGuard(std::uint64_t addr, std::uint64_t prev_obj,
                              bool for_write);
 
-    /** Charge one object-boundary check (3 instructions). */
+    /** Charge @p count object-boundary checks (3 instructions each). */
     void
-    boundaryCheck()
+    boundaryCheck(std::uint64_t count = 1)
     {
-        rt.clock().advance(costs().boundaryCheckCycles);
-        gstats.boundaryChecks++;
+        rt.clock().advance(count * costs().boundaryCheckCycles);
+        gstats.boundaryChecks += count;
     }
 
     /** Release the pin taken by the last locality guard of a loop. */

@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace tfm
@@ -46,6 +47,13 @@ enum class StreamMode
 /**
  * A sequential element stream: the backend-specific best implementation
  * of "for (i = 0; i < n; i++) use(a[i])".
+ *
+ * The run contract (DESIGN.md §4l): run() says how many of the next
+ * elements the stream's current window (a mapped page, a pinned object,
+ * local memory) already covers. Moving them takes no fault, refill or
+ * eviction and reads no clock, so readRun/writeRun copy all k at once
+ * and charge exactly what k read/write calls would. Streams without a
+ * window keep the default run of 0 and go one element at a time.
  */
 class SeqStream
 {
@@ -55,6 +63,36 @@ class SeqStream
     virtual void read(void *dst) = 0;
     /** Write the current element from @p src and advance. */
     virtual void write(const void *src) = 0;
+
+    /**
+     * How many of the next elements, at most @p max, the current window
+     * covers for reads (or, with @p for_write, writes).
+     */
+    virtual std::uint64_t
+    run(std::uint64_t max, bool for_write)
+    {
+        (void)max;
+        (void)for_write;
+        return 0;
+    }
+
+    /** Read @p k <= run(k, false) elements into @p dst and advance. */
+    virtual void
+    readRun(void *dst, std::uint64_t k)
+    {
+        (void)dst;
+        (void)k;
+        TFM_PANIC("readRun past the stream's run");
+    }
+
+    /** Write @p k <= run(k, true) elements from @p src and advance. */
+    virtual void
+    writeRun(const void *src, std::uint64_t k)
+    {
+        (void)src;
+        (void)k;
+        TFM_PANIC("writeRun past the stream's run");
+    }
 };
 
 /** Abstract memory system. Addresses are backend-specific handles. */

@@ -6,6 +6,7 @@
 
 #include "backend_config.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -80,20 +81,30 @@ class LocalBackend : public MemBackend
             : b(backend), cur(addr), elemSize(elem_size)
         {}
 
-        void
-        read(void *dst) override
+        void read(void *dst) override { readRun(dst, 1); }
+        void write(const void *src) override { writeRun(src, 1); }
+
+        /** All of local memory is one window. */
+        std::uint64_t
+        run(std::uint64_t max, bool) override
         {
-            b.clock.advance(b.costs.seqAccessCycles);
-            std::memcpy(dst, b.mem.data() + cur, elemSize);
-            cur += elemSize;
+            return max;
         }
 
         void
-        write(const void *src) override
+        readRun(void *dst, std::uint64_t k) override
         {
-            b.clock.advance(b.costs.seqAccessCycles);
-            std::memcpy(b.mem.data() + cur, src, elemSize);
-            cur += elemSize;
+            b.clock.advance(k * b.costs.seqAccessCycles);
+            std::memcpy(dst, b.mem.data() + cur, k * elemSize);
+            cur += k * elemSize;
+        }
+
+        void
+        writeRun(const void *src, std::uint64_t k) override
+        {
+            b.clock.advance(k * b.costs.seqAccessCycles);
+            std::memcpy(b.mem.data() + cur, src, k * elemSize);
+            cur += k * elemSize;
         }
 
       private:
@@ -247,6 +258,27 @@ class TrackFmBackend : public MemBackend
         {
             b.rt.clock().advance(b.rt.costs().guardedSeqAccessCycles);
             cursor.write(src);
+        }
+
+        /** The window is the pinned object; 0 when a refill is due. */
+        std::uint64_t
+        run(std::uint64_t max, bool) override
+        {
+            return cursor.run(max);
+        }
+
+        void
+        readRun(void *dst, std::uint64_t k) override
+        {
+            b.rt.clock().advance(k * b.rt.costs().guardedSeqAccessCycles);
+            cursor.readRun(dst, k);
+        }
+
+        void
+        writeRun(const void *src, std::uint64_t k) override
+        {
+            b.rt.clock().advance(k * b.rt.costs().guardedSeqAccessCycles);
+            cursor.writeRun(src, k);
         }
 
       private:
@@ -438,6 +470,34 @@ class FastswapBackend : public MemBackend
             clock.advance(seqCycles);
             b.fs.writeVia(window, cur, src, elemSize);
             cur += elemSize;
+        }
+
+        /** The page under the cursor while the plane's map holds. */
+        std::uint64_t
+        run(std::uint64_t max, bool for_write) override
+        {
+            return std::min<std::uint64_t>(
+                max, b.fs.windowBytes(window, cur, for_write) / elemSize);
+        }
+
+        /** Inside the run the page is mapped: nothing but the copy. */
+        void
+        readRun(void *dst, std::uint64_t k) override
+        {
+            clock.advance(k * seqCycles);
+            std::memcpy(dst, window.host + (cur - window.begin),
+                        k * elemSize);
+            cur += k * elemSize;
+        }
+
+        /** Inside a write run the page is mapped and already dirty. */
+        void
+        writeRun(const void *src, std::uint64_t k) override
+        {
+            clock.advance(k * seqCycles);
+            std::memcpy(window.host + (cur - window.begin), src,
+                        k * elemSize);
+            cur += k * elemSize;
         }
 
       private:

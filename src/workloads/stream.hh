@@ -34,6 +34,32 @@ struct StreamResult
 };
 
 /**
+ * @name STREAM kernel bodies over open streams
+ * Each step moves k elements: the shortest run() of the kernel's
+ * streams (SeqStream's run contract), at least 1. A run of k > 1 is
+ * one readRun/writeRun per stream; k == 1 is an ordinary read/write.
+ * Both charge the same, so every fault, refill and eviction happens at
+ * the same element and the same clock as one access at a time.
+ * Elements are @p elem_bytes (4 or 8) wide.
+ * @{ */
+/** sum += a[i] over @p n elements; returns the sum. */
+std::int64_t streamSum(SeqStream &a, std::uint64_t n,
+                       std::uint32_t elem_bytes);
+
+/** b[i] = a[i]; returns the last element copied. */
+std::int64_t streamCopy(SeqStream &a, SeqStream &b, std::uint64_t n,
+                        std::uint32_t elem_bytes);
+
+/**
+ * c[i] = a[i] + scale * b[i], charging one compute cycle per element on
+ * @p backend; returns the last c[i] before narrowing.
+ */
+std::int64_t streamTriad(MemBackend &backend, SeqStream &a, SeqStream &b,
+                         SeqStream &c, std::uint64_t n,
+                         std::uint32_t elem_bytes, std::int64_t scale);
+/** @} */
+
+/**
  * STREAM working set: two or three integer arrays on one backend.
  */
 class StreamWorkload
@@ -63,25 +89,31 @@ class StreamWorkload
     /** Expected sum of one pass over the source array. */
     std::int64_t expectedSum() const;
 
-    /** Verify the copy destination matches the source (unmetered). */
+    /**
+     * Verify the copy destination matches the source, every element
+     * (unmetered).
+     */
     bool verifyCopy();
 
     std::uint64_t elements() const { return n; }
     std::uint32_t elementBytes() const { return elemBytes; }
 
   private:
+    /// The source pattern repeats every this many elements.
+    static constexpr std::uint64_t patternPeriod = 1000;
+
     /// Element value pattern: a[i] = i % 1000 - 500 (fits in i32).
     static std::int64_t
     valueAt(std::uint64_t i)
     {
-        return static_cast<std::int64_t>(i % 1000) - 500;
+        return static_cast<std::int64_t>(i % patternPeriod) - 500;
     }
 
-    std::int64_t readElem(SeqStream &stream);
-    void writeElem(SeqStream &stream, std::int64_t value);
-    void initElem(std::uint64_t base, std::uint64_t index,
-                  std::int64_t value);
-    std::int64_t peekElem(std::uint64_t base, std::uint64_t index);
+    /**
+     * Write every element of the array at @p base, the source pattern
+     * when @p source, else 0: one initWrite per chunk.
+     */
+    void populate(std::uint64_t base, bool source);
 
     MemBackend &b;
     std::uint64_t n;

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "sim/rng.hh"
+#include "stream_harness.hh"
 #include "workloads/backend_config.hh"
 #include "workloads/stream.hh"
 
@@ -229,6 +230,82 @@ TEST(StreamWorkload, PrefetchSpeedsUpColdSweep)
     const StreamResult r_off = without_prefetch.runSum();
     EXPECT_EQ(r_on.checksum, r_off.checksum);
     EXPECT_LT(r_on.delta.cycles, r_off.delta.cycles);
+}
+
+/**
+ * A stream's run is what its window still covers: local memory without
+ * bound, the rest of a chunked cursor's pinned object, the rest of a
+ * Fastswap page once mapped (and, for writes, dirty), and nothing for
+ * guard-per-element or AIFM streams.
+ */
+TEST(StreamRuns, WindowsReportWhatTheyCover)
+{
+    struct Case
+    {
+        SystemKind kind;
+        ChunkPolicy chunking;
+        std::uint64_t beforeRead;
+        std::uint64_t afterRead;
+        std::uint64_t writeAfterRead;
+    } cases[] = {
+        {SystemKind::Local, ChunkPolicy::All, 4096, 4096, 4096},
+        {SystemKind::TrackFm, ChunkPolicy::All, 1024, 1023, 1023},
+        {SystemKind::TrackFm, ChunkPolicy::None, 0, 0, 0},
+        {SystemKind::Fastswap, ChunkPolicy::All, 0, 1023, 0},
+        {SystemKind::Aifm, ChunkPolicy::All, 0, 0, 0},
+    };
+    for (const Case &c : cases) {
+        BackendConfig cfg = smallConfig(c.kind);
+        cfg.chunkPolicy = c.chunking;
+        auto backend = makeBackend(cfg, CostParams{});
+        const std::uint64_t addr = backend->alloc(2 * 4096);
+        backend->dropCaches();
+        auto s = backend->stream(addr, 4, 2048, StreamMode::Read);
+        const char *name = systemName(c.kind);
+        EXPECT_EQ(s->run(4096, false), c.beforeRead) << name;
+        std::int32_t value = 0;
+        s->read(&value);
+        EXPECT_EQ(s->run(4096, false), c.afterRead) << name;
+        EXPECT_EQ(s->run(4096, true), c.writeAfterRead) << name;
+        EXPECT_EQ(s->run(7, false), std::min<std::uint64_t>(7, c.afterRead))
+            << name;
+    }
+    // A Fastswap write run needs the page dirty: the first write fills
+    // a writable window.
+    auto backend = makeBackend(smallConfig(SystemKind::Fastswap),
+                               CostParams{});
+    const std::uint64_t addr = backend->alloc(2 * 4096);
+    backend->dropCaches();
+    auto s = backend->stream(addr, 4, 2048, StreamMode::Write);
+    const std::int32_t value = 1;
+    s->write(&value);
+    EXPECT_EQ(s->run(4096, true), 1023u);
+}
+
+/**
+ * TrackFM's chunked streams run the pinned object's remaining elements
+ * at once, charging each its base cost and boundary check, so runs must
+ * match the same streams driven one element at a time: with eight
+ * frames, prefetching, and three staggered streams, refills, evictions
+ * and prefetch arrivals all land at the same element and clock.
+ */
+TEST(StreamRuns, TrackFmChunkedMatchesElementWise)
+{
+    BackendConfig cfg = smallConfig(SystemKind::TrackFm);
+    cfg.localMemBytes = 8 * 4096;
+    cfg.chunkPolicy = ChunkPolicy::All;
+    cfg.prefetchDepth = 4;
+    const StatSet stats =
+        expectSameCopyAndTriad(cfg, Drive::Runs, Drive::Stream);
+    EXPECT_EQ(stats.get("guard.boundary_checks"), 5 * kStreamElems);
+    EXPECT_GT(stats.get("runtime.evictions"), 3 * 20u);
+}
+
+/** Local streams run without bound and charge the same per element. */
+TEST(StreamRuns, LocalMatchesSingleAccesses)
+{
+    expectSameCopyAndTriad(smallConfig(SystemKind::Local), Drive::Runs,
+                           Drive::Single);
 }
 
 TEST(BackendFactory, NamesAreStable)
