@@ -6,6 +6,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hh"
 #include "workloads/backend_config.hh"
@@ -57,26 +58,51 @@ main()
         "considerably slower until ~75% of the WS is local",
         "300K synthetic taxi rows standing in for the 31 GB dataset");
 
+    // One run per system and local-memory point; (a) reads the cycles
+    // and (b) the far-memory event counts of the same runs. Every cell
+    // also goes to one BENCH_JSON line, keyed e.g. "tfm_cycles_l10",
+    // that tools/check_build.sh compares against
+    // bench/expected/fig14.json.
+    struct Point
+    {
+        BackendSnapshot local, tfm, fsw, aifm;
+    };
+    std::vector<Point> points(bench::localMemSweepPoints);
+    bench::JsonLine json("fig14_analytics");
+    for (int i = 0; i < bench::localMemSweepPoints; i++) {
+        const double fraction = bench::localMemSweep[i];
+        Point &p = points[static_cast<std::size_t>(i)];
+        p.local = runOne(SystemKind::Local, fraction).delta;
+        p.tfm = runOne(SystemKind::TrackFm, fraction).delta;
+        p.fsw = runOne(SystemKind::Fastswap, fraction).delta;
+        p.aifm = runOne(SystemKind::Aifm, fraction).delta;
+        const int pct = static_cast<int>(fraction * 100.0 + 0.5);
+        const auto cell = [&](const char *what, std::uint64_t value) {
+            char key[48];
+            std::snprintf(key, sizeof(key), "%s_l%d", what, pct);
+            json.field(key, value);
+        };
+        cell("local_cycles", p.local.cycles);
+        cell("tfm_cycles", p.tfm.cycles);
+        cell("fastswap_cycles", p.fsw.cycles);
+        cell("aifm_cycles", p.aifm.cycles);
+        cell("tfm_far_events", p.tfm.farEvents);
+        cell("fastswap_far_events", p.fsw.farEvents);
+    }
+
     bench::section("(a) slowdown vs local-only");
     std::printf("%10s %10s %10s %10s %14s\n", "local mem", "TrackFM",
                 "Fastswap", "AIFM", "TFM vs AIFM");
     for (int i = 0; i < bench::localMemSweepPoints; i++) {
-        const double fraction = bench::localMemSweep[i];
-        const std::uint64_t local_cycles =
-            runOne(SystemKind::Local, fraction).delta.cycles;
-        const std::uint64_t tfm_cycles =
-            runOne(SystemKind::TrackFm, fraction).delta.cycles;
-        const std::uint64_t fsw_cycles =
-            runOne(SystemKind::Fastswap, fraction).delta.cycles;
-        const std::uint64_t aifm_cycles =
-            runOne(SystemKind::Aifm, fraction).delta.cycles;
+        const Point &p = points[static_cast<std::size_t>(i)];
+        const double local = static_cast<double>(p.local.cycles);
         std::printf("%10s %9.2fx %9.2fx %9.2fx %13.1f%%\n",
-                    bench::pct(fraction).c_str(),
-                    static_cast<double>(tfm_cycles) / local_cycles,
-                    static_cast<double>(fsw_cycles) / local_cycles,
-                    static_cast<double>(aifm_cycles) / local_cycles,
-                    100.0 * (static_cast<double>(tfm_cycles) /
-                                 static_cast<double>(aifm_cycles) -
+                    bench::pct(bench::localMemSweep[i]).c_str(),
+                    static_cast<double>(p.tfm.cycles) / local,
+                    static_cast<double>(p.fsw.cycles) / local,
+                    static_cast<double>(p.aifm.cycles) / local,
+                    100.0 * (static_cast<double>(p.tfm.cycles) /
+                                 static_cast<double>(p.aifm.cycles) -
                              1.0));
     }
 
@@ -84,17 +110,14 @@ main()
     std::printf("%10s %16s %16s\n", "local mem", "TrackFM guards",
                 "Fastswap faults");
     for (int i = 0; i < bench::localMemSweepPoints; i++) {
-        const double fraction = bench::localMemSweep[i];
-        const std::uint64_t guards =
-            runOne(SystemKind::TrackFm, fraction).delta.farEvents;
-        const std::uint64_t faults =
-            runOne(SystemKind::Fastswap, fraction).delta.farEvents;
+        const Point &p = points[static_cast<std::size_t>(i)];
         std::printf("%10s %16llu %16llu\n",
-                    bench::pct(fraction).c_str(),
-                    static_cast<unsigned long long>(guards),
-                    static_cast<unsigned long long>(faults));
+                    bench::pct(bench::localMemSweep[i]).c_str(),
+                    static_cast<unsigned long long>(p.tfm.farEvents),
+                    static_cast<unsigned long long>(p.fsw.farEvents));
     }
     std::printf("\nPaper reference: TrackFM within 10%% of AIFM under "
                 "pressure; event counts track performance.\n");
+    json.emit();
     return 0;
 }

@@ -115,5 +115,19 @@ main()
     std::printf("%-38s %10llu %10s\n", "TrackFM hoisted-guard revalidate",
                 static_cast<unsigned long long>(reval), "-");
     std::printf("\nPaper reference: 21/297, 21/309, 144/453, 159/432.\n");
+
+    bench::JsonLine json("table1_guard_costs");
+    json.field("fast_read_cycles", fast_read)
+        .field("fast_write_cycles", fast_write)
+        .field("slow_read_cycles", slow_read)
+        .field("slow_write_cycles", slow_write)
+        .field("fast_read_uncached_cycles", costs.fastPathUncachedReadCycles)
+        .field("fast_write_uncached_cycles",
+               costs.fastPathUncachedWriteCycles)
+        .field("slow_read_uncached_cycles", costs.slowPathUncachedReadCycles)
+        .field("slow_write_uncached_cycles",
+               costs.slowPathUncachedWriteCycles)
+        .field("revalidate_cycles", reval)
+        .emit();
     return 0;
 }

@@ -128,5 +128,14 @@ main()
                 static_cast<unsigned long long>(tfm_slow_remote_write));
     std::printf("\nPaper reference: Fastswap 1.3K/34-35K; "
                 "TrackFM 432-453/35K.\n");
+
+    bench::JsonLine json("table2_primitives");
+    json.field("fastswap_local_fault_cycles", fs_minor)
+        .field("fastswap_remote_read_fault_cycles", fs_major_read)
+        .field("fastswap_remote_write_fault_cycles", fs_major_write)
+        .field("tfm_slow_local_cycles", tfm_slow_local)
+        .field("tfm_slow_remote_read_cycles", tfm_slow_remote_read)
+        .field("tfm_slow_remote_write_cycles", tfm_slow_remote_write)
+        .emit();
     return 0;
 }

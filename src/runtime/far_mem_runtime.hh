@@ -86,17 +86,11 @@ struct RuntimeConfig
     std::uint32_t pagedReadaheadPages = 8;
     /** @} */
 
-    /** @name Concurrent runtime (DESIGN.md §4k)
+    /** @name Shared runtime (DESIGN.md §4k)
      * @{ */
-    /// Allow multiple worker threads to share this runtime. Off by
-    /// default: the deterministic single-stream mode is what the
-    /// record/replay and byte-identity gates run against. When on, the
-    /// stride prefetcher is disabled (the MT data plane is demand-only)
-    /// and a flight recorder must not be attached.
-    bool concurrent = false;
     /// Frame-cache lock stripes (power of two; 0 or 1 = the seed's
-    /// single-shard cache). Honored in single-thread mode too, for the
-    /// sharding equivalence tests.
+    /// single-shard cache). Honored with no worker registered too, for
+    /// the sharding equivalence tests.
     std::uint32_t cacheShards = 1;
     /** @} */
 
@@ -155,6 +149,12 @@ struct RuntimeStats
  * (fetches, evictions, allocation); guard costs are charged by the layer
  * above (tfm/ or aifmlib/), mirroring the paper's split between
  * compiler-injected code and the AIFM runtime.
+ *
+ * Every access runs on a WorkerContext: the main context (whose clock
+ * the remote backend drives) or a registered worker's. There is one
+ * data path for both; registering the first worker switches on what
+ * sharing needs (DESIGN.md §4k) — shard locks, epoch sections, frame
+ * limbo, and the per-worker fetch timeline.
  */
 class FarMemRuntime
 {
@@ -167,14 +167,42 @@ class FarMemRuntime
         RemoteFetch    ///< blocking demand fetch from the remote node
     };
 
+    /** One dirty object parked for a coalesced writeback. */
+    struct PendingWriteback
+    {
+        std::uint64_t objId = 0;
+        std::uint64_t parkCycle = 0; ///< clock when parked (residency)
+        std::vector<std::byte> data;
+    };
+
+    /** Quiescent epoch-slot value (context not inside an epoch section). */
+    static constexpr std::uint64_t quiescentEpoch = ~0ull;
+
+    /** One thread's runtime state: clock, counter set, epoch slot, and
+     *  dirty-writeback buffer. */
+    struct WorkerContext
+    {
+        CycleClock clock;   ///< this context's simulated time
+        RuntimeStats stats; ///< single-writer counters, merged on report
+        /// Epoch observed at epoch-section entry, quiescentEpoch outside
+        /// any section. seq_cst: the reclamation proof needs slot stores
+        /// and meta/epoch loads in one total order.
+        std::atomic<std::uint64_t> epochSlot{quiescentEpoch};
+        FarMemRuntime *owner = nullptr;
+
+        std::mutex wbMu; ///< guards wbBuf when shared (see lock order)
+        std::vector<PendingWriteback> wbBuf;
+        std::uint64_t wbOldestCycle = 0; ///< clock when wbBuf[0] parked
+    };
+
     FarMemRuntime(const RuntimeConfig &config, const CostParams &cost_params);
 
     /** @name Simulation plumbing
      * @{ */
-    /** The calling thread's clock: the bound worker's private clock on
-     *  a worker thread, the runtime's main clock otherwise. */
-    CycleClock &clock();
-    const CycleClock &clock() const;
+    /** The calling thread's clock: its bound worker's, else the main
+     *  context's (the clock the remote backend drives). */
+    CycleClock &clock() { return context().clock; }
+    const CycleClock &clock() const { return context().clock; }
     /** The remote tier this runtime drives (single node or cluster). */
     RemoteBackend &backend() { return *backend_; }
     const RemoteBackend &backend() const { return *backend_; }
@@ -202,18 +230,41 @@ class FarMemRuntime
      * @{ */
     /**
      * Ensure the object containing @p offset is local and return a host
-     * pointer to the byte at @p offset. Charges fetch/wait costs but not
-     * guard costs.
+     * pointer to the byte at @p offset. Charges fetch/wait costs to
+     * @p c but not guard costs. When shared, the caller holds the
+     * object's shard lock (AccessScope), and the pointer is good only
+     * while it does.
      */
-    std::byte *localize(std::uint64_t offset, bool for_write,
-                        Localized *outcome = nullptr);
+    std::byte *localize(WorkerContext &c, std::uint64_t offset,
+                        bool for_write, Localized *outcome = nullptr);
+    /** localize() on the calling thread's context. */
+    std::byte *
+    localize(std::uint64_t offset, bool for_write,
+             Localized *outcome = nullptr)
+    {
+        return localize(context(), offset, for_write, outcome);
+    }
 
     /**
      * The fast-path check: if the object is present and safe, mark usage
      * and return the host pointer; otherwise return nullptr with no side
-     * effects. Charges nothing (the guard charges its own cycles).
+     * effects. Charges nothing (the guard charges its own cycles). Reads
+     * the state word once, so a shared-mode reader inside an epoch
+     * section never pairs a stale frame with a fresh safety bit.
      */
-    std::byte *tryFast(std::uint64_t offset, bool for_write);
+    std::byte *
+    tryFast(std::uint64_t offset, bool for_write)
+    {
+        ObjectMeta &meta = ost[ost.objectOf(offset)];
+        const std::uint64_t raw = meta.raw();
+        if (!ObjectMeta::rawSafe(raw))
+            return nullptr;
+        const std::uint64_t frame_idx = ObjectMeta::rawFrame(raw);
+        cache.frame(frame_idx).refbit.store(true, std::memory_order_relaxed);
+        if (for_write)
+            meta.setDirty();
+        return cache.frameData(frame_idx) + ost.offsetInObject(offset);
+    }
 
     /** Is the object containing @p offset currently localized? */
     bool
@@ -226,6 +277,66 @@ class FarMemRuntime
     void pinObject(std::uint64_t obj_id);
     /** Undo pinObject(). */
     void unpinObject(std::uint64_t obj_id);
+
+    /**
+     * The synchronization one guarded access needs. Nothing while no
+     * worker is registered; when shared, a read runs inside an epoch
+     * section and a write under the object's shard lock, and lock()
+     * moves a read that missed to the shard lock for the slow path.
+     * Epoch sections never take a lock, which keeps the limbo wait in
+     * takeFrame deadlock-free.
+     */
+    class AccessScope
+    {
+      public:
+        AccessScope(FarMemRuntime &rt, WorkerContext &c,
+                    std::uint64_t obj_id, bool for_write)
+            : rt_(rt), c_(c), objId_(obj_id)
+        {
+            if (!rt.shared_)
+                return;
+            if (for_write) {
+                lock();
+            } else {
+                c.epochSlot.store(rt.evictionEpoch());
+                inEpoch_ = true;
+            }
+        }
+        ~AccessScope()
+        {
+            leaveEpoch();
+            if (locked_)
+                locked_->unlock();
+        }
+        AccessScope(const AccessScope &) = delete;
+        AccessScope &operator=(const AccessScope &) = delete;
+
+        /** Hold the object's shard lock from here on (when shared). */
+        void
+        lock()
+        {
+            if (!rt_.shared_ || locked_)
+                return;
+            leaveEpoch();
+            locked_ = &rt_.cache.shardMutex(rt_.cache.shardOf(objId_));
+            locked_->lock();
+        }
+
+      private:
+        void
+        leaveEpoch()
+        {
+            if (inEpoch_)
+                c_.epochSlot.store(quiescentEpoch);
+            inEpoch_ = false;
+        }
+
+        FarMemRuntime &rt_;
+        WorkerContext &c_;
+        std::uint64_t objId_;
+        bool inEpoch_ = false;
+        std::mutex *locked_ = nullptr;
+    };
     /** @} */
 
     /** @name Prefetch
@@ -233,12 +344,15 @@ class FarMemRuntime
     /**
      * Issue asynchronous fetches for up to @p count objects starting at
      * @p obj_id + @p stride (compiler-directed prefetch, section 4.3).
+     * Main context only.
      */
     void prefetchObjects(std::uint64_t obj_id, std::int64_t stride,
                          std::uint32_t count);
     /** @} */
 
     /** @name Initialization / verification (no cycle accounting)
+     *  Both see every context's parked writebacks; call them while no
+     *  worker runs.
      * @{ */
     /** Write through to both the local copy (if any) and the remote. */
     void rawWrite(std::uint64_t offset, const void *src, std::size_t len);
@@ -248,34 +362,39 @@ class FarMemRuntime
 
     /**
      * Drop every localized object (writing back dirty ones) so a
-     * measurement can start from a fully remote heap.
+     * measurement can start from a fully remote heap. No worker may be
+     * running.
      */
     void evacuateAll();
 
     /**
-     * Push every buffered dirty writeback to the remote node as one
-     * coalesced message. Safe to call with an empty buffer. Charged as
-     * normal data-plane traffic (unlike evacuateAll's raw flush).
+     * Push the calling thread's buffered dirty writebacks to the remote
+     * node as one coalesced message. Safe to call with an empty buffer.
+     * Charged as normal data-plane traffic (unlike evacuateAll's raw
+     * flush).
      */
     void flushWritebacks();
 
-    /** Dirty objects currently parked in the writeback buffer. */
-    std::uint64_t pendingWritebacks() const { return wbBuf.size(); }
+    /** Write every context's parked dirty objects home, unmetered (like
+     *  evacuateAll's flush). No worker may be running. */
+    void drainWritebacks();
+
+    /** Dirty objects currently parked, over every context's buffer. */
+    std::uint64_t pendingWritebacks() const { return parkedCount_.load(); }
 
     /**
      * Monotone counter bumped whenever any frame is unmapped (eviction
      * or evacuation). Guard-level inline caches compare it to detect
-     * that a cached object->frame translation may have gone stale; the
-     * concurrent runtime additionally uses it as the epoch-based
-     * reclamation clock (each retired frame is stamped with the bump
-     * its eviction produced).
+     * that a cached object->frame translation may have gone stale; it
+     * is also the epoch-based reclamation clock (each retired frame is
+     * stamped with the bump its eviction produced).
      */
     std::uint64_t evictionEpoch() const { return _evictionEpoch.load(); }
 
     /** The calling thread's counter set (bound worker's, else main). */
-    const RuntimeStats &stats() const;
-    /** Main-thread counters plus every registered worker's (exact under
-     *  concurrency: each set is single-writer). */
+    const RuntimeStats &stats() const { return context().stats; }
+    /** Main-context counters plus every registered worker's (exact
+     *  under concurrency: each set is single-writer). */
     RuntimeStats mergedStats() const;
     void exportStats(StatSet &set) const;
 
@@ -294,26 +413,66 @@ class FarMemRuntime
     /** @name Observability
      *  The attached sink (or nullptr) and this runtime's trace stream.
      *  TfmRuntime / AifmRuntime reuse both so a whole stack shares one
-     *  Perfetto "process".
+     *  Perfetto "process". Emission is main-context only.
      * @{ */
     Observability *obs() const { return obs_; }
     std::uint32_t obsStream() const { return obsStream_; }
     /** @} */
 
-  private:
-    /** One dirty object parked for a coalesced writeback. */
-    struct PendingWriteback
+    /** @name Workers (DESIGN.md §4k)
+     *
+     * Worker threads register a WorkerContext each and bind it to their
+     * thread. From the first registration on the runtime is shared:
+     * guarded reads run lock-free inside an epoch section until they
+     * miss, misses and writes take the object's frame-cache shard lock,
+     * and evicted frames wait in the shard's limbo list until every
+     * context has passed the eviction's epoch.
+     *
+     * Lock order: shard mutex < wbMu < netMu_.
+     * @{ */
+    /**
+     * Create a worker context (before starting worker threads; not
+     * thread-safe against running workers). The runtime must have no
+     * flight recorder, no cluster tier, and the stride prefetcher off.
+     */
+    WorkerContext *registerWorker();
+    /** Bind @p w to the calling thread; routes clock()/stats() here. */
+    void bindWorker(WorkerContext *w);
+    /** Remove the calling thread's binding. */
+    void unbindWorker();
+    /** The calling thread's bound worker context, or nullptr. */
+    WorkerContext *boundWorker() const;
+    /** The calling thread's context: its bound worker, else main. */
+    WorkerContext &
+    context()
     {
-        std::uint64_t objId = 0;
-        std::uint64_t parkCycle = 0; ///< clock when parked (residency)
-        std::vector<std::byte> data;
-    };
+        WorkerContext *w = shared_ ? boundWorker() : nullptr;
+        return w ? *w : main_;
+    }
+    const WorkerContext &
+    context() const
+    {
+        const WorkerContext *w = shared_ ? boundWorker() : nullptr;
+        return w ? *w : main_;
+    }
+    WorkerContext &mainContext() { return main_; }
+    /** At least one worker is registered. */
+    bool shared() const { return shared_; }
+    /** @} */
 
-    /** Find a frame for @p obj_id's shard, evicting a victim if needed
-     *  (deterministic single-thread path). */
-    std::uint64_t takeFrame(std::uint64_t obj_id);
-    /** Evict the object in @p frame_idx (writeback when dirty). */
-    void evictFrame(std::uint64_t frame_idx);
+  private:
+    /** Find a frame in @p shard: alloc, reclaim limbo, or evict a
+     *  victim (waiting out readers of the shard's limbo when shared). */
+    std::uint64_t takeFrame(WorkerContext &c, std::uint32_t shard);
+    /** Evict the object in @p frame_idx: park or write back its dirty
+     *  payload, unmap it, and retire the frame. */
+    void evictFrame(WorkerContext &c, std::uint32_t shard,
+                    std::uint64_t frame_idx);
+    /** Park @p frame_idx in @p shard's limbo stamped @p stamp; with no
+     *  worker registered no reader can hold it, so it is reclaimed at
+     *  once. */
+    void retireFrame(std::uint32_t shard, std::uint64_t frame_idx,
+                     std::uint64_t stamp);
     /**
      * Evacuator decision feed: record (or replay-verify) the CLOCK
      * sweep's victim choice, returning the victim to evict — during
@@ -322,26 +481,43 @@ class FarMemRuntime
     std::uint64_t evacDecision(std::uint64_t victim);
     /** Demand-miss hook: train the prefetcher and issue lookahead. */
     void onDemandMiss(std::uint64_t obj_id);
-    /** Flush the writeback buffer when size/age thresholds are hit. */
-    void maybeFlushWritebacks();
-    /** Index into wbBuf for @p obj_id, or -1 when not buffered. */
-    std::ptrdiff_t findPendingWriteback(std::uint64_t obj_id) const;
+    /** Blocking demand fetch of @p obj_id into @p data on @p c's clock. */
+    void fetch(WorkerContext &c, std::uint64_t obj_id, std::byte *data);
+    /** Run a backend operation on @p c's timeline: the main context
+     *  drives the backend clock itself, a worker borrows it. */
+    template <typename Op> void onBackend(WorkerContext &c, Op &&op);
+    /** Push @p c's parked writebacks as one message (caller holds
+     *  c.wbMu when shared). */
+    void flushLocked(WorkerContext &c);
+    /** Flush @p c's buffer when size/age thresholds are hit. */
+    void maybeFlushWritebacks(WorkerContext &c);
+    /** Apply @p fn to the parked copy of @p obj_id in whichever context
+     *  holds it (under that context's wbMu when shared); false when no
+     *  context does. With @p take the entry leaves its buffer. */
+    template <typename Fn>
+    bool withParked(std::uint64_t obj_id, bool take, Fn &&fn);
     /** Epoch time-series snapshot (occupancy, buffer depth, wire bytes). */
     void obsEpochSample();
+    /** Minimum epoch slot over every context (quiescent = +inf). */
+    std::uint64_t minActiveEpoch() const;
+    /** A lock on @p mu when shared, an empty one otherwise. */
+    std::unique_lock<std::mutex>
+    lockIfShared(std::mutex &mu)
+    {
+        return shared_ ? std::unique_lock<std::mutex>(mu)
+                       : std::unique_lock<std::mutex>();
+    }
 
     RuntimeConfig cfg;
     CostParams _costs;
-    CycleClock _clock;
+    WorkerContext main_; ///< before backend_: the backend drives its clock
     std::unique_ptr<RemoteBackend> backend_;
     ObjectStateTable ost;
     FrameCache cache;
     RegionAllocator alloc_;
     StridePrefetcher prefetcher;
-    RuntimeStats _stats;
-    std::vector<PendingWriteback> wbBuf;
-    std::uint64_t wbOldestCycle = 0; ///< clock when wbBuf[0] was parked
     /// Eviction-epoch clock; seq_cst (see DESIGN.md §4k reclamation
-    /// proof). Plain increments in the deterministic path compile to
+    /// proof). Plain increments with no worker registered compile to
     /// the same uncontended RMW.
     std::atomic<std::uint64_t> _evictionEpoch{0};
     Observability *obs_ = nullptr;
@@ -350,152 +526,11 @@ class FarMemRuntime
     std::uint16_t recInstance_ = 0;
     std::uint64_t lastMissObj = ~0ull; ///< inter-miss-distance tracking
 
-  public:
-    /** @name Concurrent runtime (DESIGN.md §4k)
-     *
-     * Worker threads register a WorkerContext each and bind it to their
-     * thread. Reads go through a lock-free fast path (one object-state
-     * snapshot inside an epoch section); misses and all writes take the
-     * object's frame-cache shard lock. Evicted frames park in the
-     * shard's limbo list until every worker has passed the eviction's
-     * epoch, so a lock-free reader can never touch a reused frame.
-     *
-     * Lock order: shard mutex < worker wbMu / mainWbMu_ < netMu_.
-     * Epoch sections never acquire any lock (that is what makes the
-     * quiescence wait in takeFrameMt deadlock-free).
-     * @{ */
-
-    /** Quiescent epoch-slot value (worker not inside an epoch section). */
-    static constexpr std::uint64_t quiescentEpoch = ~0ull;
-
-    /** Per-worker-thread runtime state: private clock, private counter
-     *  set, epoch slot, and private dirty-writeback buffer. */
-    struct WorkerContext
-    {
-        CycleClock clock;     ///< this worker's simulated time
-        RuntimeStats stats;   ///< single-writer counters, merged on report
-        /// Epoch observed at epochEnter(), quiescentEpoch outside any
-        /// epoch section. seq_cst: the reclamation proof needs slot
-        /// stores and meta/epoch loads in one total order.
-        std::atomic<std::uint64_t> epochSlot{quiescentEpoch};
-        std::uint32_t index = 0;
-        FarMemRuntime *owner = nullptr;
-
-        std::mutex wbMu; ///< guards wbBuf (leaf lock, see lock order)
-        std::vector<PendingWriteback> wbBuf;
-        std::uint64_t wbOldestCycle = 0;
-    };
-
-    /** What a successful MT fast read hands the guard layer so it can
-     *  fill its last-object inline cache. */
-    struct MtFill
-    {
-        bool valid = false;
-        std::uint64_t objId = 0;
-        std::uint64_t epoch = 0; ///< eviction epoch the fill is valid for
-        std::byte *frameBase = nullptr;
-        ObjectMeta *meta = nullptr;
-        Frame *frame = nullptr;
-    };
-
-    /** Create a worker context (call before starting worker threads;
-     *  not thread-safe against running workers). */
-    WorkerContext *registerWorker();
-    /** Bind @p w to the calling thread; routes clock()/stats() here. */
-    void bindWorker(WorkerContext *w);
-    /** Remove the calling thread's binding. */
-    void unbindWorker();
-    /** The calling thread's bound context, or nullptr. */
-    WorkerContext *boundWorker() const;
-    const std::vector<std::unique_ptr<WorkerContext>> &workers() const
-    {
-        return workers_;
-    }
-
-    /**
-     * Lock-free guarded read attempt: one raw() snapshot of the object
-     * state inside an epoch section; on a safe hit, copies @p len bytes
-     * at @p offset into @p dst, marks usage, and (optionally) fills
-     * @p fill for the guard inline cache. Returns false on any miss
-     * (remote, in flight) with no side effects.
-     */
-    bool tryFastReadMt(WorkerContext &w, std::uint64_t offset, void *dst,
-                       std::size_t len, MtFill *fill);
-
-    /**
-     * Validate a previous MtFill (the guard layer's last-object inline
-     * cache) inside an epoch section and, on a hit, copy out through
-     * it. An unchanged eviction epoch proves the object->frame
-     * translation is still live; any eviction since the fill misses and
-     * the guard falls back to tryFastReadMt, which refills.
-     */
-    bool tryCachedReadMt(WorkerContext &w, const MtFill &fill,
-                         std::uint64_t offset, void *dst, std::size_t len);
-
-    /**
-     * Slow-path guarded read: takes the object's shard lock, localizes
-     * if needed (stealing a parked writeback copy or fetching), and
-     * copies out under the lock.
-     */
-    void localizeReadMt(WorkerContext &w, std::uint64_t offset, void *dst,
-                        std::size_t len, MtFill *fill,
-                        Localized *outcome = nullptr);
-
-    /**
-     * Guarded write: always takes the shard lock (no lock-free write
-     * path — two racing writers to one object must serialize), localizes
-     * if needed, copies @p src in, and marks the object dirty.
-     * @p was_present reports whether the object was already local (the
-     * guard layer charges the fast- or slow-path write cost on it).
-     */
-    void localizeWriteMt(WorkerContext &w, std::uint64_t offset,
-                         const void *src, std::size_t len,
-                         bool *was_present, Localized *outcome = nullptr);
-
-    /** Push @p w's parked dirty objects to the remote tier as one
-     *  coalesced message (metered; takes wbMu then netMu_). */
-    void flushWorkerWritebacks(WorkerContext &w);
-
-    /**
-     * Main-thread drain of every worker's parked writebacks after the
-     * workers have been joined (unmetered raw writes, like
-     * evacuateAll's flush).
-     */
-    void drainWorkerWritebacks();
-
-    /** @} */
-
-  private:
-    /** Enter/exit an epoch section (lock-free readers only). */
-    void
-    epochEnter(WorkerContext &w)
-    {
-        w.epochSlot.store(_evictionEpoch.load());
-    }
-    void epochExit(WorkerContext &w) { w.epochSlot.store(quiescentEpoch); }
-    /** Minimum epoch slot over all workers (quiescent = +inf). */
-    std::uint64_t minActiveEpoch() const;
-    /** Frame acquisition under @p shard's lock: alloc, reclaim limbo,
-     *  evict, or spin-yield for reader quiescence. */
-    std::uint64_t takeFrameMt(WorkerContext &w, std::uint32_t shard);
-    /** Unmap + retire the frame to limbo (caller holds the shard lock);
-     *  dirty payloads park in @p w's private buffer. */
-    void evictFrameMt(WorkerContext &w, std::uint32_t shard,
-                      std::uint64_t frame_idx);
-    /** Synchronous fetch on the shared device clock (netMu_; jumps the
-     *  device clock to @p w's time and back). */
-    void fetchMt(WorkerContext &w, std::uint64_t obj_id, std::byte *data);
-    /** Pull a parked dirty copy of @p obj_id out of any writeback
-     *  buffer (workers' and the main thread's) into @p dst. */
-    bool stealParkedWriteback(std::uint64_t obj_id, std::byte *dst);
-    /** Size/age-triggered flush of @p w's buffer. */
-    void maybeFlushWorkerWritebacks(WorkerContext &w);
-
+    bool shared_ = false; ///< at least one worker registered
     std::vector<std::unique_ptr<WorkerContext>> workers_;
-    std::mutex netMu_;    ///< serializes shared backend/device access
-    std::mutex allocMu_;  ///< serializes the region allocator when concurrent
-    std::mutex mainWbMu_; ///< workers stealing from the main-thread wbBuf
-    std::atomic<std::uint64_t> parkedCount_{0}; ///< hint: skip steal scans
+    std::mutex netMu_;   ///< serializes shared backend/device access
+    std::mutex allocMu_; ///< serializes the region allocator when shared
+    std::atomic<std::uint64_t> parkedCount_{0}; ///< over every context
     static thread_local WorkerContext *tlsWorker_;
 };
 

@@ -63,7 +63,7 @@ std::uint32_t
 FrameCache::shardOfFrame(std::uint64_t frame_idx) const
 {
     // Shards are few (<= 64) and sorted; a linear scan is off the hot
-    // path (eviction / evacuation only).
+    // path (evacuation only).
     for (std::uint32_t s = 0; s < shards.size(); s++) {
         if (frame_idx < shards[s].hi)
             return s;
@@ -165,18 +165,6 @@ FrameCache::reclaimFrames(std::uint32_t shard,
         }
     }
     return reclaimed;
-}
-
-void
-FrameCache::releaseFrame(std::uint64_t frame_idx)
-{
-    Frame &f = frames[frame_idx];
-    TFM_ASSERT(f.used, "releasing a free frame");
-    TFM_ASSERT(f.pins.load(std::memory_order_relaxed) == 0,
-               "releasing a pinned frame");
-    f.used = false;
-    f.refbit.store(false, std::memory_order_relaxed);
-    shards[shardOfFrame(frame_idx)].freeList.push_back(frame_idx);
 }
 
 } // namespace tfm

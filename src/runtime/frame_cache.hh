@@ -32,10 +32,10 @@ namespace tfm
 /**
  * Book-keeping for one local frame.
  *
- * pins and refbit are atomic because the concurrent guard fast path
+ * pins and refbit are atomic because a shared runtime's guard fast path
  * touches them without the shard lock (refbit marking, transient
  * prefetch pins); every other field is written only under the owning
- * shard's mutex or in single-thread mode.
+ * shard's mutex or with no worker registered.
  */
 struct Frame
 {
@@ -50,11 +50,12 @@ struct Frame
  * Fixed-capacity frame pool with per-shard CLOCK victim selection.
  *
  * The cache itself never talks to the network; the runtime asks for a
- * victim, performs the writeback, and then reassigns the frame. Under
- * concurrency the runtime additionally parks evicted frames in the
- * shard's limbo list (retireFrame) until every worker thread has passed
- * the eviction's epoch (reclaimFrames) — the epoch-based reclamation
- * protocol that makes the lock-free guard fast path safe.
+ * victim, performs the writeback, and then reassigns the frame. Every
+ * evicted frame goes through the shard's limbo list (retireFrame) and
+ * back to the free list once every reader has passed the eviction's
+ * epoch (reclaimFrames) — the epoch-based reclamation protocol that
+ * makes the lock-free guard fast path safe. With no worker thread the
+ * runtime reclaims at once.
  */
 class FrameCache
 {
@@ -103,7 +104,7 @@ class FrameCache
     Frame &frame(std::uint64_t frame_idx) { return frames[frame_idx]; }
 
     /** @name Shard-aware allocation (caller holds the shard mutex when
-     *  concurrent)
+     *  the runtime is shared)
      * @{ */
     /** Take a free frame from @p shard, or noFrame when it is full. */
     std::uint64_t allocFrameIn(std::uint32_t shard);
@@ -140,10 +141,6 @@ class FrameCache
         return shards[shard].limbo.size();
     }
     /** @} */
-
-    /** Return a frame to its shard's free list immediately (the
-     *  single-thread eviction path: no limbo, no epoch). */
-    void releaseFrame(std::uint64_t frame_idx);
 
     static constexpr std::uint64_t noFrame = ~0ull;
 

@@ -196,8 +196,7 @@ Scheduler::Scheduler(const ServeConfig &config, const CostParams &costs)
         rc.farHeapBytes = far_total + far_total / 4; // allocator slack
         rc.localMemBytes = local_total;
         rc.objectSizeBytes = cfg.tenants.front().objectSizeBytes;
-        rc.prefetchEnabled = false; // forced off when concurrent
-        rc.concurrent = true;
+        rc.prefetchEnabled = false; // workers need it off
         rc.cacheShards = cfg.cacheShards;
         if (rc.cacheShards == 0) {
             rc.cacheShards = 1;
@@ -516,7 +515,7 @@ Scheduler::runConcurrent()
         th.join();
 
     // Dirty objects parked in worker buffers go home before teardown.
-    shared_->runtime().drainWorkerWritebacks();
+    shared_->runtime().drainWritebacks();
 
     for (std::uint32_t w = 0; w < cfg.workers; w++) {
         for (std::size_t t = 0; t < tenants_.size(); t++) {

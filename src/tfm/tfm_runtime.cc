@@ -13,7 +13,10 @@ namespace tfm
 TfmRuntime::TfmRuntime(const RuntimeConfig &config,
                        const CostParams &cost_params)
     : rt(tagged(config), cost_params)
-{}
+{
+    main_.rt = &rt.mainContext();
+    main_.owner = this;
+}
 
 TfmRuntime::~TfmRuntime() = default;
 
@@ -67,125 +70,113 @@ TfmRuntime::evacuatePaged()
 }
 
 void
-TfmRuntime::recordGuard(std::uint64_t addr, GuardPath path)
+TfmRuntime::traceGuard(std::uint64_t addr, GuardPath path)
 {
-    const std::uint64_t now = rt.clock().now();
-    gtrace.record(addr, now, path);
-    switch (path) {
-    case GuardPath::CustodyReject:
-    case GuardPath::FastRead:
-    case GuardPath::FastWrite:
-        return; // hot paths: ring buffer only
-    default:
-        break;
-    }
     Observability *obs = rt.obs();
     if (obs && obs->trace().enabled()) {
-        obs->trace().instant(rt.obsStream(), TrackApp,
-                             guardPathName(path), "guard", now);
+        obs->trace().instant(rt.obsStream(), TrackApp, guardPathName(path),
+                             "guard", main_.rt->clock.now());
         obs->trace().arg("addr", addr);
     }
 }
 
 void
-TfmRuntime::cacheFill(std::uint64_t obj_id, std::uint64_t offset,
-                      std::byte *ptr)
+TfmRuntime::cacheFill(GuardCache &c, std::uint64_t offset, std::byte *ptr,
+                      std::uint64_t epoch)
 {
     if (!rt.config().guardCacheEnabled)
         return;
+    const std::uint64_t obj_id = rt.stateTable().objectOf(offset);
     ObjectMeta &meta = rt.stateTable()[obj_id];
-    lastObjCache.objId = obj_id;
-    lastObjCache.epoch = rt.evictionEpoch();
-    lastObjCache.frameBase = ptr - rt.stateTable().offsetInObject(offset);
-    lastObjCache.meta = &meta;
-    lastObjCache.frame = &rt.frameCache().frame(meta.frame());
+    c.objId = obj_id;
+    c.epoch = epoch;
+    c.frameBase = ptr - rt.stateTable().offsetInObject(offset);
+    c.meta = &meta;
+    c.frame = &rt.frameCache().frame(meta.frame());
 }
 
 std::byte *
-TfmRuntime::guardRead(std::uint64_t addr)
+TfmRuntime::guard(Worker &w, std::uint64_t addr, bool for_write,
+                  std::byte *buf, std::size_t len)
 {
+    FarMemRuntime::WorkerContext &c = *w.rt;
+    const CostParams &k = costs();
+    const auto finish = [&](std::byte *data) {
+        if (buf)
+            std::memcpy(for_write ? data : buf, for_write ? buf : data, len);
+        return data;
+    };
     if (!tfmIsTagged(addr)) {
         // Custody check fails: this is not a TrackFM pointer; perform
-        // the original load directly (~4 instructions).
-        rt.clock().advance(costs().custodyRejectCycles);
-        gstats.custodyRejects++;
-        recordGuard(addr, GuardPath::CustodyReject);
-        return reinterpret_cast<std::byte *>(addr);
+        // the original access directly (~4 instructions).
+        c.clock.advance(k.custodyRejectCycles);
+        w.gstats.custodyRejects++;
+        recordGuard(w, addr, GuardPath::CustodyReject);
+        return finish(reinterpret_cast<std::byte *>(addr));
     }
 
     const std::uint64_t offset = tfmOffsetOf(addr);
-    if (std::byte *cached = cacheLookup(offset, /*for_write=*/false)) {
+    FarMemRuntime::AccessScope scope(rt, c, rt.stateTable().objectOf(offset),
+                                     for_write);
+    if (std::byte *cached = cacheLookup(w.cache, offset, for_write)) {
         // Same object as the previous guard: skip the state-table
         // lookup and charge only the inline-cache hit.
-        rt.clock().advance(costs().guardCacheHitReadCycles);
-        gstats.fastReads++;
-        gstats.cacheHitReads++;
-        recordGuard(addr, GuardPath::FastRead);
-        return cached;
+        cacheHit(w, addr, for_write);
+        return finish(cached);
     }
-    std::byte *fast = rt.tryFast(offset, /*for_write=*/false);
-    if (fast) {
-        rt.clock().advance(costs().fastPathReadCycles);
-        gstats.fastReads++;
-        recordGuard(addr, GuardPath::FastRead);
-        cacheFill(rt.stateTable().objectOf(offset), offset, fast);
-        return fast;
+    // Read before the state word: a fill is then never newer than the
+    // translation it caches, even with a racing eviction.
+    const std::uint64_t epoch = rt.evictionEpoch();
+    if (std::byte *fast = rt.tryFast(offset, for_write)) {
+        c.clock.advance(for_write ? k.fastPathWriteCycles
+                                  : k.fastPathReadCycles);
+        (for_write ? w.gstats.fastWrites : w.gstats.fastReads)++;
+        recordGuard(w, addr,
+                    for_write ? GuardPath::FastWrite : GuardPath::FastRead);
+        cacheFill(w.cache, offset, fast, epoch);
+        return finish(fast);
     }
 
     // Slow path: runtime call, which may block on a remote fetch.
-    rt.clock().advance(costs().slowPathReadCycles);
+    scope.lock();
+    c.clock.advance(for_write ? k.slowPathWriteCycles : k.slowPathReadCycles);
     FarMemRuntime::Localized outcome;
-    std::byte *data = rt.localize(offset, /*for_write=*/false, &outcome);
-    if (outcome == FarMemRuntime::Localized::RemoteFetch) {
-        gstats.slowRemoteReads++;
-        recordGuard(addr, GuardPath::SlowRemoteRead);
+    std::byte *data = rt.localize(c, offset, for_write, &outcome);
+    const bool remote = outcome == FarMemRuntime::Localized::RemoteFetch;
+    if (for_write) {
+        (remote ? w.gstats.slowRemoteWrites : w.gstats.slowLocalWrites)++;
+        recordGuard(w, addr, remote ? GuardPath::SlowRemoteWrite
+                                    : GuardPath::SlowLocalWrite);
     } else {
-        gstats.slowLocalReads++;
-        recordGuard(addr, GuardPath::SlowLocalRead);
+        (remote ? w.gstats.slowRemoteReads : w.gstats.slowLocalReads)++;
+        recordGuard(w, addr, remote ? GuardPath::SlowRemoteRead
+                                    : GuardPath::SlowLocalRead);
     }
-    cacheFill(rt.stateTable().objectOf(offset), offset, data);
-    return data;
+    // Under the shard lock when shared: the object cannot be evicted
+    // between localize and this epoch read.
+    cacheFill(w.cache, offset, data, rt.evictionEpoch());
+    return finish(data);
 }
 
-std::byte *
-TfmRuntime::guardWrite(std::uint64_t addr)
+void
+TfmRuntime::guardRange(std::uint64_t addr, std::byte *buf, std::size_t len,
+                       bool for_write)
 {
+    Worker &w = worker();
     if (!tfmIsTagged(addr)) {
-        rt.clock().advance(costs().custodyRejectCycles);
-        gstats.custodyRejects++;
-        recordGuard(addr, GuardPath::CustodyReject);
-        return reinterpret_cast<std::byte *>(addr);
+        guard(w, addr, for_write, buf, len);
+        return;
     }
-
-    const std::uint64_t offset = tfmOffsetOf(addr);
-    if (std::byte *cached = cacheLookup(offset, /*for_write=*/true)) {
-        rt.clock().advance(costs().guardCacheHitWriteCycles);
-        gstats.fastWrites++;
-        gstats.cacheHitWrites++;
-        recordGuard(addr, GuardPath::FastWrite);
-        return cached;
+    const auto &table = rt.stateTable();
+    std::size_t done = 0;
+    while (done < len) {
+        const std::uint64_t at = addr + done;
+        const std::uint64_t in_obj = table.offsetInObject(tfmOffsetOf(at));
+        const std::size_t piece = std::min<std::size_t>(
+            len - done, table.objectSize() - in_obj);
+        guard(w, at, for_write, buf + done, piece);
+        done += piece;
     }
-    std::byte *fast = rt.tryFast(offset, /*for_write=*/true);
-    if (fast) {
-        rt.clock().advance(costs().fastPathWriteCycles);
-        gstats.fastWrites++;
-        recordGuard(addr, GuardPath::FastWrite);
-        cacheFill(rt.stateTable().objectOf(offset), offset, fast);
-        return fast;
-    }
-
-    rt.clock().advance(costs().slowPathWriteCycles);
-    FarMemRuntime::Localized outcome;
-    std::byte *data = rt.localize(offset, /*for_write=*/true, &outcome);
-    if (outcome == FarMemRuntime::Localized::RemoteFetch) {
-        gstats.slowRemoteWrites++;
-        recordGuard(addr, GuardPath::SlowRemoteWrite);
-    } else {
-        gstats.slowLocalWrites++;
-        recordGuard(addr, GuardPath::SlowLocalWrite);
-    }
-    cacheFill(rt.stateTable().objectOf(offset), offset, data);
-    return data;
 }
 
 thread_local TfmRuntime::Worker *TfmRuntime::tlsWorker_ = nullptr;
@@ -195,7 +186,6 @@ TfmRuntime::registerWorker()
 {
     auto w = std::make_unique<Worker>();
     w->owner = this;
-    w->index = static_cast<std::uint32_t>(workers_.size());
     w->rt = rt.registerWorker();
     workers_.push_back(std::move(w));
     return workers_.back().get();
@@ -204,7 +194,8 @@ TfmRuntime::registerWorker()
 void
 TfmRuntime::bindWorker(Worker *w)
 {
-    TFM_ASSERT(w && w->owner == this, "binding a foreign tfm worker");
+    TFM_ASSERT(w && w->owner == this && w != &main_,
+               "binding a foreign tfm worker");
     tlsWorker_ = w;
     rt.bindWorker(w->rt);
 }
@@ -226,160 +217,27 @@ TfmRuntime::boundWorker() const
 GuardStats
 TfmRuntime::mergedGuardStats() const
 {
-    GuardStats total = gstats;
+    GuardStats total = main_.gstats;
     for (const auto &w : workers_)
         total += w->gstats;
     return total;
-}
-
-void
-TfmRuntime::readGuardedMt(Worker &w, std::uint64_t addr, void *dst,
-                          std::size_t len)
-{
-    auto *out = static_cast<std::byte *>(dst);
-    const auto &table = rt.stateTable();
-    std::size_t done = 0;
-    while (done < len) {
-        const std::uint64_t at = addr + done;
-        const std::uint64_t offset = tfmOffsetOf(at);
-        const std::uint64_t in_obj = table.offsetInObject(offset);
-        const std::size_t piece = std::min<std::size_t>(
-            len - done, table.objectSize() - in_obj);
-        if (rt.tryCachedReadMt(*w.rt, w.cache, offset, out + done,
-                               piece)) {
-            w.rt->clock.advance(costs().guardCacheHitReadCycles);
-            w.gstats.fastReads++;
-            w.gstats.cacheHitReads++;
-        } else if (rt.tryFastReadMt(*w.rt, offset, out + done, piece,
-                                    &w.cache)) {
-            w.rt->clock.advance(costs().fastPathReadCycles);
-            w.gstats.fastReads++;
-        } else {
-            w.rt->clock.advance(costs().slowPathReadCycles);
-            FarMemRuntime::Localized outcome;
-            rt.localizeReadMt(*w.rt, offset, out + done, piece, &w.cache,
-                              &outcome);
-            if (outcome == FarMemRuntime::Localized::RemoteFetch)
-                w.gstats.slowRemoteReads++;
-            else
-                w.gstats.slowLocalReads++;
-        }
-        done += piece;
-    }
-}
-
-void
-TfmRuntime::writeGuardedMt(Worker &w, std::uint64_t addr, const void *src,
-                           std::size_t len)
-{
-    const auto *in = static_cast<const std::byte *>(src);
-    const auto &table = rt.stateTable();
-    std::size_t done = 0;
-    while (done < len) {
-        const std::uint64_t at = addr + done;
-        const std::uint64_t offset = tfmOffsetOf(at);
-        const std::uint64_t in_obj = table.offsetInObject(offset);
-        const std::size_t piece = std::min<std::size_t>(
-            len - done, table.objectSize() - in_obj);
-        bool was_present = false;
-        FarMemRuntime::Localized outcome;
-        rt.localizeWriteMt(*w.rt, offset, in + done, piece, &was_present,
-                           &outcome);
-        if (was_present) {
-            w.rt->clock.advance(costs().fastPathWriteCycles);
-            w.gstats.fastWrites++;
-        } else {
-            w.rt->clock.advance(costs().slowPathWriteCycles);
-            if (outcome == FarMemRuntime::Localized::RemoteFetch)
-                w.gstats.slowRemoteWrites++;
-            else
-                w.gstats.slowLocalWrites++;
-        }
-        done += piece;
-    }
-}
-
-void
-TfmRuntime::readGuarded(std::uint64_t addr, void *dst, std::size_t len)
-{
-    if (Worker *w = boundWorker()) {
-        if (!tfmIsTagged(addr)) {
-            w->rt->clock.advance(costs().custodyRejectCycles);
-            w->gstats.custodyRejects++;
-            std::memcpy(dst, reinterpret_cast<const void *>(addr), len);
-            return;
-        }
-        readGuardedMt(*w, addr, dst, len);
-        return;
-    }
-    if (!tfmIsTagged(addr)) {
-        rt.clock().advance(costs().custodyRejectCycles);
-        gstats.custodyRejects++;
-        recordGuard(addr, GuardPath::CustodyReject);
-        std::memcpy(dst, reinterpret_cast<const void *>(addr), len);
-        return;
-    }
-    auto *out = static_cast<std::byte *>(dst);
-    const auto &table = rt.stateTable();
-    std::size_t done = 0;
-    while (done < len) {
-        const std::uint64_t at = addr + done;
-        const std::uint64_t in_obj = table.offsetInObject(tfmOffsetOf(at));
-        const std::size_t piece = std::min<std::size_t>(
-            len - done, table.objectSize() - in_obj);
-        std::memcpy(out + done, guardRead(at), piece);
-        done += piece;
-    }
-}
-
-void
-TfmRuntime::writeGuarded(std::uint64_t addr, const void *src,
-                         std::size_t len)
-{
-    if (Worker *w = boundWorker()) {
-        if (!tfmIsTagged(addr)) {
-            w->rt->clock.advance(costs().custodyRejectCycles);
-            w->gstats.custodyRejects++;
-            std::memcpy(reinterpret_cast<void *>(addr), src, len);
-            return;
-        }
-        writeGuardedMt(*w, addr, src, len);
-        return;
-    }
-    if (!tfmIsTagged(addr)) {
-        rt.clock().advance(costs().custodyRejectCycles);
-        gstats.custodyRejects++;
-        recordGuard(addr, GuardPath::CustodyReject);
-        std::memcpy(reinterpret_cast<void *>(addr), src, len);
-        return;
-    }
-    const auto *in = static_cast<const std::byte *>(src);
-    const auto &table = rt.stateTable();
-    std::size_t done = 0;
-    while (done < len) {
-        const std::uint64_t at = addr + done;
-        const std::uint64_t in_obj = table.offsetInObject(tfmOffsetOf(at));
-        const std::size_t piece = std::min<std::size_t>(
-            len - done, table.objectSize() - in_obj);
-        std::memcpy(guardWrite(at), in + done, piece);
-        done += piece;
-    }
 }
 
 std::byte *
 TfmRuntime::localityGuard(std::uint64_t addr, std::uint64_t prev_obj,
                           bool for_write)
 {
+    Worker &w = mainWorker();
     const std::uint64_t offset = tfmOffsetOf(addr);
-    rt.clock().advance(costs().localityGuardCycles);
-    gstats.localityGuards++;
+    w.rt->clock.advance(costs().localityGuardCycles);
+    w.gstats.localityGuards++;
     FarMemRuntime::Localized outcome;
-    std::byte *data = rt.localize(offset, for_write, &outcome);
+    std::byte *data = rt.localize(*w.rt, offset, for_write, &outcome);
     if (outcome == FarMemRuntime::Localized::RemoteFetch) {
-        gstats.localityRemotes++;
-        recordGuard(addr, GuardPath::LocalityRemote);
+        w.gstats.localityRemotes++;
+        recordGuard(w, addr, GuardPath::LocalityRemote);
     } else {
-        recordGuard(addr, GuardPath::LocalityLocal);
+        recordGuard(w, addr, GuardPath::LocalityLocal);
     }
     const std::uint64_t obj_id = rt.stateTable().objectOf(offset);
     rt.pinObject(obj_id);

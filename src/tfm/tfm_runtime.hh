@@ -53,8 +53,10 @@ class TfmRuntime
     const FarMemRuntime &runtime() const { return rt; }
     const CostParams &costs() const { return rt.costs(); }
     CycleClock &clock() { return rt.clock(); }
-    GuardStats &guardStats() { return gstats; }
-    const GuardStats &guardStats() const { return gstats; }
+    /** The main thread's guard counters (mergedGuardStats() adds every
+     *  worker's). */
+    GuardStats &guardStats() { return main_.gstats; }
+    const GuardStats &guardStats() const { return main_.gstats; }
     /** Optional section 3.3 debug instrumentation. */
     GuardTrace &guardTrace() { return gtrace; }
     const GuardTrace &guardTrace() const { return gtrace; }
@@ -124,6 +126,13 @@ class TfmRuntime
     /** @} */
 
     /** @name Guards (section 3.3, Fig. 4)
+     *
+     * Every guard runs one body: custody check, last-object inline
+     * cache, fast path, slow path. The pointer-returning entry points
+     * (guardRead, guardWrite, guardCacheFastPath, localityGuard) are
+     * for an unbound thread only: a bound worker's pointer could
+     * outlive the epoch section or shard lock that keeps it valid, so
+     * workers copy through readGuarded / writeGuarded instead.
      * @{ */
     /**
      * Guard a read of @p size bytes at @p addr.
@@ -132,10 +141,18 @@ class TfmRuntime
      * cycle charges; untagged pointers take the ~4-instruction custody
      * rejection and are returned unchanged as host pointers.
      */
-    std::byte *guardRead(std::uint64_t addr);
+    std::byte *
+    guardRead(std::uint64_t addr)
+    {
+        return guard(mainWorker(), addr, false, nullptr, 0);
+    }
 
     /** Guard a write; identical shape, write-path costs, sets dirty. */
-    std::byte *guardWrite(std::uint64_t addr);
+    std::byte *
+    guardWrite(std::uint64_t addr)
+    {
+        return guard(mainWorker(), addr, true, nullptr, 0);
+    }
 
     /**
      * Inline-cache-only guard probe for dispatch loops that want to
@@ -151,22 +168,13 @@ class TfmRuntime
     std::byte *
     guardCacheFastPath(std::uint64_t addr, bool for_write)
     {
+        Worker &w = mainWorker();
         if (!tfmIsTagged(addr))
             return nullptr;
-        std::byte *cached = cacheLookup(tfmOffsetOf(addr), for_write);
-        if (!cached)
-            return nullptr;
-        if (for_write) {
-            rt.clock().advance(costs().guardCacheHitWriteCycles);
-            gstats.fastWrites++;
-            gstats.cacheHitWrites++;
-            gtrace.record(addr, rt.clock().now(), GuardPath::FastWrite);
-        } else {
-            rt.clock().advance(costs().guardCacheHitReadCycles);
-            gstats.fastReads++;
-            gstats.cacheHitReads++;
-            gtrace.record(addr, rt.clock().now(), GuardPath::FastRead);
-        }
+        std::byte *cached = cacheLookup(w.cache, tfmOffsetOf(addr),
+                                        for_write);
+        if (cached)
+            cacheHit(w, addr, for_write);
         return cached;
     }
 
@@ -185,14 +193,15 @@ class TfmRuntime
     bool
     revalidate(std::uint64_t addr, std::uint64_t armed_epoch)
     {
-        rt.clock().advance(costs().revalidateCycles);
-        gstats.revalidations++;
+        Worker &w = worker();
+        w.rt->clock.advance(costs().revalidateCycles);
+        w.gstats.revalidations++;
         if (armed_epoch == rt.evictionEpoch()) {
-            gstats.revalidationHits++;
-            recordGuard(addr, GuardPath::Revalidate);
+            w.gstats.revalidationHits++;
+            recordGuard(w, addr, GuardPath::Revalidate);
             return true;
         }
-        gstats.revalidationMisses++;
+        w.gstats.revalidationMisses++;
         return false;
     }
 
@@ -202,30 +211,51 @@ class TfmRuntime
      * can independently be local or remote (the "superposition" the
      * paper calls out in section 3.2).
      */
-    void readGuarded(std::uint64_t addr, void *dst, std::size_t len);
+    void
+    readGuarded(std::uint64_t addr, void *dst, std::size_t len)
+    {
+        guardRange(addr, static_cast<std::byte *>(dst), len, false);
+    }
 
     /** Guarded multi-byte write; one guard per object touched. */
-    void writeGuarded(std::uint64_t addr, const void *src, std::size_t len);
+    void
+    writeGuarded(std::uint64_t addr, const void *src, std::size_t len)
+    {
+        // The buffer is only read from on the write path.
+        guardRange(addr,
+                   static_cast<std::byte *>(const_cast<void *>(src)), len,
+                   true);
+    }
 
-    /** @name Concurrent guard layer (DESIGN.md §4k)
+    /** @name Workers (DESIGN.md §4k)
      *
-     * One Worker per serving thread, pairing the FarMemRuntime worker
-     * context with a private GuardStats set and a private last-object
-     * inline cache. A thread that has bound a Worker routes
-     * readGuarded/writeGuarded through the MT paths: reads are
-     * lock-free until they miss (inline cache, then one state-table
-     * snapshot inside an epoch section), writes and misses take the
-     * object's frame-cache shard lock. MT guards copy through the
-     * runtime instead of returning host pointers, so no reference can
-     * outlive its epoch section; guardRead/guardWrite (pointer-
-     * returning) and the loop-chunk calls stay single-thread-only.
+     * One Worker per thread: the FarMemRuntime context it runs on, a
+     * private GuardStats set and a private last-object inline cache.
+     * The main thread has one too. A thread that binds a registered
+     * Worker runs readGuarded/writeGuarded on it; the first
+     * registration makes the runtime shared (FarMemRuntime).
      * @{ */
+    /**
+     * Last-object inline cache (the guard-level analogue of an MMU's
+     * micro-TLB): the translation produced by the most recent guard.
+     * A hit requires the same object id, an unchanged eviction epoch,
+     * and a still-safe meta word — so a cached host pointer can never
+     * outlive the frame mapping it refers to.
+     */
+    struct GuardCache
+    {
+        std::uint64_t objId = ~0ull;
+        std::uint64_t epoch = ~0ull;    ///< evictionEpoch the fill is for
+        std::byte *frameBase = nullptr; ///< host pointer to frame byte 0
+        ObjectMeta *meta = nullptr;
+        Frame *frame = nullptr;
+    };
+
     struct Worker
     {
         FarMemRuntime::WorkerContext *rt = nullptr;
-        GuardStats gstats;           ///< single-writer, merged on report
-        FarMemRuntime::MtFill cache; ///< private last-object inline cache
-        std::uint32_t index = 0;
+        GuardStats gstats; ///< single-writer, merged on report
+        GuardCache cache;
         TfmRuntime *owner = nullptr;
     };
 
@@ -235,10 +265,6 @@ class TfmRuntime
     void bindWorker(Worker *w);
     void unbindWorker();
     Worker *boundWorker() const;
-    const std::vector<std::unique_ptr<Worker>> &tfmWorkers() const
-    {
-        return workers_;
-    }
 
     /** Main-thread guard counters plus every worker's. */
     GuardStats mergedGuardStats() const;
@@ -279,8 +305,9 @@ class TfmRuntime
     void
     boundaryCheck(std::uint64_t count = 1)
     {
-        rt.clock().advance(count * costs().boundaryCheckCycles);
-        gstats.boundaryChecks += count;
+        Worker &w = worker();
+        w.rt->clock.advance(count * costs().boundaryCheckCycles);
+        w.gstats.boundaryChecks += count;
     }
 
     /** Release the pin taken by the last locality guard of a loop. */
@@ -305,7 +332,7 @@ class TfmRuntime
         const std::uint64_t obj_id =
             rt.stateTable().objectOf(tfmOffsetOf(addr));
         rt.prefetchObjects(obj_id, stride, count);
-        gstats.prefetchCalls++;
+        mainWorker().gstats.prefetchCalls++;
     }
 
     /** @name Initialization helpers (no cycle accounting)
@@ -336,35 +363,78 @@ class TfmRuntime
 
     void zeroFill(std::uint64_t addr, std::size_t bytes);
 
-    /**
-     * Last-object inline cache (the guard-level analogue of an MMU's
-     * micro-TLB): the translation produced by the most recent guard.
-     * A hit requires the same object id, an unchanged eviction epoch,
-     * and a still-safe meta word — so a cached host pointer can never
-     * outlive the frame mapping it refers to.
-     */
-    struct LastObjectCache
+    /** The calling thread's Worker: its bound one, else main_. */
+    Worker &
+    worker()
     {
-        std::uint64_t objId = ~0ull;
-        std::uint64_t epoch = ~0ull;    ///< runtime evictionEpoch at fill
-        std::byte *frameBase = nullptr; ///< host pointer to frame byte 0
-        ObjectMeta *meta = nullptr;
-        Frame *frame = nullptr;
-    };
+        Worker *w = rt.shared() ? boundWorker() : nullptr;
+        return w ? *w : main_;
+    }
+    /** main_, for the pointer-returning entry points. */
+    Worker &
+    mainWorker()
+    {
+        TFM_ASSERT(!rt.shared() || !boundWorker(),
+                   "a bound worker asked for a host pointer");
+        return main_;
+    }
 
     /**
-     * Record a guard outcome: always into the GuardTrace ring, and the
-     * slow paths additionally as instant events on the observability
-     * app track (fast paths stay off the trace to keep it bounded).
+     * The one guard body. Resolves @p addr for @p w with the Table 1
+     * charges and, when @p buf is non-null, copies @p len bytes between
+     * @p buf and the object (into it for writes) while the access is
+     * still protected. Returns the host pointer.
      */
-    void recordGuard(std::uint64_t addr, GuardPath path);
+    std::byte *guard(Worker &w, std::uint64_t addr, bool for_write,
+                     std::byte *buf, std::size_t len);
+    /** One guard per object touched by [addr, addr + len); an untagged
+     *  range is one custody check. */
+    void guardRange(std::uint64_t addr, std::byte *buf, std::size_t len,
+                    bool for_write);
+
+    /**
+     * Record a guard outcome: into the GuardTrace ring, and the slow
+     * paths additionally as instant events on the observability app
+     * track (fast paths stay off the trace to keep it bounded). Main
+     * thread only: both are single-writer.
+     */
+    void
+    recordGuard(Worker &w, std::uint64_t addr, GuardPath path)
+    {
+        if (&w != &main_)
+            return;
+        gtrace.record(addr, w.rt->clock.now(), path);
+        if (path != GuardPath::CustodyReject &&
+            path != GuardPath::FastRead && path != GuardPath::FastWrite) {
+            traceGuard(addr, path);
+        }
+    }
+    /** The observability instant of a slow-path guard outcome. */
+    void traceGuard(std::uint64_t addr, GuardPath path);
+
+    /** Charge and count an inline-cache hit. */
+    void
+    cacheHit(Worker &w, std::uint64_t addr, bool for_write)
+    {
+        if (for_write) {
+            w.rt->clock.advance(costs().guardCacheHitWriteCycles);
+            w.gstats.fastWrites++;
+            w.gstats.cacheHitWrites++;
+        } else {
+            w.rt->clock.advance(costs().guardCacheHitReadCycles);
+            w.gstats.fastReads++;
+            w.gstats.cacheHitReads++;
+        }
+        recordGuard(w, addr, for_write ? GuardPath::FastWrite
+                                       : GuardPath::FastRead);
+    }
 
     /** Try the inline cache; returns the host pointer or nullptr.
      *  Inline so guardCacheFastPath probes fully in-line from the
      *  bytecode dispatch loop. A miss has no side effects, so probing
      *  twice (probe, then the fallback guard's own lookup) is safe. */
     std::byte *
-    cacheLookup(std::uint64_t offset, bool for_write)
+    cacheLookup(GuardCache &c, std::uint64_t offset, bool for_write)
     {
         if (!rt.config().guardCacheEnabled)
             return nullptr;
@@ -372,36 +442,26 @@ class TfmRuntime
         // since the fill: a hit therefore proves the object->frame
         // translation (and thus frameBase) is still live, never a
         // stale host pointer.
-        if (rt.stateTable().objectOf(offset) != lastObjCache.objId ||
-            lastObjCache.epoch != rt.evictionEpoch() ||
-            !lastObjCache.meta->safeForFastPath()) {
+        if (rt.stateTable().objectOf(offset) != c.objId ||
+            c.epoch != rt.evictionEpoch() || !c.meta->safeForFastPath()) {
             return nullptr;
         }
-        lastObjCache.frame->refbit.store(true, std::memory_order_relaxed);
+        c.frame->refbit.store(true, std::memory_order_relaxed);
         if (for_write)
-            lastObjCache.meta->setDirty();
-        return lastObjCache.frameBase +
-               rt.stateTable().offsetInObject(offset);
+            c.meta->setDirty();
+        return c.frameBase + rt.stateTable().offsetInObject(offset);
     }
-    /** Refill the inline cache after a successful guard translation. */
-    void cacheFill(std::uint64_t obj_id, std::uint64_t offset,
-                   std::byte *ptr);
-
-    /** MT guard bodies (the bound-worker route of read/writeGuarded).
-     *  Skip the trace ring and observability: those are single-writer
-     *  structures, and the MT data plane keeps them main-thread-only. */
-    void readGuardedMt(Worker &w, std::uint64_t addr, void *dst,
-                       std::size_t len);
-    void writeGuardedMt(Worker &w, std::uint64_t addr, const void *src,
-                        std::size_t len);
+    /** Refill @p c after a guard translated @p offset to @p ptr; the
+     *  translation was read at eviction epoch @p epoch or later. */
+    void cacheFill(GuardCache &c, std::uint64_t offset, std::byte *ptr,
+                   std::uint64_t epoch);
 
     /** The paged plane, or create it on first paged allocation. */
     PagedPlane &ensurePaged();
 
     FarMemRuntime rt;
-    GuardStats gstats;
     GuardTrace gtrace;
-    LastObjectCache lastObjCache;
+    Worker main_; ///< the main thread's guard state
     std::unique_ptr<PagedPlane> paged_;
     std::vector<std::unique_ptr<Worker>> workers_;
     static thread_local Worker *tlsWorker_;

@@ -824,8 +824,8 @@ class AifmBackend : public MemBackend
 /**
  * TrackFM backend view over a shared, externally-owned runtime: the
  * multi-tenant serving shape, where N tenants' accesses contend in one
- * frame cache and on one remote link. Guard dispatch is per-thread (a
- * bound TfmRuntime::Worker takes the MT paths), so one view can be
+ * frame cache and on one remote link. Guard state is per-thread (each
+ * thread runs on its bound TfmRuntime::Worker), so one view can be
  * driven from any worker. Streams are always the naive guarded kind:
  * chunking pins frames across calls, which is single-thread-only.
  */

@@ -5,13 +5,15 @@
  * reclamation, multi-shard single-thread correctness, a multi-thread
  * pointer-chase stress with eviction churn (run under tsan by
  * tools/check_build.sh), per-worker counter exactness against a
- * sequential replay of the same traces, and the concurrent serving
- * scheduler.
+ * sequential replay of the same traces, a reader's epoch section
+ * holding retired frames, worker-parked writebacks seen by raw access,
+ * and the concurrent serving scheduler.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -35,6 +37,15 @@ mix64(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
+}
+
+/** Evict @p frame the way the runtime does with no worker registered:
+ *  retire it and reclaim it at once. */
+void
+release(FrameCache &cache, std::uint64_t frame)
+{
+    cache.retireFrame(0, frame, 1);
+    cache.reclaimFrames(0, FarMemRuntime::quiescentEpoch);
 }
 
 /**
@@ -65,8 +76,8 @@ TEST(FrameCacheClock, SingleShardMatchesSeedOrder)
     std::uint64_t v = replica.pickVictimIn(0);
     EXPECT_EQ(v, 0u);
     EXPECT_EQ(sharded.pickVictimIn(0), v);
-    replica.releaseFrame(v);
-    sharded.releaseFrame(v);
+    release(replica, v);
+    release(sharded, v);
     EXPECT_EQ(replica.allocFrameIn(0), 0u);
     EXPECT_EQ(sharded.allocFrameIn(0), 0u);
 
@@ -79,8 +90,8 @@ TEST(FrameCacheClock, SingleShardMatchesSeedOrder)
     v = replica.pickVictimIn(0);
     EXPECT_EQ(v, 3u);
     EXPECT_EQ(sharded.pickVictimIn(0), v);
-    replica.releaseFrame(v);
-    sharded.releaseFrame(v);
+    release(replica, v);
+    release(sharded, v);
 
     // Hand sits at 4. A pinned frame is skipped without clearing its
     // refbit; frame 5 (refbit already cleared above) is the victim.
@@ -222,7 +233,6 @@ TEST(ConcurrentRuntime, PointerChaseSurvivesEvictionChurn)
     rc.localMemBytes = 64ull << 10; // 1024 frames vs 8192-node cycle
     rc.objectSizeBytes = 64;
     rc.prefetchEnabled = false;
-    rc.concurrent = true;
     rc.cacheShards = 8;
     const CostParams costs;
     TfmRuntime rt(rc, costs);
@@ -287,7 +297,7 @@ TEST(ConcurrentRuntime, PointerChaseSurvivesEvictionChurn)
     }
     for (std::thread &th : threads)
         th.join();
-    rt.runtime().drainWorkerWritebacks();
+    rt.runtime().drainWritebacks();
 
     EXPECT_EQ(corrupt.load(), 0u);
     // Every written slot holds its final pattern (each slot is written
@@ -323,7 +333,6 @@ TEST(ConcurrentRuntime, MergedCountersMatchSequentialReplay)
     rc.localMemBytes = 256ull << 10; // holds the whole working set
     rc.objectSizeBytes = 64;
     rc.prefetchEnabled = false;
-    rc.concurrent = true;
     rc.cacheShards = 4;
     const CostParams costs;
 
@@ -364,7 +373,7 @@ TEST(ConcurrentRuntime, MergedCountersMatchSequentialReplay)
     }
     for (std::thread &th : threads)
         th.join();
-    conc.runtime().drainWorkerWritebacks();
+    conc.runtime().drainWritebacks();
     EXPECT_EQ(conc.runtime().mergedStats().evictions, 0u);
 
     // Sequential replay of the identical traces, one bound worker at a
@@ -379,7 +388,7 @@ TEST(ConcurrentRuntime, MergedCountersMatchSequentialReplay)
         run_trace(seq, sbase, t);
         seq.unbindWorker();
     }
-    seq.runtime().drainWorkerWritebacks();
+    seq.runtime().drainWritebacks();
 
     for (unsigned t = 0; t < kThreads; t++) {
         const RuntimeStats &c = cworkers[t]->rt->stats;
@@ -402,6 +411,115 @@ TEST(ConcurrentRuntime, MergedCountersMatchSequentialReplay)
     EXPECT_EQ(cm.demandFetches, sm.demandFetches);
     EXPECT_EQ(conc.mergedGuardStats().guardTotal(),
               seq.mergedGuardStats().guardTotal());
+}
+
+/**
+ * A reader inside its epoch section pins every frame retired after it
+ * entered: a worker that evicts the reader's object must leave the
+ * frame's bytes alone (waiting in takeFrame) until the reader leaves.
+ * The main thread plays the reader, holding a read AccessScope over
+ * object 0 and a host pointer into its frame, while a worker thread
+ * misses on eight other objects through a four-frame cache.
+ */
+TEST(ConcurrentRuntime, ReaderEpochSectionHoldsRetiredFrames)
+{
+    RuntimeConfig rc;
+    rc.farHeapBytes = 1ull << 20;
+    rc.localMemBytes = 4 * 64; // 4 frames
+    rc.objectSizeBytes = 64;
+    rc.prefetchEnabled = false;
+    TfmRuntime rt(rc, CostParams{});
+    const std::uint64_t base = rt.tfmCalloc(16, 64);
+    for (std::uint64_t o = 0; o < 16; o++) {
+        const std::uint64_t v = mix64(o);
+        rt.rawWrite(base + o * 64, &v, sizeof(v));
+    }
+    TfmRuntime::Worker *reader = rt.registerWorker();
+    TfmRuntime::Worker *evicter = rt.registerWorker();
+    FarMemRuntime &far = rt.runtime();
+
+    rt.bindWorker(reader);
+    ASSERT_EQ(rt.load<std::uint64_t>(base), mix64(0));
+    std::atomic<bool> done{false};
+    std::thread th;
+    {
+        FarMemRuntime::AccessScope section(far, *reader->rt,
+                                           /*obj_id=*/0, false);
+        const std::byte *frame = far.tryFast(tfmOffsetOf(base), false);
+        ASSERT_NE(frame, nullptr);
+        th = std::thread([&] {
+            rt.bindWorker(evicter);
+            std::uint64_t sum = 0;
+            for (std::uint64_t o = 1; o <= 8; o++)
+                sum += rt.load<std::uint64_t>(base + o * 64);
+            EXPECT_NE(sum, 0u);
+            rt.unbindWorker();
+            done = true;
+        });
+        // Long enough for an unblocked worker to finish many times over.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        EXPECT_FALSE(done.load()) << "frames were reclaimed under a reader";
+        std::uint64_t seen = 0;
+        std::memcpy(&seen, frame, sizeof(seen));
+        EXPECT_EQ(seen, mix64(0)) << "the reader's frame was reused";
+    }
+    th.join();
+    rt.unbindWorker();
+    EXPECT_TRUE(done.load());
+    EXPECT_FALSE(far.isLocal(tfmOffsetOf(base)));
+}
+
+/**
+ * Dirty objects a worker parks in its writeback buffer are part of the
+ * logical heap: rawRead, rawWrite, heapChecksum and pendingWritebacks()
+ * must see them before any drain, exactly like the main thread's own
+ * parked copies. One worker writes 256 objects through 64 local frames
+ * with a 100-entry buffer, so 92 dirty objects stay parked.
+ */
+TEST(ConcurrentRuntime, WorkerParkedWritebacksAreVisible)
+{
+    constexpr std::uint64_t kObjs = 256;
+    RuntimeConfig rc;
+    rc.farHeapBytes = 1ull << 20;
+    rc.localMemBytes = 64 * 64; // 64 frames
+    rc.objectSizeBytes = 64;
+    rc.prefetchEnabled = false;
+    rc.writebackBatchMax = 100;
+    rc.writebackFlushCycles = ~0ull; // only the size threshold flushes
+    TfmRuntime rt(rc, CostParams{});
+    const std::uint64_t base = rt.tfmCalloc(kObjs, 64);
+
+    TfmRuntime::Worker *w = rt.registerWorker();
+    std::thread th([&] {
+        rt.bindWorker(w);
+        for (std::uint64_t i = 0; i < kObjs; i++)
+            rt.store<std::uint64_t>(base + i * 64, mix64(i));
+        rt.unbindWorker();
+    });
+    th.join();
+
+    // 192 dirty evictions: one flush of 100, 92 still parked.
+    EXPECT_EQ(rt.runtime().mergedStats().dirtyWritebacks, kObjs - 64);
+    EXPECT_EQ(rt.runtime().pendingWritebacks(), 92u);
+    std::uint64_t stale = 0;
+    for (std::uint64_t i = 0; i < kObjs; i++) {
+        std::uint64_t got = 0;
+        rt.rawRead(base + i * 64, &got, sizeof(got));
+        stale += got != mix64(i);
+    }
+    EXPECT_EQ(stale, 0u);
+
+    // Objects 100..191 are the parked ones. A raw write to one of them
+    // must survive the drain, and draining must not change the heap.
+    const std::uint64_t patched = 0xfeedface;
+    rt.rawWrite(base + 150 * 64, &patched, sizeof(patched));
+    const std::uint64_t parked_sum = rt.runtime().heapChecksum();
+    rt.runtime().drainWritebacks();
+    EXPECT_EQ(rt.runtime().pendingWritebacks(), 0u);
+    EXPECT_EQ(rt.runtime().heapChecksum(), parked_sum);
+    std::uint64_t got = 0;
+    rt.rawRead(base + 150 * 64, &got, sizeof(got));
+    EXPECT_EQ(got, patched);
 }
 
 /**

@@ -175,8 +175,13 @@ TEST(FrameCache, ReleaseReturnsFrameToFreeList)
     const std::uint64_t a = cache.allocFrameIn(0);
     cache.allocFrameIn(0);
     EXPECT_EQ(cache.freeFrames(), 0u);
-    cache.releaseFrame(a);
+    // Eviction retires the frame; reclaiming it once no reader can
+    // hold it puts it back on the free list.
+    cache.retireFrame(0, a, 1);
+    EXPECT_EQ(cache.freeFrames(), 0u);
+    EXPECT_EQ(cache.reclaimFrames(0, FarMemRuntime::quiescentEpoch), 1u);
     EXPECT_EQ(cache.freeFrames(), 1u);
+    EXPECT_EQ(cache.allocFrameIn(0), a);
 }
 
 TEST(StridePrefetcher, DetectsUnitStride)
