@@ -52,6 +52,10 @@ main()
         "keeps only the dense column scans chunked",
         "300K synthetic taxi rows standing in for the 31 GB dataset");
 
+    // Every run's simulated cycles also go to one BENCH_JSON line,
+    // keyed e.g. "all_cycles_l25", that tools/check_build.sh compares
+    // against bench/expected/fig15.json.
+    bench::JsonLine json("fig15_analytics_chunking");
     std::printf("%10s %10s %10s %18s\n", "local mem", "baseline",
                 "all loops", "high-density only");
     std::printf("%10s %30s\n", "", "(slowdown vs local-only)");
@@ -70,8 +74,19 @@ main()
                     static_cast<double>(baseline) / local_cycles,
                     static_cast<double>(all_loops) / local_cycles,
                     static_cast<double>(selective) / local_cycles);
+        const int pct = static_cast<int>(fraction * 100.0 + 0.5);
+        const auto cell = [&](const char *what, std::uint64_t value) {
+            char key[48];
+            std::snprintf(key, sizeof(key), "%s_cycles_l%d", what, pct);
+            json.field(key, value);
+        };
+        cell("local", local_cycles);
+        cell("baseline", baseline);
+        cell("all", all_loops);
+        cell("cost_model", selective);
     }
     std::printf("\nPaper reference: 'all loops' sits above the "
                 "baseline; 'high-density only' is the lowest curve.\n");
+    json.emit();
     return 0;
 }

@@ -53,6 +53,10 @@ main()
         "yields up to ~2.5x speedup over the baseline",
         "30K points standing in for the paper's 30M (1 GB working set)");
 
+    // Every run's simulated cycles also go to one BENCH_JSON line,
+    // keyed e.g. "all_cycles_l25", that tools/check_build.sh compares
+    // against bench/expected/fig8.json.
+    bench::JsonLine json("fig8_kmeans_chunking");
     std::printf("%10s %12s %16s\n", "local mem", "all loops",
                 "high-density only");
     std::printf("%10s %12s %16s\n", "", "(speedup)", "(speedup)");
@@ -70,9 +74,19 @@ main()
                         static_cast<double>(all_loops),
                     static_cast<double>(baseline) /
                         static_cast<double>(selective));
+        const int pct = static_cast<int>(fraction * 100.0 + 0.5);
+        const auto cell = [&](const char *what, std::uint64_t value) {
+            char key[48];
+            std::snprintf(key, sizeof(key), "%s_cycles_l%d", what, pct);
+            json.field(key, value);
+        };
+        cell("baseline", baseline);
+        cell("all", all_loops);
+        cell("cost_model", selective);
     }
     std::printf("\nPaper reference: 'all loops' well below 1.0 "
                 "(mean ~0.25x); 'high-density only' above 1.0 "
                 "(up to ~2.5x).\n");
+    json.emit();
     return 0;
 }

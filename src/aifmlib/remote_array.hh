@@ -96,17 +96,13 @@ class RemoteArray
         Iterator(const Iterator &) = delete;
         Iterator &operator=(const Iterator &) = delete;
 
-        ~Iterator()
-        {
-            if (curObj != noObj)
-                arr._rt.runtime().unpinObject(curObj);
-        }
+        ~Iterator() { arr._rt.runtime().unpinWindow(window); }
 
         T
         read()
         {
             T value;
-            std::memcpy(&value, window + inWindow, sizeof(T));
+            std::memcpy(&value, window.at(arr.elemOffset(index)), sizeof(T));
             step();
             return value;
         }
@@ -114,50 +110,38 @@ class RemoteArray
         void
         write(const T &value)
         {
-            std::memcpy(window + inWindow, &value, sizeof(T));
+            std::memcpy(window.at(arr.elemOffset(index)), &value, sizeof(T));
             step();
         }
 
       private:
+        /** Advance, refilling eagerly at the object's end. */
         void
         step()
         {
             arr._rt.clock().advance(1);
             index++;
-            inWindow += sizeof(T);
-            if (inWindow >= windowLen && index < arr._count)
+            if (!window.bytes(arr.elemOffset(index), writeMode) &&
+                index < arr._count)
                 refill();
         }
 
+        /**
+         * The scope pins the window object so localize() calls for
+         * later objects cannot evacuate it underneath the iterator.
+         */
         void
         refill()
         {
             const std::uint64_t offset = arr.elemOffset(index);
-            window = arr._rt.deref(offset, writeMode);
-            auto &runtime = arr._rt.runtime();
-            const auto &table = runtime.stateTable();
-            const std::uint64_t next = table.objectOf(offset);
-            // The scope pins the window object so localize() calls for
-            // later objects cannot evacuate it underneath the iterator.
-            runtime.pinObject(next);
-            if (curObj != noObj)
-                runtime.unpinObject(curObj);
-            curObj = next;
-            const std::uint64_t in_obj = table.offsetInObject(offset);
-            window -= in_obj;
-            inWindow = in_obj;
-            windowLen = table.objectSize();
+            arr._rt.runtime().pinWindow(
+                window, offset, arr._rt.deref(offset, writeMode), writeMode);
         }
-
-        static constexpr std::uint64_t noObj = ~0ull;
 
         RemoteArray &arr;
         bool writeMode;
         std::size_t index = 0;
-        std::byte *window = nullptr;
-        std::uint64_t inWindow = 0;
-        std::uint64_t windowLen = 0;
-        std::uint64_t curObj = noObj;
+        HostWindow window; ///< the pinned object under the iterator
     };
 
     Iterator

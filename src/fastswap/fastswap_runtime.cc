@@ -36,7 +36,7 @@ FastswapRuntime::FastswapRuntime(const RuntimeConfig &config,
 {}
 
 void
-FastswapRuntime::fillWindow(PageWindow &window, std::uint64_t offset,
+FastswapRuntime::fillWindow(HostWindow &window, std::uint64_t offset,
                             std::size_t len)
 {
     // The store is the newest copy of every byte only because no object

@@ -81,33 +81,20 @@ class FastswapRuntime
     }
 
     /**
-     * A host window onto one mapped page: far-heap bytes [begin, end)
-     * live at @c host and may be read (and written, when @c writable)
-     * in place while the plane's map epoch still equals @c epoch.
-     * Empty (begin == end) until an access fills it.
-     */
-    struct PageWindow
-    {
-        std::byte *host = nullptr;
-        std::uint64_t begin = 0;
-        std::uint64_t end = 0;
-        std::uint64_t epoch = 0;
-        bool writable = false;
-    };
-
-    /**
-     * readBytes through @p window. An access inside a valid window is
-     * the copy alone: it skips only the plane's mapped-page branch,
-     * which would re-set a reference bit that is already set. Any other
-     * access takes readBytes' path, then refills the window from the
-     * page it left mapped. @p len must be nonzero.
+     * readBytes through @p window, a host window onto one mapped page
+     * (writable once the page is dirty), valid while mapEpoch() holds.
+     * An access inside a valid window is the copy alone: it skips only
+     * the plane's mapped-page branch, which would re-set a reference
+     * bit that is already set. Any other access takes readBytes' path,
+     * then refills the window from the page it left mapped. @p len must
+     * be nonzero.
      */
     void
-    readVia(PageWindow &window, std::uint64_t offset, void *dst,
+    readVia(HostWindow &window, std::uint64_t offset, void *dst,
             std::size_t len)
     {
-        if (len <= windowBytes(window, offset, /*for_write=*/false)) {
-            std::memcpy(dst, window.host + (offset - window.begin), len);
+        if (len <= window.bytes(offset, /*for_write=*/false, mapEpoch())) {
+            std::memcpy(dst, window.at(offset), len);
             return;
         }
         readBytes(offset, dst, len);
@@ -116,35 +103,19 @@ class FastswapRuntime
 
     /** writeBytes through @p window; a hit also needs a dirty page. */
     void
-    writeVia(PageWindow &window, std::uint64_t offset, const void *src,
+    writeVia(HostWindow &window, std::uint64_t offset, const void *src,
              std::size_t len)
     {
-        if (len <= windowBytes(window, offset, /*for_write=*/true)) {
-            std::memcpy(window.host + (offset - window.begin), src, len);
+        if (len <= window.bytes(offset, /*for_write=*/true, mapEpoch())) {
+            std::memcpy(window.at(offset), src, len);
             return;
         }
         writeBytes(offset, src, len);
         fillWindow(window, offset, len);
     }
 
-    /**
-     * The window's coverage query: how many bytes from @p offset to the
-     * window's end an access may move in place, for a read or (with
-     * @p for_write) a write. 0 once the plane's map epoch has moved,
-     * outside the window, and for a write to a clean page. A stream's
-     * run (SeqStream::run) is this many elements.
-     */
-    std::uint64_t
-    windowBytes(const PageWindow &window, std::uint64_t offset,
-                bool for_write) const
-    {
-        // Unsigned wrap rejects offsets below begin and empty windows.
-        if (offset - window.begin >= window.end - window.begin ||
-            window.epoch != plane.mapEpoch() ||
-            (for_write && !window.writable))
-            return 0;
-        return window.end - offset;
-    }
+    /** The epoch page windows are valid at (PagedPlane::mapEpoch()). */
+    std::uint64_t mapEpoch() const { return plane.mapEpoch(); }
 
     /** Typed access helpers. */
     template <typename T>
@@ -193,7 +164,7 @@ class FastswapRuntime
 
   private:
     /** Point @p window at the page holding the access's last byte. */
-    void fillWindow(PageWindow &window, std::uint64_t offset,
+    void fillWindow(HostWindow &window, std::uint64_t offset,
                     std::size_t len);
 
     FarMemRuntime rt;

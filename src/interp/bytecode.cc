@@ -21,6 +21,7 @@
 #include "interp/exec_state.hh"
 
 #include <cstring>
+#include <optional>
 
 #include "analysis/cfg.hh"
 #include "analysis/dominators.hh"
@@ -735,23 +736,12 @@ Interpreter::Impl::runBytecode(const bc::Function &F, const Slot *args,
     for (std::size_t i = 0; i < nargs; i++)
         R[F.argRegs[i]] = args[i];
 
-    /// Chunk cursor state, by compile-time slot (live == the map entry
-    /// the reference engine creates when chunk.begin executes).
-    struct Cursor
-    {
-        bool live = false;
-        std::uint64_t curObj = TfmRuntime::noObject;
-        std::byte *window = nullptr;
-    };
-    std::vector<Cursor> cursors(F.cursorOrigins.size());
+    /// Chunk cursors' pinned windows, by compile-time slot (engaged ==
+    /// the map entry the reference engine creates when chunk.begin
+    /// executes).
+    std::vector<std::optional<HostWindow>> cursors(F.cursorOrigins.size());
     /// Armed state of epoch-arming guards, by compile-time slot.
-    struct Reval
-    {
-        bool armed = false;
-        std::uint64_t epoch = 0;
-        std::byte *host = nullptr;
-    };
-    std::vector<Reval> revals(F.numRevals);
+    std::vector<std::optional<HostWindow>> revals(F.numRevals);
 
     CycleClock &clk = rt.clock();
     const std::uint64_t stepCycles = rt.costs().computeCycles;
@@ -759,10 +749,9 @@ Interpreter::Impl::runBytecode(const bc::Function &F, const Slot *args,
     const bc::Inst *in = code;
 
     auto release = [&] {
-        for (Cursor &cursor : cursors) {
-            if (cursor.live && cursor.curObj != TfmRuntime::noObject)
-                rt.endChunk(cursor.curObj);
-            cursor.curObj = TfmRuntime::noObject;
+        for (std::optional<HostWindow> &cursor : cursors) {
+            if (cursor)
+                rt.endChunk(*cursor);
         }
     };
     // Take a CFG edge: charge one step per phi (reference parity),
@@ -860,10 +849,8 @@ Interpreter::Impl::runBytecode(const bc::Function &F, const Slot *args,
                 guardFastHits++;
             else
                 host = rt.guardRead(addr);
-            if (in->flags & bc::kArmsEpoch) {
-                revals[in->aux] =
-                    Reval{true, rt.runtime().evictionEpoch(), host};
-            }
+            if (in->flags & bc::kArmsEpoch)
+                revals[in->aux] = armedWindow(host);
             R[in->dst] =
                 Slot{reinterpret_cast<std::uint64_t>(host), 0.0};
             VM_NEXT();
@@ -879,10 +866,8 @@ Interpreter::Impl::runBytecode(const bc::Function &F, const Slot *args,
                 guardFastHits++;
             else
                 host = rt.guardWrite(addr);
-            if (in->flags & bc::kArmsEpoch) {
-                revals[in->aux] =
-                    Reval{true, rt.runtime().evictionEpoch(), host};
-            }
+            if (in->flags & bc::kArmsEpoch)
+                revals[in->aux] = armedWindow(host);
             R[in->dst] =
                 Slot{reinterpret_cast<std::uint64_t>(host), 0.0};
             VM_NEXT();
@@ -891,14 +876,14 @@ Interpreter::Impl::runBytecode(const bc::Function &F, const Slot *args,
         {
             VM_STEP();
             const std::uint64_t addr = R[in->a].i;
-            Reval &armed = revals[in->aux];
-            if (!armed.armed)
+            std::optional<HostWindow> &armed = revals[in->aux];
+            if (!armed)
                 trap("guard.reval before its arming guard");
             std::byte *host;
-            if (tfmIsTagged(addr) && rt.revalidate(addr, armed.epoch)) {
+            if (tfmIsTagged(addr) && rt.revalidate(addr, armed->epoch)) {
                 // Epoch unchanged since arming: the host pointer (and
                 // any dirty bit) is still live.
-                host = armed.host;
+                host = armed->host;
             } else {
                 // Evacuation since arming (or an untagged pointer):
                 // re-run the full guard and re-arm.
@@ -906,8 +891,7 @@ Interpreter::Impl::runBytecode(const bc::Function &F, const Slot *args,
                     recordAccess(addr);
                 host = (in->flags & bc::kWrite) ? rt.guardWrite(addr)
                                                 : rt.guardRead(addr);
-                armed.epoch = rt.runtime().evictionEpoch();
-                armed.host = host;
+                armed = armedWindow(host);
             }
             R[in->dst] =
                 Slot{reinterpret_cast<std::uint64_t>(host), 0.0};
@@ -916,12 +900,11 @@ Interpreter::Impl::runBytecode(const bc::Function &F, const Slot *args,
         VM_CASE(ChunkBegin)
         {
             VM_STEP();
-            Cursor &cursor = cursors[in->aux];
-            if (cursor.live && cursor.curObj != TfmRuntime::noObject)
-                rt.endChunk(cursor.curObj);
-            cursor.live = true;
-            cursor.curObj = TfmRuntime::noObject;
-            cursor.window = nullptr;
+            std::optional<HostWindow> &cursor = cursors[in->aux];
+            if (cursor)
+                rt.endChunk(*cursor);
+            else
+                cursor.emplace();
             R[in->dst] =
                 Slot{static_cast<std::uint64_t>(in->imm), 0.0};
             VM_NEXT();
@@ -929,8 +912,8 @@ Interpreter::Impl::runBytecode(const bc::Function &F, const Slot *args,
         VM_CASE(ChunkAccess)
         {
             VM_STEP();
-            Cursor &cursor = cursors[in->aux];
-            if (!cursor.live)
+            std::optional<HostWindow> &cursor = cursors[in->aux];
+            if (!cursor)
                 trap("chunk.access before chunk.begin");
             const std::uint64_t addr = R[in->a].i;
             if (!tfmIsTagged(addr)) {
@@ -941,21 +924,17 @@ Interpreter::Impl::runBytecode(const bc::Function &F, const Slot *args,
             }
             if (profiling)
                 recordAccess(addr);
-            const auto &table = rt.runtime().stateTable();
             const std::uint64_t offset = tfmOffsetOf(addr);
-            const std::uint64_t obj = table.objectOf(offset);
-            if (obj != cursor.curObj) {
-                std::byte *host = rt.localityGuard(
-                    addr, cursor.curObj, (in->flags & bc::kWrite) != 0);
-                cursor.curObj = obj;
-                cursor.window = host - table.offsetInObject(offset);
+            // A refill is the locality guard alone: no boundary check.
+            if (!cursor->bytes(offset, false)) {
+                rt.localityGuard(addr, *cursor,
+                                 (in->flags & bc::kWrite) != 0);
             } else {
                 rt.boundaryCheck();
             }
-            R[in->dst] = Slot{reinterpret_cast<std::uint64_t>(
-                                  cursor.window +
-                                  table.offsetInObject(offset)),
-                              0.0};
+            R[in->dst] =
+                Slot{reinterpret_cast<std::uint64_t>(cursor->at(offset)),
+                     0.0};
             VM_NEXT();
         }
         VM_CASE(Prefetch)

@@ -28,6 +28,7 @@
 
 #include "interp/bytecode.hh"
 #include "interp/interpreter.hh"
+#include "runtime/host_window.hh"
 #include "tfm/tagged_ptr.hh"
 
 namespace tfm
@@ -190,40 +191,35 @@ struct Interpreter::Impl
             entry.def = &value;
         }
 
-        /// Live chunk cursors created by chunk.begin in this frame.
-        struct Cursor
-        {
-            std::uint64_t curObj = TfmRuntime::noObject;
-            std::byte *window = nullptr;
-        };
-        std::map<const ir::Instruction *, Cursor> cursors;
-        /// Armed state of epoch-arming guards (loop-invariant hoisting):
-        /// the eviction epoch and host pointer captured when the arming
-        /// guard last executed, consumed by guard.reval.
-        struct Reval
-        {
-            std::uint64_t epoch = 0;
-            std::byte *host = nullptr;
-        };
-        std::map<const ir::Instruction *, Reval> revalStates;
-        /// Sanitizer: the latest host translation each guard-family
-        /// instruction produced, as a frame window plus the far-heap
-        /// offset that window maps.
-        struct SanTransl
-        {
-            std::uint64_t frameStart = 0; ///< host addr of frame byte 0
-            std::uint64_t frameEnd = 0;   ///< one past the frame
-            std::uint64_t objStartOffset = 0; ///< far offset of byte 0
-            std::uint64_t epoch = 0; ///< eviction epoch at translation
-            bool pinned = false;     ///< chunk window: eviction-proof
-        };
-        std::map<const ir::Instruction *, SanTransl> sanTransl;
+        /// Pinned windows of the chunk cursors chunk.begin created in
+        /// this frame.
+        std::map<const ir::Instruction *, HostWindow> cursors;
+        /// Armed state of epoch-arming guards (loop-invariant hoisting),
+        /// consumed by guard.reval (see armedWindow()).
+        std::map<const ir::Instruction *, HostWindow> revalStates;
+        /// Sanitizer: the latest object window each guard-family
+        /// instruction produced (a chunk window is pinned).
+        std::map<const ir::Instruction *, HostWindow> sanTransl;
     };
+
+    /**
+     * The armed state of an epoch-arming guard that returned @p host: a
+     * window with no range, at the current eviction epoch. guard.reval
+     * hands @p host back while TfmRuntime::revalidate() finds that
+     * epoch unchanged; revalidate() charges the check.
+     */
+    HostWindow
+    armedWindow(std::byte *host) const
+    {
+        HostWindow armed;
+        armed.host = host;
+        armed.epoch = rt.runtime().evictionEpoch();
+        return armed;
+    }
 
     /// Defined in interpreter.cc (sanitizer runs on the ref engine).
     void sanRecord(Frame &frame, const ir::Instruction &producer,
-                   std::uint64_t tagged_addr, const std::byte *host,
-                   bool pinned);
+                   std::uint64_t tagged_addr, std::byte *host);
     void sanRecordAlloc(const ir::Instruction &call_inst,
                         std::uint64_t tagged_addr, std::uint64_t bytes);
     const SanAlloc *sanAllocFor(std::uint64_t offset) const;

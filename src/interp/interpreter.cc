@@ -65,14 +65,14 @@ Interpreter::Impl::enableSanitizer()
     }
 }
 
-/** Sanitizer bookkeeping for a guard-family translation. An untagged
+/** Sanitizer bookkeeping for a guard's translation: the window over
+ *  the guarded object at the current eviction epoch. An untagged
  *  (custody-rejected) address erases the entry instead so the map
  *  always mirrors the producer's latest execution. */
 void
 Interpreter::Impl::sanRecord(Frame &frame,
                              const ir::Instruction &producer,
-                             std::uint64_t tagged_addr,
-                             const std::byte *host, bool pinned)
+                             std::uint64_t tagged_addr, std::byte *host)
 {
     if (!sanitizing)
         return;
@@ -80,17 +80,10 @@ Interpreter::Impl::sanRecord(Frame &frame,
         frame.sanTransl.erase(&producer);
         return;
     }
-    const auto &table = rt.runtime().stateTable();
-    const std::uint64_t offset = tfmOffsetOf(tagged_addr);
-    const std::uint64_t in_obj = table.offsetInObject(offset);
-    Frame::SanTransl transl;
-    transl.frameStart = reinterpret_cast<std::uint64_t>(host) - in_obj;
-    transl.frameEnd =
-        transl.frameStart + rt.runtime().config().objectSizeBytes;
-    transl.objStartOffset = offset - in_obj;
-    transl.epoch = rt.runtime().evictionEpoch();
-    transl.pinned = pinned;
-    frame.sanTransl[&producer] = transl;
+    FarMemRuntime &runtime = rt.runtime();
+    frame.sanTransl[&producer] =
+        runtime.objectWindow(tfmOffsetOf(tagged_addr), host,
+                             runtime.evictionEpoch(), /*writable=*/true);
 }
 
 /** Track a live far-heap allocation for the sanitizer. */
@@ -151,16 +144,15 @@ Interpreter::Impl::sanCheck(Frame &frame, const ir::Instruction &inst,
     auto transl_it = frame.sanTransl.find(root);
     if (transl_it == frame.sanTransl.end())
         return; // producer only ever saw untagged pointers
-    const Frame::SanTransl &transl = transl_it->second;
+    const HostWindow &transl = transl_it->second;
     const std::string access =
         std::string(is_store ? "store" : "load") + sanWhere(inst);
-    const SanAlloc *home = sanAllocFor(transl.objStartOffset);
+    const SanAlloc *home = sanAllocFor(transl.begin);
     const std::string origin =
         home ? "; object allocated by " + home->desc : std::string();
     // A translation is valid until the next runtime entry; any
     // eviction/evacuation since arming poisons it.
-    if (!transl.pinned &&
-        transl.epoch != rt.runtime().evictionEpoch()) {
+    if (!transl.live(rt.runtime().evictionEpoch())) {
         trap("farmem-sanitizer: use-after-eviction: " + access +
              " dereferences a stale translation from %" + root->name() +
              " (guarded at epoch " + std::to_string(transl.epoch) +
@@ -168,18 +160,17 @@ Interpreter::Impl::sanCheck(Frame &frame, const ir::Instruction &inst,
              std::to_string(rt.runtime().evictionEpoch()) + ")" +
              origin);
     }
-    if (addr < transl.frameStart || addr + bytes > transl.frameEnd) {
+    const auto frame_start = reinterpret_cast<std::uint64_t>(transl.host);
+    const std::uint64_t frame_bytes = transl.end - transl.begin;
+    if (addr < frame_start || addr + bytes > frame_start + frame_bytes) {
         trap("farmem-sanitizer: " + access +
              " escapes the guarded object frame of %" + root->name() +
              " (frame offset " +
-             std::to_string(
-                 static_cast<std::int64_t>(addr - transl.frameStart)) +
-             ", frame is " +
-             std::to_string(transl.frameEnd - transl.frameStart) +
-             " bytes)" + origin);
+             std::to_string(static_cast<std::int64_t>(addr - frame_start)) +
+             ", frame is " + std::to_string(frame_bytes) + " bytes)" +
+             origin);
     }
-    const std::uint64_t mapped =
-        transl.objStartOffset + (addr - transl.frameStart);
+    const std::uint64_t mapped = transl.begin + (addr - frame_start);
     const SanAlloc *alloc = sanAllocFor(mapped);
     if (!alloc || mapped + bytes > alloc->end) {
         trap("farmem-sanitizer: " + access +
@@ -239,9 +230,7 @@ Interpreter::Impl::execFunctionRef(const ir::Function &function,
     auto releaseCursors = [&] {
         for (auto &[begin, cursor] : frame.cursors) {
             (void)begin;
-            if (cursor.curObj != TfmRuntime::noObject)
-                rt.endChunk(cursor.curObj);
-            cursor.curObj = TfmRuntime::noObject;
+            rt.endChunk(cursor);
         }
     };
     if (nargs != function.arguments().size())
@@ -333,11 +322,9 @@ Interpreter::Impl::execFunctionRef(const ir::Function &function,
                     std::byte *host = inst.isWrite
                                           ? rt.guardWrite(addr)
                                           : rt.guardRead(addr);
-                    if (inst.armsEpoch) {
-                        frame.revalStates[&inst] = Frame::Reval{
-                            rt.runtime().evictionEpoch(), host};
-                    }
-                    sanRecord(frame, inst, addr, host, false);
+                    if (inst.armsEpoch)
+                        frame.revalStates[&inst] = armedWindow(host);
+                    sanRecord(frame, inst, addr, host);
                     result.i = reinterpret_cast<std::uint64_t>(host);
                     break;
                   }
@@ -355,8 +342,7 @@ Interpreter::Impl::execFunctionRef(const ir::Function &function,
                         rt.revalidate(addr, armed.epoch)) {
                         // Epoch unchanged since arming: the host
                         // pointer (and any dirty bit) is still live.
-                        sanRecord(frame, inst, addr, armed.host,
-                                  false);
+                        sanRecord(frame, inst, addr, armed.host);
                         result.i = reinterpret_cast<std::uint64_t>(
                             armed.host);
                         break;
@@ -368,19 +354,14 @@ Interpreter::Impl::execFunctionRef(const ir::Function &function,
                     std::byte *host = inst.isWrite
                                           ? rt.guardWrite(addr)
                                           : rt.guardRead(addr);
-                    armed.epoch = rt.runtime().evictionEpoch();
-                    armed.host = host;
-                    sanRecord(frame, inst, addr, host, false);
+                    armed = armedWindow(host);
+                    sanRecord(frame, inst, addr, host);
                     result.i = reinterpret_cast<std::uint64_t>(host);
                     break;
                   }
                   case ir::Opcode::ChunkBegin: {
                     // (Re)arm the cursor for a fresh loop entry.
-                    auto &cursor = frame.cursors[&inst];
-                    if (cursor.curObj != TfmRuntime::noObject)
-                        rt.endChunk(cursor.curObj);
-                    cursor.curObj = TfmRuntime::noObject;
-                    cursor.window = nullptr;
+                    rt.endChunk(frame.cursors[&inst]);
                     result.i = reinterpret_cast<std::uint64_t>(&inst);
                     break;
                   }
@@ -404,26 +385,19 @@ Interpreter::Impl::execFunctionRef(const ir::Function &function,
                         break;
                     }
                     recordAccess(addr);
-                    const auto &table = rt.runtime().stateTable();
                     const std::uint64_t offset = tfmOffsetOf(addr);
-                    const std::uint64_t obj = table.objectOf(offset);
-                    if (obj != cursor.curObj) {
-                        std::byte *host = rt.localityGuard(
-                            addr, cursor.curObj, inst.isWrite);
-                        cursor.curObj = obj;
-                        cursor.window =
-                            host - table.offsetInObject(offset);
-                    } else {
+                    // A refill is the locality guard alone: no
+                    // boundary check.
+                    if (!cursor.bytes(offset, false))
+                        rt.localityGuard(addr, cursor, inst.isWrite);
+                    else
                         rt.boundaryCheck();
-                    }
-                    result.i = reinterpret_cast<std::uint64_t>(
-                        cursor.window + table.offsetInObject(offset));
+                    result.i =
+                        reinterpret_cast<std::uint64_t>(cursor.at(offset));
                     // Chunk windows stay pinned (eviction-proof)
                     // until the cursor moves or is released.
-                    sanRecord(frame, inst, addr,
-                              cursor.window +
-                                  table.offsetInObject(offset),
-                              true);
+                    if (sanitizing)
+                        frame.sanTransl[&inst] = cursor;
                     break;
                   }
                   case ir::Opcode::Prefetch: {

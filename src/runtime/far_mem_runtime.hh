@@ -23,6 +23,7 @@
 
 #include "cluster/remote_backend.hh"
 #include "frame_cache.hh"
+#include "host_window.hh"
 #include "net/network_model.hh"
 #include "object_state_table.hh"
 #include "prefetcher.hh"
@@ -277,6 +278,45 @@ class FarMemRuntime
     void pinObject(std::uint64_t obj_id);
     /** Undo pinObject(). */
     void unpinObject(std::uint64_t obj_id);
+
+    /** @name Object windows (DESIGN.md §4l)
+     * @{ */
+    /**
+     * The window over the whole object holding @p offset, given the
+     * host address @p host of that byte: valid at eviction epoch
+     * @p epoch, or HostWindow::pinned while a pin holds the object.
+     */
+    HostWindow
+    objectWindow(std::uint64_t offset, std::byte *host,
+                 std::uint64_t epoch, bool writable) const
+    {
+        const std::uint64_t in_obj = ost.offsetInObject(offset);
+        const std::uint64_t begin = offset - in_obj;
+        return {host - in_obj, begin, begin + ost.objectSize(), epoch,
+                writable};
+    }
+    /**
+     * Move the pinned @p window to the object holding @p offset, whose
+     * local byte sits at @p host: pin that object, then release the
+     * pin @p window held, if any.
+     */
+    void
+    pinWindow(HostWindow &window, std::uint64_t offset, std::byte *host,
+              bool writable)
+    {
+        pinObject(ost.objectOf(offset));
+        unpinWindow(window);
+        window = objectWindow(offset, host, HostWindow::pinned, writable);
+    }
+    /** Release @p window's pin, if it holds one, and empty it. */
+    void
+    unpinWindow(HostWindow &window)
+    {
+        if (window.begin != window.end)
+            unpinObject(ost.objectOf(window.begin));
+        window = HostWindow{};
+    }
+    /** @} */
 
     /**
      * The synchronization one guarded access needs. Nothing while no

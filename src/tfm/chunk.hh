@@ -57,13 +57,13 @@ class ChunkCursorRaw
     ChunkCursorRaw(const ChunkCursorRaw &) = delete;
     ChunkCursorRaw &operator=(const ChunkCursorRaw &) = delete;
 
-    ~ChunkCursorRaw() { _rt.endChunk(curObj); }
+    ~ChunkCursorRaw() { _rt.endChunk(window); }
 
     /** Read the current element into @p dst and advance. */
     void
     read(void *dst)
     {
-        if (needRefill)
+        if (!window.bytes(tfmOffsetOf(addr), writeMode))
             refill();
         readRun(dst, 1);
     }
@@ -72,21 +72,22 @@ class ChunkCursorRaw
     void
     write(const void *src)
     {
-        if (needRefill)
+        if (!window.bytes(tfmOffsetOf(addr), writeMode))
             refill();
         writeRun(src, 1);
     }
 
     /**
      * Elements, at most @p max, left in the pinned object: 0 exactly
-     * when a refill is due, since advance() schedules one once the
-     * window is used up.
+     * when a refill is due. The refill is lazy, on the next access: the
+     * loop may exit at the object's end, and a trailing refill could
+     * walk past the end of the collection.
      */
     std::uint64_t
     run(std::uint64_t max) const
     {
-        return std::min<std::uint64_t>(max,
-                                       (windowLen - inWindow) / elemSize);
+        return std::min<std::uint64_t>(
+            max, window.bytes(tfmOffsetOf(addr), writeMode) / elemSize);
     }
 
     /**
@@ -116,9 +117,10 @@ class ChunkCursorRaw
     std::byte *
     span(std::uint64_t k) const
     {
-        TFM_ASSERT(k * elemSize <= windowLen - inWindow,
+        const std::uint64_t offset = tfmOffsetOf(addr);
+        TFM_ASSERT(k * elemSize <= window.bytes(offset, writeMode),
                    "chunked access past the pinned object");
-        return window + inWindow;
+        return window.at(offset);
     }
 
     void
@@ -128,40 +130,16 @@ class ChunkCursorRaw
         // iteration (yellow nodes in Fig. 5).
         _rt.boundaryCheck(k);
         addr += k * elemSize;
-        inWindow += k * elemSize;
-        // Refill lazily on the next access: the loop may exit here, and
-        // a trailing refill could walk past the end of the collection.
-        if (inWindow >= windowLen)
-            needRefill = true;
     }
 
     /** Locality-invariant guard: pin the object holding `addr`. */
-    void
-    refill()
-    {
-        needRefill = false;
-        const std::uint64_t prev = curObj;
-        window = _rt.localityGuard(addr, prev, writeMode);
-        const auto &table = _rt.runtime().stateTable();
-        const std::uint64_t offset = tfmOffsetOf(addr);
-        curObj = table.objectOf(offset);
-        const std::uint64_t in_obj = table.offsetInObject(offset);
-        // The returned pointer addresses `offset`; rebase the window to
-        // the object start so the boundary math stays simple.
-        window -= in_obj;
-        inWindow = in_obj;
-        windowLen = table.objectSize();
-    }
+    void refill() { _rt.localityGuard(addr, window, writeMode); }
 
     TfmRuntime &_rt;
     std::uint64_t addr;
     std::uint32_t elemSize;
     bool writeMode;
-    std::byte *window = nullptr;
-    std::uint64_t inWindow = 0;
-    std::uint64_t windowLen = 0;
-    std::uint64_t curObj = TfmRuntime::noObject;
-    bool needRefill = false;
+    HostWindow window; ///< the pinned object
 };
 
 /** Typed chunked cursor over an array of T in far memory. */

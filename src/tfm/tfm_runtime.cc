@@ -86,11 +86,8 @@ TfmRuntime::cacheFill(GuardCache &c, std::uint64_t offset, std::byte *ptr,
 {
     if (!rt.config().guardCacheEnabled)
         return;
-    const std::uint64_t obj_id = rt.stateTable().objectOf(offset);
-    ObjectMeta &meta = rt.stateTable()[obj_id];
-    c.objId = obj_id;
-    c.epoch = epoch;
-    c.frameBase = ptr - rt.stateTable().offsetInObject(offset);
+    ObjectMeta &meta = rt.stateTable()[rt.stateTable().objectOf(offset)];
+    c.window = rt.objectWindow(offset, ptr, epoch, /*writable=*/true);
     c.meta = &meta;
     c.frame = &rt.frameCache().frame(meta.frame());
 }
@@ -224,7 +221,7 @@ TfmRuntime::mergedGuardStats() const
 }
 
 std::byte *
-TfmRuntime::localityGuard(std::uint64_t addr, std::uint64_t prev_obj,
+TfmRuntime::localityGuard(std::uint64_t addr, HostWindow &window,
                           bool for_write)
 {
     Worker &w = mainWorker();
@@ -239,10 +236,7 @@ TfmRuntime::localityGuard(std::uint64_t addr, std::uint64_t prev_obj,
     } else {
         recordGuard(w, addr, GuardPath::LocalityLocal);
     }
-    const std::uint64_t obj_id = rt.stateTable().objectOf(offset);
-    rt.pinObject(obj_id);
-    if (prev_obj != noObject)
-        rt.unpinObject(prev_obj);
+    rt.pinWindow(window, offset, data, for_write);
     return data;
 }
 

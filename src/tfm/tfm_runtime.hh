@@ -237,16 +237,16 @@ class TfmRuntime
      * @{ */
     /**
      * Last-object inline cache (the guard-level analogue of an MMU's
-     * micro-TLB): the translation produced by the most recent guard.
-     * A hit requires the same object id, an unchanged eviction epoch,
-     * and a still-safe meta word — so a cached host pointer can never
-     * outlive the frame mapping it refers to.
+     * micro-TLB): the object window the most recent guard produced. A
+     * hit requires the window to cover the address at an unchanged
+     * eviction epoch and a still-safe meta word — so a cached host
+     * pointer can never outlive the frame mapping it refers to. The
+     * meta word and frame serve the hit's write rule (reference bit,
+     * dirty bit).
      */
     struct GuardCache
     {
-        std::uint64_t objId = ~0ull;
-        std::uint64_t epoch = ~0ull;    ///< evictionEpoch the fill is for
-        std::byte *frameBase = nullptr; ///< host pointer to frame byte 0
+        HostWindow window; ///< writable: a write hit sets the dirty bit
         ObjectMeta *meta = nullptr;
         Frame *frame = nullptr;
     };
@@ -292,13 +292,14 @@ class TfmRuntime
     /** @name Loop-chunking support (section 3.4, Fig. 5)
      * @{ */
     /**
-     * The locality-invariant guard: localize and pin the object holding
-     * @p addr, unpinning @p prev_obj (noObject on the first chunk).
-     * Charges the locality-guard cost plus any remote-fetch time.
+     * The locality-invariant guard: localize the object holding
+     * @p addr and move the pinned @p window onto it, releasing the
+     * object it held (none on the first chunk). Charges the
+     * locality-guard cost plus any remote-fetch time.
      *
      * @return host pointer to the byte at @p addr.
      */
-    std::byte *localityGuard(std::uint64_t addr, std::uint64_t prev_obj,
+    std::byte *localityGuard(std::uint64_t addr, HostWindow &window,
                              bool for_write);
 
     /** Charge @p count object-boundary checks (3 instructions each). */
@@ -311,14 +312,7 @@ class TfmRuntime
     }
 
     /** Release the pin taken by the last locality guard of a loop. */
-    void
-    endChunk(std::uint64_t obj_id)
-    {
-        if (obj_id != noObject)
-            rt.unpinObject(obj_id);
-    }
-
-    static constexpr std::uint64_t noObject = ~0ull;
+    void endChunk(HostWindow &window) { rt.unpinWindow(window); }
     /** @} */
 
     /**
@@ -438,18 +432,17 @@ class TfmRuntime
     {
         if (!rt.config().guardCacheEnabled)
             return nullptr;
-        // The epoch comparison invalidates on any eviction/evacuation
-        // since the fill: a hit therefore proves the object->frame
-        // translation (and thus frameBase) is still live, never a
-        // stale host pointer.
-        if (rt.stateTable().objectOf(offset) != c.objId ||
-            c.epoch != rt.evictionEpoch() || !c.meta->safeForFastPath()) {
+        // The epoch check invalidates on any eviction/evacuation since
+        // the fill: a hit therefore proves the object->frame
+        // translation is still live, never a stale host pointer.
+        if (!c.window.bytes(offset, for_write, rt.evictionEpoch()) ||
+            !c.meta->safeForFastPath()) {
             return nullptr;
         }
         c.frame->refbit.store(true, std::memory_order_relaxed);
         if (for_write)
             c.meta->setDirty();
-        return c.frameBase + rt.stateTable().offsetInObject(offset);
+        return c.window.at(offset);
     }
     /** Refill @p c after a guard translated @p offset to @p ptr; the
      *  translation was read at eviction epoch @p epoch or later. */

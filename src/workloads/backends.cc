@@ -477,7 +477,8 @@ class FastswapBackend : public MemBackend
         run(std::uint64_t max, bool for_write) override
         {
             return std::min<std::uint64_t>(
-                max, b.fs.windowBytes(window, cur, for_write) / elemSize);
+                max,
+                window.bytes(cur, for_write, b.fs.mapEpoch()) / elemSize);
         }
 
         /** Inside the run the page is mapped: nothing but the copy. */
@@ -485,8 +486,7 @@ class FastswapBackend : public MemBackend
         readRun(void *dst, std::uint64_t k) override
         {
             clock.advance(k * seqCycles);
-            std::memcpy(dst, window.host + (cur - window.begin),
-                        k * elemSize);
+            std::memcpy(dst, window.at(cur), k * elemSize);
             cur += k * elemSize;
         }
 
@@ -495,8 +495,7 @@ class FastswapBackend : public MemBackend
         writeRun(const void *src, std::uint64_t k) override
         {
             clock.advance(k * seqCycles);
-            std::memcpy(window.host + (cur - window.begin), src,
-                        k * elemSize);
+            std::memcpy(window.at(cur), src, k * elemSize);
             cur += k * elemSize;
         }
 
@@ -508,7 +507,7 @@ class FastswapBackend : public MemBackend
         std::uint64_t cur;
         std::uint32_t elemSize;
         /// The page under the cursor: a mapped page runs at host speed.
-        FastswapRuntime::PageWindow window;
+        HostWindow window;
     };
 
     std::unique_ptr<SeqStream>
@@ -647,72 +646,44 @@ class AifmBackend : public MemBackend
             refill();
         }
 
-        ~Stream() override
-        {
-            if (curObj != noObj)
-                b.rt.runtime().unpinObject(curObj);
-        }
+        ~Stream() override { b.rt.runtime().unpinWindow(window); }
 
         void
         read(void *dst) override
         {
             b.rt.clock().advance(b.rt.costs().aifmIteratorCycles);
-            if (needRefill)
+            if (!window.bytes(cur, writeMode))
                 refill();
-            std::memcpy(dst, window + inWindow, elemSize);
-            step();
+            std::memcpy(dst, window.at(cur), elemSize);
+            cur += elemSize;
         }
 
         void
         write(const void *src) override
         {
             b.rt.clock().advance(b.rt.costs().aifmIteratorCycles);
-            if (needRefill)
+            if (!window.bytes(cur, writeMode))
                 refill();
-            std::memcpy(window + inWindow, src, elemSize);
-            step();
+            std::memcpy(window.at(cur), src, elemSize);
+            cur += elemSize;
         }
 
       private:
-        void
-        step()
-        {
-            cur += elemSize;
-            inWindow += elemSize;
-            // Lazy refill so a finished loop never walks off the array.
-            if (inWindow >= windowLen)
-                needRefill = true;
-        }
-
+        /** Pin the object under the cursor. Past the constructor the
+         *  refill is lazy, so a finished loop never walks off the
+         *  array. */
         void
         refill()
         {
-            needRefill = false;
-            window = b.rt.deref(cur, writeMode);
-            auto &runtime = b.rt.runtime();
-            const auto &table = runtime.stateTable();
-            const std::uint64_t next = table.objectOf(cur);
-            runtime.pinObject(next);
-            if (curObj != noObj)
-                runtime.unpinObject(curObj);
-            curObj = next;
-            const std::uint64_t in_obj = table.offsetInObject(cur);
-            window -= in_obj;
-            inWindow = in_obj;
-            windowLen = table.objectSize();
+            b.rt.runtime().pinWindow(window, cur, b.rt.deref(cur, writeMode),
+                                     writeMode);
         }
-
-        static constexpr std::uint64_t noObj = ~0ull;
 
         AifmBackend &b;
         std::uint64_t cur;
         std::uint32_t elemSize;
         bool writeMode;
-        std::byte *window = nullptr;
-        std::uint64_t inWindow = 0;
-        std::uint64_t windowLen = 0;
-        std::uint64_t curObj = noObj;
-        bool needRefill = false;
+        HostWindow window; ///< the pinned object under the cursor
     };
 
     std::unique_ptr<SeqStream>

@@ -94,15 +94,14 @@ runTrace(std::uint32_t shards, std::uint32_t wb_batch)
         }
         case 6: { // loop chunk: locality guards pin one object at a time
             const std::uint64_t start = (r >> 16) % (kObjs - 8);
-            std::uint64_t prev = TfmRuntime::noObject;
+            HostWindow window;
             for (std::uint64_t k = 0; k < 4; k++) {
                 const std::uint64_t a = base + (start + k) * 64;
-                std::byte *p = rt.localityGuard(a, prev, k & 1);
+                std::byte *p = rt.localityGuard(a, window, k & 1);
                 sum += static_cast<std::uint64_t>(p[0]);
                 rt.boundaryCheck();
-                prev = rt.runtime().stateTable().objectOf(tfmOffsetOf(a));
             }
-            rt.endChunk(prev);
+            rt.endChunk(window);
             break;
         }
         default: { // straddling access, a hoisted guard's epoch check,

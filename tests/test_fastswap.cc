@@ -336,7 +336,7 @@ TEST(Fastswap, WriteRunNeedsADirtyPage)
 /**
  * Copy through page windows on FastswapRuntime itself (windowed) or
  * through readBytes/writeBytes, charging seqAccessCycles per element
- * either way.
+ * either way, with one evacuation halfway.
  */
 void
 runtimeCopy(FastswapRuntime &fs, bool windowed)
@@ -348,10 +348,15 @@ runtimeCopy(FastswapRuntime &fs, bool windowed)
         fs.rawWrite(at[0] + 4 * i, &value, 4);
     }
     fs.evacuateAll();
-    FastswapRuntime::PageWindow src;
-    FastswapRuntime::PageWindow dst;
+    HostWindow src;
+    HostWindow dst;
     const std::uint64_t seq = fs.costs().seqAccessCycles;
     for (std::uint64_t i = 0; i < kStreamElems; i++) {
+        // Mid-stream, every page goes remote under both windows: the
+        // map epoch's bump must send the next access back through the
+        // fault path.
+        if (i == kStreamElems / 2)
+            fs.evacuateAll();
         std::int32_t value = 0;
         fs.clock().advance(seq);
         if (windowed)
@@ -432,8 +437,8 @@ faultingMix(FastswapRuntime &fs)
     }
     // Stream-driven: two page windows walking the heap in step, one
     // reading and one writing half the heap further on.
-    FastswapRuntime::PageWindow src;
-    FastswapRuntime::PageWindow dst;
+    HostWindow src;
+    HostWindow dst;
     for (std::uint64_t at = 0; at < 48 * 4096; at += 8) {
         std::uint64_t v = 0;
         fs.readVia(src, heap + at, &v, sizeof(v));

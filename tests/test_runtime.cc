@@ -696,6 +696,38 @@ TEST(GuardCache, EvacuationInvalidatesCachedTranslation)
     EXPECT_EQ(rt.load<std::uint64_t>(addr), fresh);
 }
 
+TEST(GuardCache, RelocalizedObjectMissesOnEpoch)
+{
+    // Two frames. The cached object leaves and comes back through
+    // locality guards, which never touch the inline cache, so its meta
+    // word reads present and safe again; only the eviction epoch tells
+    // that the cached frame now holds another object.
+    TfmRuntime rt(guardCacheConfig(2), CostParams{});
+    const std::uint64_t addr = rt.tfmMalloc(3 * 4096);
+    const std::uint64_t other = 0xb002u;
+    rt.rawWrite(addr + 2 * 4096, &other, sizeof(other));
+    const std::uint64_t magic = 0xfeedbead12345678ull;
+    rt.store<std::uint64_t>(addr, magic); // object 0 cached
+    const auto &table = rt.runtime().stateTable();
+    const std::uint64_t obj0 = table.objectOf(tfmOffsetOf(addr));
+    const std::uint64_t cached_frame = table[obj0].frame();
+
+    // Object 1 stays pinned while object 2 evicts object 0; object 2
+    // stays pinned while object 0 comes back into object 1's frame.
+    HostWindow window;
+    rt.localityGuard(addr + 4096, window, false);
+    rt.localityGuard(addr + 2 * 4096, window, false);
+    ASSERT_FALSE(rt.runtime().isLocal(tfmOffsetOf(addr)));
+    rt.localityGuard(addr, window, false);
+    rt.endChunk(window);
+    ASSERT_TRUE(rt.runtime().isLocal(tfmOffsetOf(addr)));
+    ASSERT_NE(table[obj0].frame(), cached_frame);
+
+    const std::uint64_t hits_before = rt.guardStats().cacheHitReads;
+    EXPECT_EQ(rt.load<std::uint64_t>(addr), magic);
+    EXPECT_EQ(rt.guardStats().cacheHitReads, hits_before);
+}
+
 TEST(GuardCache, DisabledByConfigNeverHits)
 {
     auto cfg = guardCacheConfig(16);

@@ -23,17 +23,18 @@ cmake --build "${PB_DIR}" -j "$(nproc)" --target perfbench_anchor_test
 "${PB_DIR}/perfbench_anchor_test"
 echo "check_build: perfbench anchor OK"
 
-# Figure gate: Table 1 and 2 and Fig. 6, 7, 9, 10, 11, 12, 13 and 14
-# print every simulated cycle, byte and event-count cell of their
-# tables as one BENCH_JSON line, bench_serving its default-mode SLO
-# summary, and §4.6 each row's code sizes and static guard counts; each
-# cell must equal
+# Figure gate: Table 1 and 2 and Fig. 6-15 print every simulated
+# cycle, byte and event-count cell of their tables as one BENCH_JSON
+# line, bench_serving its default-mode SLO summary, and §4.6 each row's
+# code sizes and static guard counts; each cell must equal
 # bench/expected/<name>.json exactly. Fig. 9 and serving draw every key
 # from the Zipf sampler, so they also pin that a sampler or scheduler
 # change moves no draw; §4.6 pins that an IR or analysis change moves
 # no pass output. Fig. 6, 7, 10 and 11 run TrackFM's naive and chunked
 # STREAM across densities, object sizes and prefetch on/off, so they pin
-# that chunked element runs move no cycle. Table 1 and 2 pin the guard
+# that chunked element runs move no cycle; Fig. 8 (k-means) and 15
+# (analytics) pin the chunked loops of two applications, whose pinned
+# windows move no cycle either. Table 1 and 2 pin the guard
 # and fault primitives the runtime charges, and Fig. 14 pins TrackFM,
 # AIFM and Fastswap side by side on one application. An intended model
 # change regenerates the expected file from the bench's line.
@@ -43,12 +44,14 @@ for fig in table1:bench_table1_guard_costs \
            table2:bench_table2_primitives \
            fig6:bench_fig6_cost_model \
            fig7:bench_fig7_loop_chunking \
+           fig8:bench_fig8_kmeans_chunking \
            fig9:bench_fig9_objsize_hashmap \
            fig10:bench_fig10_objsize_stream \
            fig11:bench_fig11_prefetch \
            fig12:bench_fig12_stream_vs_fastswap \
            fig13:bench_fig13_io_amplification \
            fig14:bench_fig14_analytics \
+           fig15:bench_fig15_analytics_chunking \
            serving:bench_serving \
            sec46:bench_sec46_compile_costs; do
     "${BUILD_DIR}/bench/${fig#*:}" > "${FIG_DIR}/${fig%%:*}.out"
