@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 #include "workloads/backend_config.hh"
@@ -51,7 +52,11 @@ main()
         "the guards via loop chunking",
         "4 MB STREAM sum, fully local (guard-bound regime)");
 
+    // Every cell, keyed e.g. "naive_cycles_fp21"; the build check
+    // compares them exactly against bench/expected/ablation_guards.json.
+    bench::JsonLine json("ablation_guards");
     const std::uint64_t chunked = runSum(ChunkPolicy::All, 21);
+    json.field("chunked_cycles_fp21", chunked);
     std::printf("chunked transformation (real 21-cycle guards): "
                 "%llu cycles\n\n",
                 static_cast<unsigned long long>(chunked));
@@ -59,6 +64,8 @@ main()
                 "chunked speedup");
     for (const std::uint64_t cost : {80ull, 40ull, 21ull, 10ull, 4ull}) {
         const std::uint64_t naive = runSum(ChunkPolicy::None, cost);
+        const std::string key = "naive_cycles_fp" + std::to_string(cost);
+        json.field(key.c_str(), naive);
         std::printf("%18llu %14llu %17.2fx\n",
                     static_cast<unsigned long long>(cost),
                     static_cast<unsigned long long>(naive),
@@ -71,5 +78,6 @@ main()
         "-- less than the custody check alone\n(4 cycles) before the "
         "state-table load even happens. Eliminating guards is the\n"
         "fruitful path, as section 5's Lessons report.\n");
+    json.emit();
     return 0;
 }

@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 #include "workloads/backend_config.hh"
@@ -58,6 +59,14 @@ main()
 
     std::printf("%8s %14s %10s %16s %14s\n", "depth", "cycles",
                 "speedup", "prefetches", "MB fetched");
+    // Every cell, keyed e.g. "cycles_d16"; the build check compares
+    // them exactly against bench/expected/ablation_prefetch.json.
+    bench::JsonLine json("ablation_prefetch");
+    const auto cell = [&json](const char *name, std::uint32_t depth,
+                              std::uint64_t value) {
+        const std::string key = name + std::to_string(depth);
+        json.field(key.c_str(), value);
+    };
     std::uint64_t baseline = 0;
     for (const std::uint32_t depth : {0u, 1u, 2u, 4u, 8u, 16u, 32u}) {
         const Point point = runSum(depth);
@@ -70,6 +79,10 @@ main()
                     static_cast<unsigned long long>(
                         point.prefetchIssued),
                     static_cast<double>(point.bytesFetched) / 1e6);
+        cell("cycles_d", depth, point.cycles);
+        cell("prefetches_d", depth, point.prefetchIssued);
+        cell("bytes_fetched_d", depth, point.bytesFetched);
     }
+    json.emit();
     return 0;
 }

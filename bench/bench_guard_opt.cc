@@ -84,12 +84,22 @@ main()
     struct Entry
     {
         const char *name;
+        const char *key; ///< BENCH_JSON cell prefix
         const char *source;
     };
     const Entry entries[] = {
-        {"invariant-accum", testprogs::invariantAccumulatorProgram},
-        {"struct-fields", testprogs::structFieldsProgram},
-        {"strided-sum", testprogs::sumProgram},
+        {"invariant-accum", "invariant_accum",
+         testprogs::invariantAccumulatorProgram},
+        {"struct-fields", "struct_fields", testprogs::structFieldsProgram},
+        {"strided-sum", "strided_sum", testprogs::sumProgram},
+    };
+    // Every cell, keyed e.g. "strided_sum_guards_opt"; the build check
+    // compares them exactly against bench/expected/guard_opt.json.
+    bench::JsonLine json("guard_opt");
+    const auto cell = [&json](const Entry &e, const char *name,
+                              std::uint64_t value) {
+        const std::string key = std::string(e.key) + "_" + name;
+        json.field(key.c_str(), value);
     };
 
     bool all_ok = true;
@@ -113,6 +123,12 @@ main()
             static_cast<unsigned long long>(opt.cycles),
             static_cast<double>(base.cycles) /
                 static_cast<double>(opt.cycles ? opt.cycles : 1));
+        cell(e, "guards_o0", base.guards);
+        cell(e, "guards_opt", opt.guards);
+        cell(e, "revals_o0", base.revals);
+        cell(e, "revals_opt", opt.revals);
+        cell(e, "cycles_o0", base.cycles);
+        cell(e, "cycles_opt", opt.cycles);
     }
 
     std::printf(
@@ -122,5 +138,6 @@ main()
         "3-cycle revalidation per trip. The strided sum is left alone "
         "by design --\nits pointers are loop-variant, so only chunking "
         "(not hoisting) applies there.\n");
+    json.emit();
     return all_ok ? 0 : 1;
 }

@@ -8,7 +8,6 @@ AifmRuntime::exportStats(StatSet &set) const
 {
     set.add("aifm.derefs", _stats.derefs);
     set.add("aifm.misses", _stats.misses);
-    set.add("aifm.scope_enters", _stats.scopeEnters);
     rt.exportStats(set);
 }
 

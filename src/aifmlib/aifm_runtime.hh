@@ -4,11 +4,12 @@
  * (Ruan et al., OSDI '20) that TrackFM is compared against in Fig. 14.
  *
  * Unlike TrackFM, nothing is automatic here: the programmer picks a
- * remote data structure (RemoteArray, RemoteVector, RemoteHashMap),
- * annotates it with an object size, and brackets accesses with
- * DerefScope objects. In exchange there are no custody checks and no
- * guards — just a cheap smart-pointer indirection on the hit path and a
- * runtime call on the miss path.
+ * remote data structure, annotates it with an object size, and
+ * dereferences through AIFM's smart pointers. In exchange there are no
+ * custody checks and no guards — just a cheap smart-pointer
+ * indirection on the hit path and a runtime call on the miss path.
+ * AifmBackend (workloads/backends.cc) drives this runtime for every
+ * AIFM number the benches report.
  */
 
 #ifndef TRACKFM_AIFMLIB_AIFM_RUNTIME_HH
@@ -25,9 +26,8 @@ namespace tfm
 /** AIFM-side access counters. */
 struct AifmStats
 {
-    std::uint64_t derefs = 0;      ///< smart-pointer hits
-    std::uint64_t misses = 0;      ///< dereferences that called the runtime
-    std::uint64_t scopeEnters = 0; ///< DerefScope constructions
+    std::uint64_t derefs = 0; ///< smart-pointer hits
+    std::uint64_t misses = 0; ///< dereferences that called the runtime
 };
 
 /**
@@ -48,8 +48,8 @@ class AifmRuntime
     const AifmStats &stats() const { return _stats; }
 
     /**
-     * Dereference a far offset inside a scope: cheap indirection when
-     * local, runtime call (possibly remote fetch) when not.
+     * Dereference a far offset: cheap indirection when local, runtime
+     * call (possibly remote fetch) when not.
      *
      * @return host pointer to the byte at @p offset.
      */
@@ -87,30 +87,6 @@ class AifmRuntime
 
     FarMemRuntime rt;
     AifmStats _stats;
-};
-
-/**
- * RAII dereference scope (Listing 1 in the paper). While a scope is
- * alive the evacuator will not reclaim objects dereferenced through it;
- * in this single-threaded reproduction that invariant is structural, so
- * the scope only charges its entry cost and anchors the API shape.
- */
-class DerefScope
-{
-  public:
-    explicit DerefScope(AifmRuntime &rt) : _rt(rt)
-    {
-        _rt.clock().advance(_rt.costs().derefScopeCycles);
-        _rt.stats().scopeEnters++;
-    }
-
-    DerefScope(const DerefScope &) = delete;
-    DerefScope &operator=(const DerefScope &) = delete;
-
-    AifmRuntime &runtime() const { return _rt; }
-
-  private:
-    AifmRuntime &_rt;
 };
 
 } // namespace tfm

@@ -218,12 +218,6 @@ Scheduler::Scheduler(const ServeConfig &config, const CostParams &costs)
 
 Scheduler::~Scheduler() = default;
 
-std::uint64_t
-Scheduler::serveOne(Tenant &tenant, std::uint64_t key)
-{
-    return tenant.serve(key);
-}
-
 void
 Scheduler::epochSample(std::uint64_t now)
 {
@@ -356,7 +350,7 @@ Scheduler::run()
         const std::uint64_t start =
             worker_cycle > r.arrivalCycle ? worker_cycle
                                           : r.arrivalCycle;
-        const std::uint64_t service = serveOne(*victim, r.key);
+        const std::uint64_t service = victim->serve(r.key);
         const std::uint64_t done = start + service;
         worker_free[w] = done;
         WorkerReport &wr = out.workers[w];

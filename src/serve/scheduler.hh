@@ -178,8 +178,6 @@ class Scheduler
                                     std::uint64_t seed,
                                     std::uint32_t requests);
 
-    /** Execute one request on @p tenant; returns service cycles. */
-    std::uint64_t serveOne(Tenant &tenant, std::uint64_t key);
     /** Epoch-gated serve.* counter sample at simulated time @p now. */
     void epochSample(std::uint64_t now);
     /** Concurrent-mode run body: real threads, shared runtime. */

@@ -27,8 +27,7 @@ CostParams::dump(std::ostream &os) const
        << "  pageFault local=" << pageFaultLocalCycles
        << " remoteSw=" << pageFaultRemoteSwCycles
        << " reclaim=" << pageReclaimCycles << "\n"
-       << "  smartPtrDeref=" << smartPtrDerefCycles
-       << " derefScope=" << derefScopeCycles << "\n"
+       << "  smartPtrDeref=" << smartPtrDerefCycles << "\n"
        << "  netLatency=" << netLatencyCycles
        << " netBytesPerCycle=" << netBytesPerCycle
        << " perMessageCpu=" << perMessageCpuCycles

@@ -94,10 +94,8 @@ struct CostParams
 
     /** @name AIFM library-mode costs
      * @{ */
-    /// Smart-pointer dereference indirection inside a DerefScope.
+    /// Smart-pointer dereference indirection on a local object.
     std::uint64_t smartPtrDerefCycles = 5;
-    /// Entering/leaving a DerefScope.
-    std::uint64_t derefScopeCycles = 8;
     /// Per-element cost of a library iterator's inner loop (bounds
     /// check + pointer bump + non-vectorizable loop body), comparable
     /// to TrackFM's chunked loop body — the 10% gap between the two

@@ -32,7 +32,7 @@ namespace tfm
  *
  * The cursor owns the pin on the current object and releases it on
  * destruction or when crossing to the next object. Element size is a
- * run-time parameter; ChunkCursor<T> adds a typed veneer.
+ * run-time parameter.
  */
 class ChunkCursorRaw
 {
@@ -140,33 +140,6 @@ class ChunkCursorRaw
     std::uint32_t elemSize;
     bool writeMode;
     HostWindow window; ///< the pinned object
-};
-
-/** Typed chunked cursor over an array of T in far memory. */
-template <typename T>
-class ChunkCursor
-{
-  public:
-    ChunkCursor(TfmRuntime &rt, std::uint64_t tagged_base, bool for_write)
-        : raw(rt, tagged_base, sizeof(T), for_write)
-    {}
-
-    /** Read the current element and advance one element. */
-    T
-    read()
-    {
-        T value;
-        raw.read(&value);
-        return value;
-    }
-
-    /** Write the current element and advance one element. */
-    void write(const T &value) { raw.write(&value); }
-
-    std::uint64_t currentAddr() const { return raw.currentAddr(); }
-
-  private:
-    ChunkCursorRaw raw;
 };
 
 } // namespace tfm

@@ -69,9 +69,33 @@ TfmRuntime::evacuatePaged()
         paged_->evacuate();
 }
 
-void
-TfmRuntime::traceGuard(std::uint64_t addr, GuardPath path)
+const char *
+guardPathName(GuardPath path)
 {
+    switch (path) {
+      case GuardPath::SlowLocalRead:
+        return "slow-local-read";
+      case GuardPath::SlowLocalWrite:
+        return "slow-local-write";
+      case GuardPath::SlowRemoteRead:
+        return "slow-remote-read";
+      case GuardPath::SlowRemoteWrite:
+        return "slow-remote-write";
+      case GuardPath::LocalityLocal:
+        return "locality-local";
+      case GuardPath::LocalityRemote:
+        return "locality-remote";
+      case GuardPath::Revalidate:
+        return "revalidate";
+    }
+    return "?";
+}
+
+void
+TfmRuntime::traceGuard(const Worker &w, std::uint64_t addr, GuardPath path)
+{
+    if (&w != &main_)
+        return;
     Observability *obs = rt.obs();
     if (obs && obs->trace().enabled()) {
         obs->trace().instant(rt.obsStream(), TrackApp, guardPathName(path),
@@ -108,7 +132,6 @@ TfmRuntime::guard(Worker &w, std::uint64_t addr, bool for_write,
         // the original access directly (~4 instructions).
         c.clock.advance(k.custodyRejectCycles);
         w.gstats.custodyRejects++;
-        recordGuard(w, addr, GuardPath::CustodyReject);
         return finish(reinterpret_cast<std::byte *>(addr));
     }
 
@@ -118,7 +141,7 @@ TfmRuntime::guard(Worker &w, std::uint64_t addr, bool for_write,
     if (std::byte *cached = cacheLookup(w.cache, offset, for_write)) {
         // Same object as the previous guard: skip the state-table
         // lookup and charge only the inline-cache hit.
-        cacheHit(w, addr, for_write);
+        cacheHit(w, for_write);
         return finish(cached);
     }
     // Read before the state word: a fill is then never newer than the
@@ -128,8 +151,6 @@ TfmRuntime::guard(Worker &w, std::uint64_t addr, bool for_write,
         c.clock.advance(for_write ? k.fastPathWriteCycles
                                   : k.fastPathReadCycles);
         (for_write ? w.gstats.fastWrites : w.gstats.fastReads)++;
-        recordGuard(w, addr,
-                    for_write ? GuardPath::FastWrite : GuardPath::FastRead);
         cacheFill(w.cache, offset, fast, epoch);
         return finish(fast);
     }
@@ -142,12 +163,12 @@ TfmRuntime::guard(Worker &w, std::uint64_t addr, bool for_write,
     const bool remote = outcome == FarMemRuntime::Localized::RemoteFetch;
     if (for_write) {
         (remote ? w.gstats.slowRemoteWrites : w.gstats.slowLocalWrites)++;
-        recordGuard(w, addr, remote ? GuardPath::SlowRemoteWrite
-                                    : GuardPath::SlowLocalWrite);
+        traceGuard(w, addr, remote ? GuardPath::SlowRemoteWrite
+                                   : GuardPath::SlowLocalWrite);
     } else {
         (remote ? w.gstats.slowRemoteReads : w.gstats.slowLocalReads)++;
-        recordGuard(w, addr, remote ? GuardPath::SlowRemoteRead
-                                    : GuardPath::SlowLocalRead);
+        traceGuard(w, addr, remote ? GuardPath::SlowRemoteRead
+                                   : GuardPath::SlowLocalRead);
     }
     // Under the shard lock when shared: the object cannot be evicted
     // between localize and this epoch read.
@@ -232,9 +253,9 @@ TfmRuntime::localityGuard(std::uint64_t addr, HostWindow &window,
     std::byte *data = rt.localize(*w.rt, offset, for_write, &outcome);
     if (outcome == FarMemRuntime::Localized::RemoteFetch) {
         w.gstats.localityRemotes++;
-        recordGuard(w, addr, GuardPath::LocalityRemote);
+        traceGuard(w, addr, GuardPath::LocalityRemote);
     } else {
-        recordGuard(w, addr, GuardPath::LocalityLocal);
+        traceGuard(w, addr, GuardPath::LocalityLocal);
     }
     rt.pinWindow(window, offset, data, for_write);
     return data;

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "guard_stats.hh"
-#include "guard_trace.hh"
 #include "runtime/far_mem_runtime.hh"
 #include "tagged_ptr.hh"
 
@@ -32,6 +31,27 @@ namespace tfm
 {
 
 class PagedPlane;
+
+/**
+ * Which path a traced guard took: section 3.3's optional debug
+ * instrumentation ("indicates when guards take the fast or slow path,
+ * and which AIFM code path they trigger"). Each outcome is one "guard"
+ * instant on the observability trace's app track; custody rejects and
+ * fast paths stay off the trace to keep it bounded.
+ */
+enum class GuardPath : std::uint8_t
+{
+    SlowLocalRead,   ///< runtime call; object was already local
+    SlowLocalWrite,
+    SlowRemoteRead,  ///< runtime call; blocking remote fetch
+    SlowRemoteWrite,
+    LocalityLocal,   ///< chunk locality guard; object local
+    LocalityRemote,  ///< chunk locality guard; remote fetch
+    Revalidate       ///< hoisted-guard epoch revalidation hit
+};
+
+/** The trace event name of @p path. */
+const char *guardPathName(GuardPath path);
 
 /**
  * TrackFM's injected runtime.
@@ -57,9 +77,6 @@ class TfmRuntime
      *  worker's). */
     GuardStats &guardStats() { return main_.gstats; }
     const GuardStats &guardStats() const { return main_.gstats; }
-    /** Optional section 3.3 debug instrumentation. */
-    GuardTrace &guardTrace() { return gtrace; }
-    const GuardTrace &guardTrace() const { return gtrace; }
 
     /** @name The TrackFM libc replacement (section 3.1)
      *  All return tagged pointers in the non-canonical range.
@@ -158,10 +175,10 @@ class TfmRuntime
      * Inline-cache-only guard probe for dispatch loops that want to
      * resolve a guard without a full runtime call: on a last-object
      * cache hit this performs the complete fast-path guard — identical
-     * cycle charges, GuardStats, and trace-ring record as
-     * guardRead/guardWrite taking their cache-hit branch — and returns
-     * the host pointer. Untagged pointers and cache misses return
-     * nullptr with NO accounting; the caller must then fall back to
+     * cycle charges and GuardStats as guardRead/guardWrite taking
+     * their cache-hit branch — and returns the host pointer.
+     * Untagged pointers and cache misses return nullptr with NO
+     * accounting; the caller must then fall back to
      * guardRead/guardWrite, which re-probes the (side-effect-free on
      * miss) cache.
      */
@@ -174,7 +191,7 @@ class TfmRuntime
         std::byte *cached = cacheLookup(w.cache, tfmOffsetOf(addr),
                                         for_write);
         if (cached)
-            cacheHit(w, addr, for_write);
+            cacheHit(w, for_write);
         return cached;
     }
 
@@ -198,7 +215,7 @@ class TfmRuntime
         w.gstats.revalidations++;
         if (armed_epoch == rt.evictionEpoch()) {
             w.gstats.revalidationHits++;
-            recordGuard(w, addr, GuardPath::Revalidate);
+            traceGuard(w, addr, GuardPath::Revalidate);
             return true;
         }
         w.gstats.revalidationMisses++;
@@ -386,29 +403,13 @@ class TfmRuntime
     void guardRange(std::uint64_t addr, std::byte *buf, std::size_t len,
                     bool for_write);
 
-    /**
-     * Record a guard outcome: into the GuardTrace ring, and the slow
-     * paths additionally as instant events on the observability app
-     * track (fast paths stay off the trace to keep it bounded). Main
-     * thread only: both are single-writer.
-     */
-    void
-    recordGuard(Worker &w, std::uint64_t addr, GuardPath path)
-    {
-        if (&w != &main_)
-            return;
-        gtrace.record(addr, w.rt->clock.now(), path);
-        if (path != GuardPath::CustodyReject &&
-            path != GuardPath::FastRead && path != GuardPath::FastWrite) {
-            traceGuard(addr, path);
-        }
-    }
-    /** The observability instant of a slow-path guard outcome. */
-    void traceGuard(std::uint64_t addr, GuardPath path);
+    /** The observability instant of a guard outcome; main thread
+     *  only, since the trace is single-writer. */
+    void traceGuard(const Worker &w, std::uint64_t addr, GuardPath path);
 
     /** Charge and count an inline-cache hit. */
     void
-    cacheHit(Worker &w, std::uint64_t addr, bool for_write)
+    cacheHit(Worker &w, bool for_write)
     {
         if (for_write) {
             w.rt->clock.advance(costs().guardCacheHitWriteCycles);
@@ -419,8 +420,6 @@ class TfmRuntime
             w.gstats.fastReads++;
             w.gstats.cacheHitReads++;
         }
-        recordGuard(w, addr, for_write ? GuardPath::FastWrite
-                                       : GuardPath::FastRead);
     }
 
     /** Try the inline cache; returns the host pointer or nullptr.
@@ -453,7 +452,6 @@ class TfmRuntime
     PagedPlane &ensurePaged();
 
     FarMemRuntime rt;
-    GuardTrace gtrace;
     Worker main_; ///< the main thread's guard state
     std::unique_ptr<PagedPlane> paged_;
     std::vector<std::unique_ptr<Worker>> workers_;

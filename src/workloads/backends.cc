@@ -167,6 +167,40 @@ class LocalBackend : public MemBackend
 };
 
 /**
+ * The naive TrackFM transformation of a sequential loop: one guard per
+ * element access. Both TrackFM backends stream through it.
+ */
+class GuardedStream : public SeqStream
+{
+  public:
+    GuardedStream(TfmRuntime &runtime, std::uint64_t addr,
+                  std::uint32_t elem_size)
+        : rt(runtime), cur(addr), elemSize(elem_size)
+    {}
+
+    void
+    read(void *dst) override
+    {
+        rt.clock().advance(rt.costs().guardedSeqAccessCycles);
+        rt.readGuarded(cur, dst, elemSize);
+        cur += elemSize;
+    }
+
+    void
+    write(const void *src) override
+    {
+        rt.clock().advance(rt.costs().guardedSeqAccessCycles);
+        rt.writeGuarded(cur, src, elemSize);
+        cur += elemSize;
+    }
+
+  private:
+    TfmRuntime &rt;
+    std::uint64_t cur;
+    std::uint32_t elemSize;
+};
+
+/**
  * TrackFM backend: the compiler-transformed program. Handles are tagged
  * pointers; every metered access goes through a guard; sequential
  * streams are chunked according to the configured policy.
@@ -203,37 +237,6 @@ class TrackFmBackend : public MemBackend
         chargeBase(hint);
         rt.writeGuarded(addr, src, len);
     }
-
-    /** Naive transformation: one guard per element access. */
-    class GuardedStream : public SeqStream
-    {
-      public:
-        GuardedStream(TrackFmBackend &backend, std::uint64_t addr,
-                      std::uint32_t elem_size)
-            : b(backend), cur(addr), elemSize(elem_size)
-        {}
-
-        void
-        read(void *dst) override
-        {
-            b.rt.clock().advance(b.rt.costs().guardedSeqAccessCycles);
-            b.rt.readGuarded(cur, dst, elemSize);
-            cur += elemSize;
-        }
-
-        void
-        write(const void *src) override
-        {
-            b.rt.clock().advance(b.rt.costs().guardedSeqAccessCycles);
-            b.rt.writeGuarded(cur, src, elemSize);
-            cur += elemSize;
-        }
-
-      private:
-        TrackFmBackend &b;
-        std::uint64_t cur;
-        std::uint32_t elemSize;
-    };
 
     /** Chunked transformation: Fig. 5's rewritten loop body. */
     class ChunkedStream : public SeqStream
@@ -315,7 +318,7 @@ class TrackFmBackend : public MemBackend
             return std::make_unique<ChunkedStream>(
                 *this, addr, elem_size, mode == StreamMode::Write);
         }
-        return std::make_unique<GuardedStream>(*this, addr, elem_size);
+        return std::make_unique<GuardedStream>(rt, addr, elem_size);
     }
 
     void compute(std::uint64_t c) override { rt.clock().advance(c); }
@@ -830,41 +833,11 @@ class SharedTfmBackend : public MemBackend
         rt.writeGuarded(addr, src, len);
     }
 
-    class SharedStream : public SeqStream
-    {
-      public:
-        SharedStream(TfmRuntime &runtime, std::uint64_t addr,
-                     std::uint32_t elem_size)
-            : rt(runtime), cur(addr), elemSize(elem_size)
-        {}
-
-        void
-        read(void *dst) override
-        {
-            rt.clock().advance(rt.costs().guardedSeqAccessCycles);
-            rt.readGuarded(cur, dst, elemSize);
-            cur += elemSize;
-        }
-
-        void
-        write(const void *src) override
-        {
-            rt.clock().advance(rt.costs().guardedSeqAccessCycles);
-            rt.writeGuarded(cur, src, elemSize);
-            cur += elemSize;
-        }
-
-      private:
-        TfmRuntime &rt;
-        std::uint64_t cur;
-        std::uint32_t elemSize;
-    };
-
     std::unique_ptr<SeqStream>
     stream(std::uint64_t addr, std::uint32_t elem_size, std::uint64_t,
            StreamMode) override
     {
-        return std::make_unique<SharedStream>(rt, addr, elem_size);
+        return std::make_unique<GuardedStream>(rt, addr, elem_size);
     }
 
     void compute(std::uint64_t c) override { rt.clock().advance(c); }

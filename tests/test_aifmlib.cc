@@ -1,15 +1,11 @@
 /**
  * @file
- * Unit tests for the AIFM library-mode baseline: runtime, scopes, and
- * the remote data structures.
+ * Unit tests for the AIFM library-mode baseline runtime.
  */
 
 #include <gtest/gtest.h>
 
 #include "aifmlib/aifm_runtime.hh"
-#include "aifmlib/remote_array.hh"
-#include "aifmlib/remote_hashmap.hh"
-#include "aifmlib/remote_vector.hh"
 
 namespace tfm
 {
@@ -17,12 +13,12 @@ namespace
 {
 
 RuntimeConfig
-smallConfig(std::uint32_t object_size = 4096, std::uint64_t frames = 16)
+smallConfig()
 {
     RuntimeConfig cfg;
     cfg.farHeapBytes = 4 << 20;
-    cfg.localMemBytes = frames * object_size;
-    cfg.objectSizeBytes = object_size;
+    cfg.localMemBytes = 16 * 4096;
+    cfg.objectSizeBytes = 4096;
     cfg.prefetchEnabled = false;
     return cfg;
 }
@@ -39,172 +35,6 @@ TEST(AifmRuntime, DerefHitIsCheap)
     EXPECT_EQ(rt.clock().now() - before, c.smartPtrDerefCycles);
     EXPECT_EQ(rt.stats().derefs, 1u);
     EXPECT_EQ(rt.stats().misses, 1u);
-}
-
-TEST(AifmRuntime, ScopeChargesEntry)
-{
-    const CostParams c;
-    AifmRuntime rt(smallConfig(), c);
-    const std::uint64_t before = rt.clock().now();
-    {
-        DerefScope scope(rt);
-    }
-    EXPECT_EQ(rt.clock().now() - before, c.derefScopeCycles);
-    EXPECT_EQ(rt.stats().scopeEnters, 1u);
-}
-
-TEST(RemoteArray, ScopedReadWrite)
-{
-    AifmRuntime rt(smallConfig(), CostParams{});
-    RemoteArray<std::int64_t> array(rt, 1000);
-    {
-        DerefScope scope(rt);
-        for (int i = 0; i < 1000; i++)
-            array.set(scope, i, i * 7);
-        for (int i = 0; i < 1000; i += 13)
-            EXPECT_EQ(array.at(scope, i), i * 7);
-    }
-}
-
-TEST(RemoteArray, IteratorSumMatches)
-{
-    AifmRuntime rt(smallConfig(256, 8), CostParams{});
-    const int n = 4096;
-    RemoteArray<std::int32_t> array(rt, n);
-    for (int i = 0; i < n; i++)
-        array.init(i, 1);
-    rt.runtime().evacuateAll();
-
-    DerefScope scope(rt);
-    auto it = array.begin(scope);
-    std::int64_t sum = 0;
-    for (int i = 0; i < n; i++)
-        sum += it.read();
-    EXPECT_EQ(sum, n);
-}
-
-TEST(RemoteArray, IteratorIsCheaperThanScopedAt)
-{
-    AifmRuntime rt_at(smallConfig(256, 8), CostParams{});
-    AifmRuntime rt_it(smallConfig(256, 8), CostParams{});
-    const int n = 4096;
-    RemoteArray<std::int32_t> a1(rt_at, n);
-    RemoteArray<std::int32_t> a2(rt_it, n);
-    for (int i = 0; i < n; i++) {
-        a1.init(i, i);
-        a2.init(i, i);
-    }
-    rt_at.runtime().evacuateAll();
-    rt_it.runtime().evacuateAll();
-
-    {
-        DerefScope scope(rt_at);
-        for (int i = 0; i < n; i++)
-            a1.at(scope, i);
-    }
-    {
-        DerefScope scope(rt_it);
-        auto it = a2.begin(scope);
-        for (int i = 0; i < n; i++)
-            it.read();
-    }
-    EXPECT_LT(rt_it.clock().now(), rt_at.clock().now());
-}
-
-TEST(RemoteArray, SurvivesEvictionPressure)
-{
-    AifmRuntime rt(smallConfig(4096, 2), CostParams{});
-    const int n = 8192; // 64 KB = 16 objects, only 2 frames
-    RemoteArray<std::int64_t> array(rt, n);
-    {
-        DerefScope scope(rt);
-        for (int i = 0; i < n; i++)
-            array.set(scope, i, i);
-        std::int64_t sum = 0;
-        for (int i = 0; i < n; i++)
-            sum += array.at(scope, i);
-        EXPECT_EQ(sum, static_cast<std::int64_t>(n) * (n - 1) / 2);
-    }
-}
-
-TEST(RemoteVector, PushAndRead)
-{
-    AifmRuntime rt(smallConfig(), CostParams{});
-    RemoteVector<std::int32_t> vec(rt, 4);
-    DerefScope scope(rt);
-    for (int i = 0; i < 1000; i++)
-        vec.pushBack(scope, i);
-    EXPECT_EQ(vec.size(), 1000u);
-    EXPECT_GE(vec.capacity(), 1000u);
-    for (int i = 0; i < 1000; i += 111)
-        EXPECT_EQ(vec.at(scope, i), i);
-}
-
-TEST(RemoteVector, GrowthPreservesContents)
-{
-    AifmRuntime rt(smallConfig(), CostParams{});
-    RemoteVector<std::int64_t> vec(rt, 2);
-    DerefScope scope(rt);
-    for (int i = 0; i < 100; i++)
-        vec.pushBack(scope, i * 5);
-    for (int i = 0; i < 100; i++)
-        EXPECT_EQ(vec.at(scope, i), i * 5);
-}
-
-TEST(RemoteHashMap, PutGetErase)
-{
-    AifmRuntime rt(smallConfig(), CostParams{});
-    RemoteHashMap<std::uint64_t, std::uint64_t> map(rt, 1024);
-    DerefScope scope(rt);
-
-    for (std::uint64_t k = 0; k < 500; k++)
-        map.put(scope, k, k * k);
-    EXPECT_EQ(map.size(), 500u);
-
-    for (std::uint64_t k = 0; k < 500; k += 37) {
-        const auto v = map.get(scope, k);
-        ASSERT_TRUE(v.has_value());
-        EXPECT_EQ(*v, k * k);
-    }
-    EXPECT_FALSE(map.get(scope, 9999).has_value());
-
-    EXPECT_TRUE(map.erase(scope, 42));
-    EXPECT_FALSE(map.get(scope, 42).has_value());
-    EXPECT_FALSE(map.erase(scope, 42));
-}
-
-TEST(RemoteHashMap, UpdateOverwrites)
-{
-    AifmRuntime rt(smallConfig(), CostParams{});
-    RemoteHashMap<std::uint32_t, std::uint32_t> map(rt, 64);
-    DerefScope scope(rt);
-    map.put(scope, 1, 10);
-    map.put(scope, 1, 20);
-    EXPECT_EQ(map.size(), 1u);
-    EXPECT_EQ(*map.get(scope, 1), 20u);
-}
-
-TEST(RemoteHashMap, WorksUnderMemoryPressure)
-{
-    AifmRuntime rt(smallConfig(256, 4), CostParams{});
-    RemoteHashMap<std::uint64_t, std::uint64_t> map(rt, 4096);
-    DerefScope scope(rt);
-    for (std::uint64_t k = 0; k < 2000; k++)
-        map.put(scope, k, k + 1);
-    for (std::uint64_t k = 0; k < 2000; k += 97)
-        EXPECT_EQ(*map.get(scope, k), k + 1);
-    EXPECT_GT(rt.runtime().stats().evictions, 0u);
-}
-
-TEST(RemoteHashMap, InitPutIsUnmetered)
-{
-    AifmRuntime rt(smallConfig(), CostParams{});
-    RemoteHashMap<std::uint32_t, std::uint32_t> map(rt, 64);
-    const std::uint64_t before = rt.clock().now();
-    map.initPut(5, 50);
-    EXPECT_EQ(rt.clock().now(), before);
-    DerefScope scope(rt);
-    EXPECT_EQ(*map.get(scope, 5), 50u);
 }
 
 } // namespace

@@ -1,22 +1,23 @@
 /**
  * @file
  * Failure-injection and stress tests: resource exhaustion must fail
- * loudly (never corrupt), misuse must be caught, and the guard trace
- * must tell the truth about what happened.
+ * loudly (never corrupt), misuse must be caught, and the guard instants
+ * on the observability trace must tell the truth about what happened.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "net/network_model.hh"
+#include "obs/obs.hh"
+#include "obs/trace_reader.hh"
 #include "remote/remote_node.hh"
 #include "sim/cost_params.hh"
 #include "sim/cycle_clock.hh"
 #include "sim/rng.hh"
 #include "tfm/chunk.hh"
-#include "tfm/guard_trace.hh"
 #include "tfm/tfm_runtime.hh"
-#include "workloads/backend_config.hh"
-#include "workloads/trace_replay.hh"
 
 namespace tfm
 {
@@ -62,10 +63,11 @@ TEST(FailureInjection, AllFramesPinnedPanicsOnNextMiss)
     // object: the runtime must refuse loudly.
     TfmRuntime rt(tinyConfig(2), CostParams{});
     const std::uint64_t addr = rt.tfmMalloc(16 * 4096);
-    ChunkCursor<std::int64_t> first(rt, addr, false);
-    first.read(); // pins object 0
-    ChunkCursor<std::int64_t> second(rt, addr + 4096, false);
-    second.read(); // pins object 1 — both frames now pinned
+    std::int64_t value;
+    ChunkCursorRaw first(rt, addr, sizeof(value), false);
+    first.read(&value); // pins object 0
+    ChunkCursorRaw second(rt, addr + 4096, sizeof(value), false);
+    second.read(&value); // pins object 1 — both frames now pinned
     EXPECT_DEATH(rt.load<std::int64_t>(addr + 2 * 4096),
                  "every frame is pinned");
 }
@@ -86,130 +88,78 @@ TEST(FailureInjection, OutOfTableObjectAccessIsCaught)
                  "out of table range");
 }
 
+/** The "guard" instants of @p obs's exported trace, in order. */
+std::vector<ParsedEvent>
+guardInstants(const Observability &obs)
+{
+    std::ostringstream os;
+    obs.writeTrace(os);
+    ParsedTrace parsed;
+    std::string error;
+    EXPECT_TRUE(parseTrace(os.str(), parsed, error)) << error;
+    std::vector<ParsedEvent> out;
+    for (const ParsedEvent &e : parsed.events) {
+        if (e.cat == "guard")
+            out.push_back(e);
+    }
+    return out;
+}
+
 TEST(GuardTraceTest, RecordsPathsInOrder)
 {
-    TfmRuntime rt(tinyConfig(), CostParams{});
-    rt.guardTrace().enable(16);
+    Observability obs;
+    RuntimeConfig cfg = tinyConfig();
+    cfg.obs = &obs;
+    TfmRuntime rt(cfg, CostParams{});
     const std::uint64_t addr = rt.tfmMalloc(4096);
-    rt.load<std::int64_t>(addr);  // slow remote
-    rt.load<std::int64_t>(addr);  // fast
-    rt.store<std::int64_t>(addr, 5); // fast write
+    rt.load<std::int64_t>(addr);  // slow remote read
+    rt.load<std::int64_t>(addr);  // fast read: not traced
+    rt.store<std::int64_t>(addr, 5); // fast write: not traced
     std::uint64_t host_value = 1;
     rt.load<std::uint64_t>(reinterpret_cast<std::uint64_t>(&host_value));
+    EXPECT_TRUE(rt.revalidate(addr, rt.runtime().evictionEpoch()));
+    rt.runtime().evacuateAll();
+    rt.store<std::int64_t>(addr, 6); // slow remote write
 
-    const auto events = rt.guardTrace().chronological();
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(events[0].path, GuardPath::SlowRemoteRead);
-    EXPECT_EQ(events[1].path, GuardPath::FastRead);
-    EXPECT_EQ(events[2].path, GuardPath::FastWrite);
-    EXPECT_EQ(events[3].path, GuardPath::CustodyReject);
-    // Cycles are non-decreasing.
-    for (std::size_t i = 1; i < events.size(); i++)
-        EXPECT_GE(events[i].cycle, events[i - 1].cycle);
-}
-
-TEST(GuardTraceTest, RingBufferKeepsNewest)
-{
-    TfmRuntime rt(tinyConfig(), CostParams{});
-    rt.guardTrace().enable(8);
-    const std::uint64_t addr = rt.tfmMalloc(4096);
-    for (int i = 0; i < 50; i++)
-        rt.load<std::int64_t>(addr);
-    EXPECT_TRUE(rt.guardTrace().overflowed());
-    const auto events = rt.guardTrace().chronological();
-    ASSERT_EQ(events.size(), 8u);
-    for (const GuardEvent &event : events)
-        EXPECT_EQ(event.path, GuardPath::FastRead);
-}
-
-TEST(GuardTraceTest, DisabledTraceCostsNothing)
-{
-    TfmRuntime rt(tinyConfig(), CostParams{});
-    const std::uint64_t addr = rt.tfmMalloc(4096);
-    rt.load<std::int64_t>(addr);
-    EXPECT_EQ(rt.guardTrace().size(), 0u);
-    EXPECT_FALSE(rt.guardTrace().enabled());
+    const std::vector<ParsedEvent> events = guardInstants(obs);
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[0].name, "slow-remote-read");
+    EXPECT_EQ(events[1].name, "revalidate");
+    EXPECT_EQ(events[2].name, "slow-remote-write");
+    for (std::size_t i = 0; i < events.size(); i++) {
+        EXPECT_EQ(events[i].ph, 'i');
+        ASSERT_EQ(events[i].args.count("addr"), 1u) << events[i].name;
+        EXPECT_EQ(events[i].args.at("addr"), addr);
+        if (i > 0) {
+            EXPECT_GE(events[i].ts, events[i - 1].ts);
+        }
+    }
 }
 
 TEST(GuardTraceTest, LocalityPathsAreTraced)
 {
-    TfmRuntime rt(tinyConfig(8, 256), CostParams{});
-    rt.guardTrace().enable(64);
+    Observability obs;
+    RuntimeConfig cfg = tinyConfig(8, 256);
+    cfg.obs = &obs;
+    TfmRuntime rt(cfg, CostParams{});
     const std::uint64_t addr = rt.tfmMalloc(1024);
     {
-        ChunkCursor<std::int32_t> cursor(rt, addr, false);
+        ChunkCursorRaw cursor(rt, addr, sizeof(std::int32_t), false);
+        std::int32_t value;
         for (int i = 0; i < 256; i++)
-            cursor.read();
+            cursor.read(&value);
     }
-    int locality_events = 0;
-    for (const GuardEvent &event : rt.guardTrace().chronological()) {
-        locality_events += (event.path == GuardPath::LocalityRemote ||
-                            event.path == GuardPath::LocalityLocal);
-    }
-    EXPECT_EQ(locality_events, 4); // 1024 B / 256 B objects
-}
-
-TEST(TraceReplayTest, ChecksumsAgreeAcrossBackends)
-{
-    const auto trace = TraceReplayer::phased(6, 300, 1 << 20, 5);
-    std::uint64_t reference = 0;
-    bool have_reference = false;
-    for (const SystemKind kind : {SystemKind::Local, SystemKind::TrackFm,
-                                  SystemKind::Fastswap, SystemKind::Aifm}) {
-        BackendConfig cfg;
-        cfg.kind = kind;
-        cfg.farHeapBytes = 4 << 20;
-        cfg.localMemBytes = 256 << 10;
-        cfg.objectSizeBytes = 1024;
-        auto backend = makeBackend(cfg, CostParams{});
-        TraceReplayer replayer(*backend, 1 << 20);
-        const TraceReplayResult result = replayer.replay(trace);
-        EXPECT_EQ(result.operations, trace.size()) << systemName(kind);
-        if (!have_reference) {
-            reference = result.checksum;
-            have_reference = true;
+    const std::vector<ParsedEvent> events = guardInstants(obs);
+    ASSERT_EQ(events.size(), 4u); // 1024 B / 256 B objects
+    for (std::size_t i = 0; i < events.size(); i++) {
+        EXPECT_EQ(events[i].name, "locality-remote");
+        // Each locality guard names the first element of its object.
+        ASSERT_EQ(events[i].args.count("addr"), 1u);
+        EXPECT_EQ(events[i].args.at("addr"), addr + i * 256);
+        if (i > 0) {
+            EXPECT_GE(events[i].ts, events[i - 1].ts);
         }
-        EXPECT_EQ(result.checksum, reference) << systemName(kind);
     }
-}
-
-TEST(TraceReplayTest, GeneratorsProduceBoundedOffsets)
-{
-    for (const auto &trace :
-         {TraceReplayer::uniform(500, 1 << 20, 30, 1),
-          TraceReplayer::zipfian(500, 1 << 20, 4096, 1.1, 2),
-          TraceReplayer::phased(4, 100, 1 << 20, 3)}) {
-        for (const TraceOp &op : trace)
-            EXPECT_LT(op.offset, 1u << 20);
-    }
-    const auto sweeps =
-        TraceReplayer::sequentialSweeps(3, 1 << 20, 8, false);
-    EXPECT_EQ(sweeps.size(), 3u);
-    EXPECT_EQ(sweeps[0].count, (1u << 20) / 8);
-}
-
-TEST(TraceReplayTest, ZipfTraceFavorsSmallObjectsOnTrackFm)
-{
-    // End-to-end: a zipfian trace shows the Fig. 9 object-size effect
-    // through the replayer as well.
-    const auto trace =
-        TraceReplayer::zipfian(20000, 2 << 20, 64, 1.05, 11);
-    std::uint64_t small_cycles = 0, large_cycles = 0;
-    for (const std::uint32_t objsize : {256u, 4096u}) {
-        BackendConfig cfg;
-        cfg.kind = SystemKind::TrackFm;
-        cfg.farHeapBytes = 8 << 20;
-        cfg.localMemBytes = 256 << 10;
-        cfg.objectSizeBytes = objsize;
-        cfg.prefetchEnabled = false;
-        auto backend = makeBackend(cfg, CostParams{});
-        TraceReplayer replayer(*backend, 2 << 20);
-        replayer.replay(trace); // warm
-        const TraceReplayResult result = replayer.replay(trace);
-        (objsize == 256 ? small_cycles : large_cycles) =
-            result.delta.cycles;
-    }
-    EXPECT_LT(small_cycles, large_cycles);
 }
 
 TEST(StressTest, MallocFreeChurnUnderPressure)

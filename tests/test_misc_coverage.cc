@@ -6,15 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "aifmlib/remote_array.hh"
 #include "fastswap/fastswap_runtime.hh"
 #include "net/network_model.hh"
-#include "obs/trace_reader.hh"
 #include "sim/usr_dist.hh"
 #include "tfm/chunk.hh"
-#include "tfm/guard_trace.hh"
 #include "workloads/backend_config.hh"
 #include "workloads/stream.hh"
 
@@ -56,33 +51,6 @@ TEST(UsrDistMisc, DeterministicForSameSeed)
     }
 }
 
-TEST(GuardTraceMisc, DumpIsTraceEventJson)
-{
-    GuardTrace trace;
-    trace.enable(4);
-    trace.record(tfmEncode(0x100), 50, GuardPath::FastRead);
-    trace.record(0x7fff0000, 60, GuardPath::CustodyReject);
-    std::ostringstream os;
-    trace.dump(os);
-    ParsedTrace parsed;
-    std::string error;
-    ASSERT_TRUE(parseTrace(os.str(), parsed, error)) << error;
-    // dump() labels the stream with 'M' metadata records; the guard
-    // events themselves are the timed ones.
-    std::vector<ParsedEvent> timed;
-    for (const ParsedEvent &e : parsed.events) {
-        if (e.ph != 'M')
-            timed.push_back(e);
-    }
-    ASSERT_EQ(timed.size(), 2u);
-    EXPECT_EQ(timed[0].name, "fast-read");
-    EXPECT_EQ(timed[0].ph, 'i');
-    EXPECT_EQ(timed[0].ts, 50u);
-    EXPECT_EQ(timed[0].args.at("addr"), tfmEncode(0x100));
-    EXPECT_EQ(timed[1].name, "custody-reject");
-    EXPECT_EQ(timed[1].ts, 60u);
-}
-
 TEST(FastswapMisc, EvacuateAllFlushesReadaheadState)
 {
     RuntimeConfig cfg;
@@ -107,26 +75,6 @@ TEST(ChunkCursorMisc, ElementSizeMustDivideObjectSize)
     const std::uint64_t addr = rt.tfmMalloc(256);
     EXPECT_DEATH(ChunkCursorRaw(rt, addr, 24, false),
                  "divide the object size");
-}
-
-TEST(RemoteArrayMisc, WriteIteratorPersists)
-{
-    RuntimeConfig cfg;
-    cfg.farHeapBytes = 1 << 20;
-    cfg.localMemBytes = 32 << 10;
-    cfg.objectSizeBytes = 256;
-    AifmRuntime rt(cfg, CostParams{});
-    const int n = 2048;
-    RemoteArray<std::int32_t> array(rt, n);
-    {
-        DerefScope scope(rt);
-        auto it = array.begin(scope, /*for_write=*/true);
-        for (int i = 0; i < n; i++)
-            it.write(i * 11);
-    }
-    rt.runtime().evacuateAll();
-    for (int i = 0; i < n; i += 127)
-        EXPECT_EQ(array.peek(static_cast<std::size_t>(i)), i * 11);
 }
 
 TEST(BackendMisc, DeallocWorksOnEveryBackend)

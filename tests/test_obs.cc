@@ -19,7 +19,6 @@
 #include "obs/trace_reader.hh"
 #include "runtime/far_mem_runtime.hh"
 #include "sim/stats.hh"
-#include "tfm/guard_trace.hh"
 #include "tfm/tfm_runtime.hh"
 
 namespace tfm
@@ -404,21 +403,17 @@ TEST(RuntimeTrace, StreamsGetDistinctPids)
 TEST(GuardPathNames, EveryPathHasAName)
 {
     const GuardPath paths[] = {
-        GuardPath::CustodyReject,  GuardPath::FastRead,
-        GuardPath::FastWrite,      GuardPath::SlowLocalRead,
-        GuardPath::SlowLocalWrite, GuardPath::SlowRemoteRead,
-        GuardPath::SlowRemoteWrite, GuardPath::LocalityLocal,
-        GuardPath::LocalityRemote,  GuardPath::Revalidate,
+        GuardPath::SlowLocalRead,   GuardPath::SlowLocalWrite,
+        GuardPath::SlowRemoteRead,  GuardPath::SlowRemoteWrite,
+        GuardPath::LocalityLocal,   GuardPath::LocalityRemote,
+        GuardPath::Revalidate,
     };
     std::map<std::string, int> seen;
     for (const GuardPath p : paths)
         seen[guardPathName(p)]++;
-    // Ten paths, ten distinct non-placeholder names.
-    EXPECT_EQ(seen.size(), 10u);
+    // Seven traced paths, seven distinct non-placeholder names.
+    EXPECT_EQ(seen.size(), 7u);
     EXPECT_EQ(seen.count("?"), 0u);
-    EXPECT_EQ(seen["custody-reject"], 1);
-    EXPECT_EQ(seen["fast-read"], 1);
-    EXPECT_EQ(seen["fast-write"], 1);
     EXPECT_EQ(seen["slow-local-read"], 1);
     EXPECT_EQ(seen["slow-local-write"], 1);
     EXPECT_EQ(seen["slow-remote-read"], 1);

@@ -661,39 +661,93 @@ TEST(GuardCache, RepeatAccessesHitAtReducedCost)
 
 TEST(GuardCache, EvictionNeverYieldsStalePointer)
 {
-    TfmRuntime rt(guardCacheConfig(2), CostParams{});
-    const std::uint64_t addr = rt.tfmMalloc(8 * 4096);
+    // Three frames. The cached object is written, then evicted (with a
+    // writeback) by locality guards, which never touch the inline
+    // cache, while its frame is recycled for other objects. It comes
+    // back into another frame, so its meta word reads present and safe
+    // again; only the eviction epoch tells that the cached frame now
+    // holds another object.
+    TfmRuntime rt(guardCacheConfig(3), CostParams{});
+    const std::uint64_t addr = rt.tfmMalloc(12 * 4096);
+    for (int i = 1; i < 12; i++) {
+        const std::uint64_t other = 0xb000u + static_cast<std::uint64_t>(i);
+        rt.rawWrite(addr + i * 4096, &other, sizeof(other));
+    }
     const std::uint64_t magic = 0xfeedbead12345678ull;
     rt.store<std::uint64_t>(addr, magic); // object 0 cached
+    const auto &table = rt.runtime().stateTable();
+    const std::uint64_t obj0 = table.objectOf(tfmOffsetOf(addr));
+    const std::uint64_t cached_frame = table[obj0].frame();
 
-    // Force object 0 out; its frame is recycled for other objects whose
-    // contents differ, so a stale cached frame pointer would be visible
-    // as wrong data.
-    for (int i = 1; i < 7; i++)
-        rt.store<std::uint64_t>(addr + i * 4096,
-                                0xb000u + static_cast<std::uint64_t>(i));
+    // Walk a pinned window over objects 1.. until object 0 is gone and
+    // its frame has been recycled twice, ending with the window on the
+    // object that holds that frame.
+    HostWindow window;
+    int recycled = 0;
+    std::uint64_t pinned_obj = 0;
+    for (int i = 1; i < 12 && recycled < 2; i++) {
+        rt.localityGuard(addr + i * 4096, window, false);
+        pinned_obj = table.objectOf(tfmOffsetOf(addr + i * 4096));
+        recycled += table[pinned_obj].frame() == cached_frame;
+    }
+    ASSERT_EQ(recycled, 2);
     ASSERT_FALSE(rt.runtime().isLocal(tfmOffsetOf(addr)));
-    ASSERT_GT(rt.runtime().evictionEpoch(), 0u);
+    // The pin keeps the recycled frame from taking object 0 back.
+    rt.localityGuard(addr, window, false);
+    rt.endChunk(window);
+    ASSERT_TRUE(rt.runtime().isLocal(tfmOffsetOf(addr)));
+    ASSERT_NE(table[obj0].frame(), cached_frame);
+    ASSERT_EQ(table[pinned_obj].frame(), cached_frame);
 
     const std::uint64_t hits_before = rt.guardStats().cacheHitReads;
     EXPECT_EQ(rt.load<std::uint64_t>(addr), magic);
-    // The re-access missed the inline cache (epoch moved on).
     EXPECT_EQ(rt.guardStats().cacheHitReads, hits_before);
 }
 
 TEST(GuardCache, EvacuationInvalidatesCachedTranslation)
 {
-    TfmRuntime rt(guardCacheConfig(16), CostParams{});
-    const std::uint64_t addr = rt.tfmMalloc(4096);
+    // Two frames. evacuateAll() unmaps the cached object; another
+    // object then takes the cached frame, and the cached object comes
+    // back into the other one. Its meta word reads present and safe,
+    // so only the eviction epoch tells that the cached frame is stale.
+    TfmRuntime rt(guardCacheConfig(2), CostParams{});
+    const std::uint64_t addr = rt.tfmMalloc(4 * 4096);
+    for (int i = 1; i < 4; i++) {
+        const std::uint64_t other = 0xb000u + static_cast<std::uint64_t>(i);
+        rt.rawWrite(addr + i * 4096, &other, sizeof(other));
+    }
     rt.store<std::uint64_t>(addr, 111);
     rt.load<std::uint64_t>(addr); // cache is hot
+    const auto &table = rt.runtime().stateTable();
+    const std::uint64_t obj0 = table.objectOf(tfmOffsetOf(addr));
+    const std::uint64_t cached_frame = table[obj0].frame();
 
     rt.runtime().evacuateAll();
-    // Mutate the remote copy directly; a stale cache hit would still
-    // see the old frame contents instead of refetching.
+    // Mutate the remote copy directly: a stale cache hit would read the
+    // other object's bytes instead of the refetched value.
     const std::uint64_t fresh = 222;
     rt.runtime().rawWrite(tfmOffsetOf(addr), &fresh, sizeof(fresh));
+
+    // Locality guards never touch the inline cache. Pin the first
+    // object that lands in the cached frame, then bring object 0 back.
+    HostWindow window;
+    std::uint64_t pinned_obj = obj0;
+    for (int i = 1; i < 4 && pinned_obj == obj0; i++) {
+        rt.localityGuard(addr + i * 4096, window, false);
+        const std::uint64_t obj = table.objectOf(tfmOffsetOf(addr + i * 4096));
+        if (table[obj].frame() == cached_frame)
+            pinned_obj = obj;
+    }
+    ASSERT_NE(pinned_obj, obj0);
+    rt.localityGuard(addr, window, false);
+    rt.endChunk(window);
+    ASSERT_TRUE(rt.runtime().isLocal(tfmOffsetOf(addr)));
+    ASSERT_NE(table[obj0].frame(), cached_frame);
+    ASSERT_EQ(table[pinned_obj].frame(), cached_frame);
+
+    const std::uint64_t hits_before = rt.guardStats().cacheHitReads;
     EXPECT_EQ(rt.load<std::uint64_t>(addr), fresh);
+    EXPECT_EQ(rt.guardStats().cacheHitReads, hits_before);
 }
 
 TEST(GuardCache, RelocalizedObjectMissesOnEpoch)
@@ -726,6 +780,42 @@ TEST(GuardCache, RelocalizedObjectMissesOnEpoch)
     const std::uint64_t hits_before = rt.guardStats().cacheHitReads;
     EXPECT_EQ(rt.load<std::uint64_t>(addr), magic);
     EXPECT_EQ(rt.guardStats().cacheHitReads, hits_before);
+}
+
+TEST(HostWindowPin, LocalityPinHoldsFrameUnderGuardedTraffic)
+{
+    // Three frames. A locality guard pins object 0's window; guarded
+    // loads and stores over ten other objects then recycle both other
+    // frames several times. Reading through the window must still see
+    // object 0's bytes in object 0's frame: the pin, not luck, keeps
+    // the frame. The checks run before endChunk, so a missing pin fails
+    // here rather than only in the unpin.
+    TfmRuntime rt(guardCacheConfig(3), CostParams{});
+    const std::uint64_t addr = rt.tfmMalloc(11 * 4096);
+    const std::uint64_t magic = 0x5eed0f0b1ec7d00dull;
+    rt.rawWrite(addr + 64, &magic, sizeof(magic));
+    const auto &table = rt.runtime().stateTable();
+    const std::uint64_t obj0 = table.objectOf(tfmOffsetOf(addr));
+
+    HostWindow window;
+    rt.localityGuard(addr, window, false);
+    const std::uint64_t pinned_frame = table[obj0].frame();
+    const std::uint64_t evictions_before = rt.runtime().stats().evictions;
+    for (int pass = 0; pass < 2; pass++) {
+        for (int i = 1; i < 11; i++) {
+            const std::uint64_t at = addr + i * 4096;
+            rt.store<std::uint64_t>(at + 64, rt.load<std::uint64_t>(at) + i);
+        }
+    }
+    // 2 passes x 10 objects through 2 unpinned frames.
+    ASSERT_GE(rt.runtime().stats().evictions - evictions_before, 4u);
+
+    std::uint64_t seen = 0;
+    std::memcpy(&seen, window.at(tfmOffsetOf(addr + 64)), sizeof(seen));
+    ASSERT_EQ(seen, magic);
+    ASSERT_TRUE(rt.runtime().isLocal(tfmOffsetOf(addr)));
+    ASSERT_EQ(table[obj0].frame(), pinned_frame);
+    rt.endChunk(window);
 }
 
 TEST(GuardCache, DisabledByConfigNeverHits)

@@ -36,8 +36,12 @@ echo "check_build: perfbench anchor OK"
 # (analytics) pin the chunked loops of two applications, whose pinned
 # windows move no cycle either. Table 1 and 2 pin the guard
 # and fault primitives the runtime charges, and Fig. 14 pins TrackFM,
-# AIFM and Fastswap side by side on one application. An intended model
-# change regenerates the expected file from the bench's line.
+# AIFM and Fastswap side by side on one application. The two ablations
+# pin naive guards at five fast-path costs against chunking, and the
+# chunked stream's prefetch depth sweep; guard_opt pins dynamic guards,
+# revalidations and cycles with the guard optimizer off and on, so a
+# change to a guard path moves a cell there. An intended model change
+# regenerates the expected file from the bench's line.
 FIG_DIR="${BUILD_DIR}/figure_gate"
 mkdir -p "${FIG_DIR}"
 for fig in table1:bench_table1_guard_costs \
@@ -53,7 +57,10 @@ for fig in table1:bench_table1_guard_costs \
            fig14:bench_fig14_analytics \
            fig15:bench_fig15_analytics_chunking \
            serving:bench_serving \
-           sec46:bench_sec46_compile_costs; do
+           sec46:bench_sec46_compile_costs \
+           ablation_guards:bench_ablation_guards \
+           ablation_prefetch:bench_ablation_prefetch \
+           guard_opt:bench_guard_opt; do
     "${BUILD_DIR}/bench/${fig#*:}" > "${FIG_DIR}/${fig%%:*}.out"
     if command -v python3 > /dev/null; then
         python3 tools/check_bench_json.py "${FIG_DIR}/${fig%%:*}.out" \
