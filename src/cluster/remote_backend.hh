@@ -93,29 +93,53 @@ class RemoteBackend
 
     virtual std::uint64_t capacity() const = 0;
 
-    /** Blocking demand fetch (full round trip, clock advances). */
+    /**
+     * Blocking demand fetch (full round trip, clock advances).
+     *
+     * A null @p dst makes the fetch charge-only: the link is charged,
+     * the message and its bytes are counted, and a recorder records it
+     * (a replay replays it) exactly as with a buffer, but no host byte
+     * is copied. The paging plane fetches this way, because its callers
+     * read the far heap in place.
+     */
     virtual void fetch(std::uint64_t offset, std::byte *dst,
                        std::size_t len) = 0;
 
-    /** Async single-object fetch; returns the arrival cycle. */
+    /**
+     * Async single-object fetch; returns the arrival cycle. A null
+     * @p dst is charge-only, as in fetch().
+     */
     virtual std::uint64_t fetchAsync(std::uint64_t offset, std::byte *dst,
                                      std::size_t len) = 0;
 
     /**
      * Async multi-object fetch. One coalesced message per remote node
      * touched; @p arrivals (when non-null) gets the per-segment arrival
-     * cycle, index-aligned with @p segs.
+     * cycle, index-aligned with @p segs. Every segment needs a buffer:
+     * the batch calls have no charge-only form.
      * @return arrival of the last payload.
      */
     virtual std::uint64_t
     fetchBatchAsync(const std::vector<RemoteFetchSeg> &segs,
                     std::vector<std::uint64_t> *arrivals = nullptr) = 0;
 
-    /** Async single-object writeback (evacuation). */
+    /**
+     * Async single-object writeback (evacuation).
+     *
+     * A null @p src is charge-only, as in fetch(): the transfer is
+     * charged, counted and recorded, and every store keeps its bytes.
+     * It is for data the far heap already holds, such as a page the
+     * paging plane writes back after its callers wrote it in place. It
+     * writes no replica, so it never re-homes a stripe lost with its
+     * last replica; a cluster dies on such a stripe instead.
+     */
     virtual void writeback(std::uint64_t offset, const std::byte *src,
                            std::size_t len) = 0;
 
-    /** Coalesced multi-object writeback (batched evacuation flush). */
+    /**
+     * Coalesced multi-object writeback (batched evacuation flush).
+     * Every segment needs a buffer, as in fetchBatchAsync().
+     */
     virtual void writebackBatch(const std::vector<RemoteWriteSeg> &segs) = 0;
 
     /** @name Initialization / verification (no cycle accounting)

@@ -83,7 +83,7 @@ ShardedCluster::liveReplicas(std::uint64_t stripe) const
 std::uint32_t
 ShardedCluster::readShard(std::uint64_t stripe)
 {
-    if (!lost_.empty() && stripe < lost_.size() && lost_[stripe])
+    if (lost(stripe))
         TFM_PANIC("read of a stripe lost with its last replica");
     const ReplicaSet set = liveReplicas(stripe);
     TFM_ASSERT(set.count > 0,
@@ -302,6 +302,9 @@ ShardedCluster::writeback(std::uint64_t offset, const std::byte *src,
     TFM_ASSERT(len == 0 || stripeOf(offset) == stripeOf(offset + len - 1),
                "writeback segment straddles a stripe boundary");
     const std::uint64_t stripe = stripeOf(offset);
+    // A charge-only write carries no bytes to re-home a lost stripe with.
+    if (!src && lost(stripe))
+        TFM_PANIC("charge-only write of a stripe lost with its last replica");
     const ReplicaSet set = liveReplicas(stripe);
     TFM_ASSERT(set.count > 0,
                "shard failure left no live replica for stripe");
@@ -311,7 +314,8 @@ ShardedCluster::writeback(std::uint64_t offset, const std::byte *src,
         Shard &s = *shards_[set.shard[i]];
         s.node.writeback(s.net, offset, src, len);
     }
-    markStripeWritten(stripe, offset, len);
+    if (src)
+        markStripeWritten(stripe, offset, len);
 }
 
 void
@@ -351,7 +355,7 @@ ShardedCluster::markStripeWritten(std::uint64_t stripe,
                                   std::uint64_t offset, std::size_t len)
 {
     // A write that covers a whole lost stripe makes it readable again.
-    if (lost_.empty() || stripe >= lost_.size() || !lost_[stripe])
+    if (!lost(stripe))
         return;
     const std::uint64_t start = stripe * stripeBytes_;
     const std::uint64_t span =
@@ -392,7 +396,7 @@ ShardedCluster::rawRead(std::uint64_t offset, std::byte *dst,
         const std::uint64_t stripe_end = (stripe + 1) * stripeBytes_;
         const std::size_t chunk = std::min<std::size_t>(
             len - done, static_cast<std::size_t>(stripe_end - at));
-        if (!lost_.empty() && stripe < lost_.size() && lost_[stripe])
+        if (lost(stripe))
             TFM_PANIC("read of a stripe lost with its last replica");
         const ReplicaSet set = liveReplicas(stripe);
         TFM_ASSERT(set.count > 0,

@@ -139,6 +139,12 @@ class ShardedCluster final : public RemoteBackend
     std::uint64_t stripeOf(std::uint64_t offset) const;
     /** First @p repl_ live shards on the ring from the primary. */
     ReplicaSet liveReplicas(std::uint64_t stripe) const;
+    /** Did @p stripe die with its last replica? */
+    bool
+    lost(std::uint64_t stripe) const
+    {
+        return stripe < lost_.size() && lost_[stripe];
+    }
     /** The shard serving reads of @p stripe; panics when none is left. */
     std::uint32_t readShard(std::uint64_t stripe);
     /** Apply any failure whose cycle has been reached. */

@@ -8,10 +8,76 @@
 namespace tfm
 {
 
+ClockRing::ClockRing(std::size_t ids) : links_(ids)
+{
+    TFM_ASSERT(ids < nil, "CLOCK ring ids must fit 32 bits");
+}
+
+void
+ClockRing::pushBack(std::uint32_t id)
+{
+    links_[id] = Link{tail_, nil};
+    if (tail_ == nil)
+        head_ = id;
+    else
+        links_[tail_].next = id;
+    tail_ = id;
+    if (hand_ == nil)
+        hand_ = id;
+    size_++;
+}
+
+std::uint32_t
+ClockRing::hand()
+{
+    TFM_ASSERT(size_ > 0, "CLOCK hand on an empty ring");
+    if (hand_ == nil)
+        hand_ = head_;
+    return hand_;
+}
+
+void
+ClockRing::unlink(std::uint32_t id)
+{
+    const Link link = links_[id];
+    if (link.prev == nil)
+        head_ = link.next;
+    else
+        links_[link.prev].next = link.next;
+    if (link.next == nil)
+        tail_ = link.prev;
+    else
+        links_[link.next].prev = link.prev;
+    size_--;
+}
+
+void
+ClockRing::eraseHand()
+{
+    const std::uint32_t id = hand();
+    hand_ = links_[id].next;
+    unlink(id);
+}
+
+void
+ClockRing::popFrontAndRewind()
+{
+    TFM_ASSERT(size_ > 0, "pop from an empty CLOCK ring");
+    unlink(head_);
+    hand_ = head_;
+}
+
+void
+ClockRing::clear()
+{
+    head_ = tail_ = hand_ = nil;
+    size_ = 0;
+}
+
 PagedPlane::PagedPlane(FarMemRuntime &rt)
     : rt_(rt),
       table_((rt.config().farHeapBytes + pageSize - 1) / pageSize),
-      scratch_(pageSize)
+      resident_(table_.size())
 {
     const RuntimeConfig &cfg = rt.config();
     const std::uint64_t localBytes = cfg.pagedLocalMemBytes
@@ -34,7 +100,7 @@ PagedPlane::forEachSegment(std::uint64_t pageId, Op op)
     for (std::uint64_t at = begin; at < end;) {
         const std::uint64_t next = std::min<std::uint64_t>(
             end, (at / segmentBytes_ + 1) * segmentBytes_);
-        op(at, scratch_.data() + (at - begin), next - at);
+        op(at, next - at);
         at = next;
     }
 }
@@ -43,13 +109,10 @@ void
 PagedPlane::pageOut(std::uint64_t pageId)
 {
     // The far heap already holds the page's bytes (writes go through
-    // rawWrite), so the remote copy is sent back to itself unchanged:
-    // only the transfer is new.
+    // rawWrite or a window onto it), so only the transfer is new.
     RemoteBackend &backend = rt_.backend();
-    forEachSegment(pageId, [&backend](std::uint64_t at, std::byte *buf,
-                                      std::size_t len) {
-        backend.rawRead(at, buf, len);
-        backend.writeback(at, buf, len);
+    forEachSegment(pageId, [&backend](std::uint64_t at, std::size_t len) {
+        backend.writeback(at, nullptr, len);
     });
 }
 
@@ -105,15 +168,14 @@ PagedPlane::majorFault(std::uint64_t pageId, bool for_write)
     rt_.clock().advance(rt_.costs().pageFaultLocalCycles +
                         rt_.costs().pageFaultRemoteSwCycles);
     RemoteBackend &backend = rt_.backend();
-    forEachSegment(pageId, [&backend](std::uint64_t at, std::byte *buf,
-                                      std::size_t len) {
-        backend.fetch(at, buf, len);
+    forEachSegment(pageId, [&backend](std::uint64_t at, std::size_t len) {
+        backend.fetch(at, nullptr, len);
     });
     Page &pg = table_[pageId];
     pg.resident = true;
     pg.dirty = for_write;
     pg.refbit = true;
-    resident_.push_back(pageId);
+    resident_.pushBack(static_cast<std::uint32_t>(pageId));
     _stats.majorFaults++;
 
     readahead(pageId);
@@ -138,40 +200,43 @@ PagedPlane::reclaimOne()
     // paid for); if everything is referenced the sweep degrades to FIFO
     // after one lap, like the kernel's active/inactive approximation.
     for (std::size_t scanned = 0; scanned < 2 * resident_.size(); scanned++) {
-        if (clockHand_ >= resident_.size())
-            clockHand_ = 0;
-        const std::uint64_t pageId = resident_[clockHand_];
+        const std::uint32_t pageId = resident_.hand();
         Page &pg = table_[pageId];
         if (pg.inflight || pg.refbit) {
             pg.refbit = pg.inflight && pg.refbit;
-            clockHand_++;
+            resident_.advance();
             continue;
         }
-        rt_.clock().advance(rt_.costs().pageReclaimCycles);
-        if (pg.dirty) {
-            pageOut(pageId);
-            _stats.pageouts++;
-        }
-        Observability *obs = rt_.obs();
-        if (obs && obs->trace().enabled()) {
-            obs->trace().instant(rt_.obsStream(), TrackApp, "reclaim",
-                                 "fault", rt_.clock().now());
-            obs->trace().arg("page", pageId);
-            obs->trace().arg("dirty", pg.dirty ? 1 : 0);
-        }
-        pg = Page{};
-        resident_.erase(resident_.begin() +
-                        static_cast<std::ptrdiff_t>(clockHand_));
-        _stats.reclaims++;
+        evict(pageId);
+        resident_.eraseHand();
         return;
     }
     // Two full laps found only in-flight pages: evict the oldest one
     // anyway (its readahead bytes are sunk cost; no writeback needed).
-    const std::uint64_t pageId = resident_.front();
+    // Reclaims run only from major faults, and the page the previous
+    // fault mapped is still mapped here, so the sweep above finds a
+    // victim first; this only guarantees that a reclaim never fails.
+    evict(resident_.front());
+    resident_.popFrontAndRewind();
+}
+
+void
+PagedPlane::evict(std::uint64_t pageId)
+{
+    Page &pg = table_[pageId];
     rt_.clock().advance(rt_.costs().pageReclaimCycles);
-    table_[pageId] = Page{};
-    resident_.erase(resident_.begin());
-    clockHand_ = 0;
+    if (pg.dirty) {
+        pageOut(pageId);
+        _stats.pageouts++;
+    }
+    Observability *obs = rt_.obs();
+    if (obs && obs->trace().enabled()) {
+        obs->trace().instant(rt_.obsStream(), TrackApp, "reclaim", "fault",
+                             rt_.clock().now());
+        obs->trace().arg("page", pageId);
+        obs->trace().arg("dirty", pg.dirty ? 1 : 0);
+    }
+    pg = Page{};
     _stats.reclaims++;
 }
 
@@ -193,12 +258,11 @@ PagedPlane::readahead(std::uint64_t pageId)
         pg.inflight = true;
         RemoteBackend &backend = rt_.backend();
         forEachSegment(target, [&backend, &pg](std::uint64_t at,
-                                               std::byte *buf,
                                                std::size_t len) {
             pg.arrival =
-                std::max(pg.arrival, backend.fetchAsync(at, buf, len));
+                std::max(pg.arrival, backend.fetchAsync(at, nullptr, len));
         });
-        resident_.push_back(target);
+        resident_.pushBack(static_cast<std::uint32_t>(target));
         _stats.readaheads++;
         Observability *obs = rt_.obs();
         if (obs && obs->trace().enabled()) {
@@ -213,10 +277,10 @@ void
 PagedPlane::evacuate()
 {
     mapEpoch_++;
-    for (const std::uint64_t pageId : resident_)
+    resident_.forEach([this](std::uint32_t pageId) {
         table_[pageId] = Page{};
+    });
     resident_.clear();
-    clockHand_ = 0;
 }
 
 void

@@ -16,12 +16,16 @@
  * write the far heap through FarMemRuntime::rawRead/rawWrite, so
  * routing a site to the paging plane can change cycle counts but never
  * program results or the heap checksum. That is the legality contract
- * the differential hybrid gate checks.
+ * the differential hybrid gate checks. For the same reason page
+ * transfers are charge-only (RemoteBackend::fetch and writeback with a
+ * null buffer): the far heap already holds every byte, so a fault or a
+ * page-out charges, counts and records its 4 KB but copies none.
  */
 
 #ifndef TRACKFM_FASTSWAP_PAGED_PLANE_HH
 #define TRACKFM_FASTSWAP_PAGED_PLANE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +42,74 @@ struct PagedStats
     std::uint64_t pageouts = 0;    ///< dirty pages written back
     std::uint64_t reclaims = 0;    ///< pages evicted
     std::uint64_t readaheads = 0;  ///< pages pulled in speculatively
+};
+
+/**
+ * The CLOCK ring: resident page ids in the order they became resident,
+ * and a hand.
+ *
+ * An intrusive doubly linked list over page ids (8 bytes of links per
+ * page of the heap), so appending, removing and moving the hand are
+ * O(1). The hand visits pages in exactly the order an index into a
+ * vector would, with removal by erasing in place: it wraps from the
+ * newest page to the oldest, removing the page under it moves it to the
+ * next page (past the end after the newest), and a page appended while
+ * it is past the end is the next page it shows.
+ */
+class ClockRing
+{
+  public:
+    /** A ring over page ids [0, @p ids). */
+    explicit ClockRing(std::size_t ids);
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    /** The oldest page. The ring must not be empty. */
+    std::uint32_t front() const { return head_; }
+
+    /** Add @p id, which must not be in the ring, as the newest page. */
+    void pushBack(std::uint32_t id);
+    /**
+     * The page under the hand; a hand past the end wraps to the oldest
+     * page first. The ring must not be empty.
+     */
+    std::uint32_t hand();
+    /**
+     * Move the hand from the page hand() shows to the next one (past
+     * the end after the newest).
+     */
+    void advance() { hand_ = links_[hand()].next; }
+    /** Remove the page under the hand; the hand moves to the next one. */
+    void eraseHand();
+    /** Remove the oldest page and put the hand on the new oldest one. */
+    void popFrontAndRewind();
+    /** Remove every page; the hand is past the end. */
+    void clear();
+
+    /** Call @p f(id) for each page, oldest first. */
+    template <typename F>
+    void
+    forEach(F f) const
+    {
+        for (std::uint32_t id = head_; id != nil; id = links_[id].next)
+            f(id);
+    }
+
+  private:
+    static constexpr std::uint32_t nil = ~std::uint32_t{0};
+    struct Link
+    {
+        std::uint32_t prev = nil;
+        std::uint32_t next = nil;
+    };
+
+    void unlink(std::uint32_t id);
+
+    std::vector<Link> links_; ///< valid only for ids in the ring
+    std::uint32_t head_ = nil;
+    std::uint32_t tail_ = nil;
+    std::uint32_t hand_ = nil; ///< nil: past the end
+    std::size_t size_ = 0;
 };
 
 /**
@@ -111,15 +183,21 @@ class PagedPlane
     void majorFault(std::uint64_t pageId, bool for_write);
     /** Evict one victim via the CLOCK sweep (budget pressure). */
     void reclaimOne();
+    /**
+     * Evict resident page @p pageId: charge the reclaim, write it back
+     * if dirty, and leave it non-resident. The caller removes it from
+     * the ring.
+     */
+    void evict(std::uint64_t pageId);
     /** Linux-style readahead around a major fault on @p pageId. */
     void readahead(std::uint64_t pageId);
     /** Cumulative paged.* counter emission into the trace (no cycles). */
     void obsCounters();
     /**
-     * Call @p op(offset, buffer, len) for each run of page @p pageId one
-     * remote operation may carry: the whole page (the last page of the
-     * heap may be short), or one cluster stripe, since an operation
-     * must not straddle shards.
+     * Call @p op(offset, len) for each run of page @p pageId one remote
+     * operation may carry: the whole page (the last page of the heap may
+     * be short), or one cluster stripe, since an operation must not
+     * straddle shards.
      */
     template <typename Op>
     void forEachSegment(std::uint64_t pageId, Op op);
@@ -129,15 +207,11 @@ class PagedPlane
     FarMemRuntime &rt_;
     std::uint64_t frameBudget_; ///< resident-page cap
     std::vector<Page> table_;   ///< indexed by page id, whole far heap
-    std::vector<std::uint64_t> resident_; ///< CLOCK ring of page ids
-    std::size_t clockHand_ = 0;
+    ClockRing resident_;        ///< resident pages, oldest first
     std::uint64_t mapEpoch_ = 0;
     /// Remote operations split pages at multiples of this (a cluster
     /// stripe; a whole page on the single-node tier).
     std::uint64_t segmentBytes_ = pageSize;
-    /// Landing buffer for page transfers; the bytes are discarded
-    /// because callers read the far heap through rawRead.
-    std::vector<std::byte> scratch_;
     PagedStats _stats;
 };
 

@@ -93,7 +93,8 @@ ReplayBackend::fetch(std::uint64_t offset, std::byte *dst, std::size_t len)
     std::uint64_t args[4] = {offset, len, 0, 0};
     rec_.record(instance_, FrCat::Backend, FrKind::BackendFetch,
                 clock_.now(), args, kCheckOffsetLen);
-    node_.rawRead(offset, dst, len);
+    if (dst)
+        node_.rawRead(offset, dst, len);
     clock_.advanceTo(args[2]);
 }
 
@@ -104,7 +105,8 @@ ReplayBackend::fetchAsync(std::uint64_t offset, std::byte *dst,
     std::uint64_t args[4] = {offset, len, 0, 0};
     rec_.record(instance_, FrCat::Backend, FrKind::BackendFetchAsync,
                 clock_.now(), args, kCheckOffsetLen);
-    node_.rawRead(offset, dst, len);
+    if (dst)
+        node_.rawRead(offset, dst, len);
     clock_.advanceTo(args[3]);
     return args[2];
 }
@@ -140,7 +142,8 @@ ReplayBackend::writeback(std::uint64_t offset, const std::byte *src,
     std::uint64_t args[4] = {offset, len, 0, 0};
     rec_.record(instance_, FrCat::Backend, FrKind::BackendWriteback,
                 clock_.now(), args, kCheckOffsetLen);
-    node_.rawWrite(offset, src, len);
+    if (src)
+        node_.rawWrite(offset, src, len);
     clock_.advanceTo(args[2]);
 }
 

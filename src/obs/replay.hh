@@ -137,7 +137,8 @@ class RecordingBackend final : public RemoteBackend
 /**
  * Replay-mode backend: a flat store fed by the recorded backend
  * stream. Data moves for real (fetches copy out of the store,
- * writebacks copy in), timing is re-injected from the log, and every
+ * writebacks copy in; a charge-only call copies nothing, as in the
+ * recorded run), timing is re-injected from the log, and every
  * request is verified against the recording. Link-level statistics are
  * reconstructed from the recorded net stream, so end-of-run bandwidth
  * tables still report the original run's traffic.

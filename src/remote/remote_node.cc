@@ -80,7 +80,8 @@ RemoteNode::fetch(NetworkModel &net, std::uint64_t offset, std::byte *dst,
 {
     checkRange(offset, len);
     net.fetchSync(len);
-    std::memcpy(dst, store.data() + offset, len);
+    if (dst)
+        std::memcpy(dst, store.data() + offset, len);
     _stats.fetchRequests++;
     _stats.fetchPayloads++;
     observeServe(net, "remote.fetch", net.now(), 1);
@@ -92,7 +93,8 @@ RemoteNode::fetchAsync(NetworkModel &net, std::uint64_t offset,
 {
     checkRange(offset, len);
     const std::uint64_t arrival = net.fetchAsync(len);
-    std::memcpy(dst, store.data() + offset, len);
+    if (dst)
+        std::memcpy(dst, store.data() + offset, len);
     _stats.fetchRequests++;
     _stats.fetchPayloads++;
     observeServe(net, "remote.fetch", net.now(), 1);
@@ -137,7 +139,8 @@ RemoteNode::writeback(NetworkModel &net, std::uint64_t offset,
 {
     checkRange(offset, len);
     net.writebackAsync(len);
-    std::memcpy(store.data() + offset, src, len);
+    if (src)
+        std::memcpy(store.data() + offset, src, len);
     _stats.writebackRequests++;
     _stats.writebackPayloads++;
     observeServe(net, "remote.writeback", net.now(), 1);

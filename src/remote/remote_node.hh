@@ -82,7 +82,8 @@ class RemoteNode
 
     /**
      * Synchronously fetch @p len bytes at @p offset into @p dst, paying
-     * the full network round trip.
+     * the full network round trip. A null @p dst charges and counts the
+     * transfer but copies nothing (RemoteBackend::fetch).
      */
     void fetch(NetworkModel &net, std::uint64_t offset, std::byte *dst,
                std::size_t len);
@@ -90,7 +91,8 @@ class RemoteNode
     /**
      * Asynchronously fetch (prefetch). Data is copied immediately (the
      * store is in-process) but the returned arrival cycle tells the
-     * runtime when the object may be marked present.
+     * runtime when the object may be marked present. A null @p dst
+     * copies nothing, as in fetch().
      *
      * @return absolute cycle of arrival.
      */
@@ -111,7 +113,11 @@ class RemoteNode
                                   const std::vector<RemoteFetchSeg> &segs,
                                   std::vector<std::uint64_t> *arrivals = nullptr);
 
-    /** Write @p len bytes at @p offset from @p src (evacuation). */
+    /**
+     * Write @p len bytes at @p offset from @p src (evacuation). A null
+     * @p src charges and counts the transfer but leaves the store as it
+     * is (RemoteBackend::writeback).
+     */
     void writeback(NetworkModel &net, std::uint64_t offset,
                    const std::byte *src, std::size_t len);
 

@@ -12,7 +12,6 @@
 #define TRACKFM_SIM_COST_PARAMS_HH
 
 #include <cstdint>
-#include <iosfwd>
 
 namespace tfm
 {
@@ -144,9 +143,6 @@ struct CostParams
     /// Issuing one asynchronous prefetch request.
     std::uint64_t prefetchIssueCycles = 80;
     /** @} */
-
-    /** Print all constants (used by bench binaries for reproducibility). */
-    void dump(std::ostream &os) const;
 };
 
 } // namespace tfm

@@ -445,6 +445,8 @@ TEST(ClusterFailover, UnreplicatedStripeLossIsLoud)
     EXPECT_FALSE(cluster.shardAlive(0));
     // ...but stripe 0 died with shard 0.
     EXPECT_DEATH(cluster.fetch(0, buf.data(), kObj), "lost");
+    // A charge-only write carries no bytes, so it cannot re-home it.
+    EXPECT_DEATH(cluster.writeback(0, nullptr, kObj), "lost");
 
     // A full overwrite re-homes the stripe on the survivors.
     cluster.writeback(0, data.data(), kObj);

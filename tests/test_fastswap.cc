@@ -11,9 +11,11 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "fastswap/fastswap_runtime.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/obs.hh"
 #include "sim/rng.hh"
 #include "stream_harness.hh"
 #include "tfm/tfm_runtime.hh"
@@ -248,6 +250,327 @@ TEST(PagedPlane, SplitsPageTransfersAtClusterStripes)
     EXPECT_EQ(net.fetchMessages, 3u * 4096 / 64);
     EXPECT_EQ(net.bytesWrittenBack, 4096u);
     EXPECT_EQ(net.writebackMessages, 4096u / 64);
+}
+
+/**
+ * The reference CLOCK order: resident pages in a vector, the hand an
+ * index into it, and a reclaimed page erased in place. ClockRing must
+ * visit pages exactly as this does.
+ */
+struct VectorClock
+{
+    std::vector<std::uint32_t> ring;
+    std::size_t hand = 0;
+
+    std::uint32_t
+    handPage()
+    {
+        if (hand >= ring.size())
+            hand = 0;
+        return ring[hand];
+    }
+    void
+    eraseHand()
+    {
+        handPage();
+        ring.erase(ring.begin() + static_cast<std::ptrdiff_t>(hand));
+    }
+    void
+    popFrontAndRewind()
+    {
+        ring.erase(ring.begin());
+        hand = 0;
+    }
+};
+
+std::vector<std::uint32_t>
+ringOrder(const ClockRing &ring)
+{
+    std::vector<std::uint32_t> ids;
+    ring.forEach([&ids](std::uint32_t id) { ids.push_back(id); });
+    return ids;
+}
+
+/**
+ * A seeded mix of every ring operation against the vector order,
+ * including the three cases a linked ring gets wrong most easily: the
+ * hand wrapping at the newest page, a page appended while the hand is
+ * past the end (it must be the next one shown), and removing the oldest
+ * page with the hand rewound (PagedPlane's all-in-flight fallback).
+ */
+TEST(ClockRing, VisitsPagesInVectorOrder)
+{
+    constexpr std::uint32_t kIds = 24;
+    ClockRing ring(kIds);
+    VectorClock ref;
+    std::vector<bool> inRing(kIds, false);
+    Rng rng(7);
+    int wraps = 0, pastEndAppends = 0, rewinds = 0;
+    for (int step = 0; step < 20000; step++) {
+        const std::uint64_t op = rng.below(100);
+        if (ref.ring.empty() || (op < 35 && ref.ring.size() < kIds)) {
+            std::uint32_t id = static_cast<std::uint32_t>(rng.below(kIds));
+            while (inRing[id])
+                id = (id + 1) % kIds;
+            inRing[id] = true;
+            if (!ref.ring.empty() && ref.hand == ref.ring.size())
+                pastEndAppends++;
+            ring.pushBack(id);
+            ref.ring.push_back(id);
+        } else if (op < 65) {
+            if (ref.hand >= ref.ring.size())
+                wraps++;
+            ASSERT_EQ(ring.hand(), ref.handPage()) << "step " << step;
+            ring.advance();
+            ref.hand++;
+        } else if (op < 90) {
+            inRing[ref.handPage()] = false;
+            ring.eraseHand();
+            ref.eraseHand();
+        } else if (op < 99) {
+            inRing[ref.ring.front()] = false;
+            ASSERT_EQ(ring.front(), ref.ring.front()) << "step " << step;
+            ring.popFrontAndRewind();
+            ref.popFrontAndRewind();
+            rewinds++;
+        } else {
+            ring.clear();
+            ref.ring.clear();
+            ref.hand = 0;
+            inRing.assign(kIds, false);
+        }
+        ASSERT_EQ(ring.size(), ref.ring.size()) << "step " << step;
+        ASSERT_EQ(ringOrder(ring), ref.ring) << "step " << step;
+        if (!ref.ring.empty() && rng.below(4) == 0)
+            ASSERT_EQ(ring.hand(), ref.handPage()) << "step " << step;
+    }
+    EXPECT_GT(wraps, 100);
+    EXPECT_GT(pastEndAppends, 100);
+    EXPECT_GT(rewinds, 100);
+}
+
+/**
+ * PagedPlane's residency rules over a VectorClock: major faults with
+ * readahead, minor faults on in-flight pages, CLOCK reclaim with the
+ * two-lap fallback, and evacuation. It records every victim in order.
+ */
+struct PagedModel
+{
+    struct Page
+    {
+        bool resident = false;
+        bool dirty = false;
+        bool inflight = false;
+        bool refbit = false;
+    };
+
+    PagedModel(std::uint64_t pages, std::uint64_t budget,
+               std::uint32_t readahead)
+        : table(pages), budget(budget), readahead(readahead)
+    {}
+
+    void
+    touch(std::uint64_t offset, std::size_t len, bool for_write)
+    {
+        const std::uint64_t last = (offset + std::max<std::size_t>(len, 1) -
+                                    1) / PagedPlane::pageSize;
+        for (std::uint64_t p = offset / PagedPlane::pageSize; p <= last;
+             p++) {
+            Page &pg = table[p];
+            if (!pg.resident) {
+                majorFault(p, for_write);
+                continue;
+            }
+            pg.refbit = true;
+            pg.inflight = false;
+            if (for_write)
+                pg.dirty = true;
+        }
+    }
+
+    void
+    majorFault(std::uint64_t p, bool for_write)
+    {
+        while (clock.ring.size() >= budget)
+            reclaim();
+        table[p] = Page{true, for_write, false, true};
+        append(p);
+        for (std::uint32_t k = 1; k <= readahead; k++) {
+            const std::uint64_t t = p + k;
+            if (t >= table.size() || clock.ring.size() >= budget)
+                break;
+            if (table[t].resident)
+                continue;
+            table[t] = Page{true, false, true, false};
+            append(t);
+        }
+    }
+
+    void
+    append(std::uint64_t p)
+    {
+        if (!clock.ring.empty() && clock.hand == clock.ring.size())
+            pastEndAppends++;
+        clock.ring.push_back(static_cast<std::uint32_t>(p));
+    }
+
+    void
+    reclaim()
+    {
+        for (std::size_t scanned = 0; scanned < 2 * clock.ring.size();
+             scanned++) {
+            Page &pg = table[clock.handPage()];
+            if (pg.inflight || pg.refbit) {
+                pg.refbit = pg.inflight && pg.refbit;
+                clock.hand++;
+                continue;
+            }
+            victim(clock.handPage());
+            clock.eraseHand();
+            return;
+        }
+        fallbacks++;
+        victim(clock.ring.front());
+        clock.popFrontAndRewind();
+    }
+
+    void
+    victim(std::uint32_t p)
+    {
+        victims.push_back(p);
+        dirtyVictims.push_back(table[p].dirty ? 1 : 0);
+        table[p] = Page{};
+    }
+
+    void
+    evacuate()
+    {
+        for (const std::uint32_t p : clock.ring)
+            table[p] = Page{};
+        clock.ring.clear();
+        clock.hand = 0;
+    }
+
+    std::vector<Page> table;
+    std::uint64_t budget;
+    std::uint32_t readahead;
+    VectorClock clock;
+    std::vector<std::uint64_t> victims;
+    std::vector<std::uint64_t> dirtyVictims;
+    int pastEndAppends = 0;
+    int fallbacks = 0;
+};
+
+/**
+ * The plane's reclaim order, read back from the trace's "reclaim"
+ * instants, equals PagedModel's over a seeded mix of reads, writes,
+ * re-touches and one evacuation, with readahead on. The trace must hold
+ * one instant per counted reclaim.
+ *
+ * A readahead window wider than the budget can leave one mapped page
+ * among in-flight ones. Each fault then reclaims that page, the newest
+ * in the ring, and appends its own page while the hand is past the end:
+ * the mix below reaches that case through its hot set and jumps.
+ */
+TEST(PagedPlane, ReclaimOrderMatchesTheVectorClock)
+{
+    Observability obs;
+    RuntimeConfig cfg = smallConfig(6, /*readahead=*/true);
+    cfg.obs = &obs;
+    FastswapRuntime fs(cfg, CostParams{});
+    PagedModel model(cfg.farHeapBytes / PagedPlane::pageSize, 6,
+                     cfg.pagedReadaheadPages);
+    constexpr std::uint64_t kPages = 96;
+    const std::uint64_t heap = fs.allocate(kPages * 4096);
+
+    Rng rng(20240612);
+    std::uint64_t page = 0;
+    std::uint8_t buf[64]{};
+    for (int step = 0; step < 30000; step++) {
+        if (step == 15000) {
+            fs.evacuateAll();
+            model.evacuate();
+        }
+        const std::uint64_t pick = rng.below(100);
+        if (pick < 60)
+            page = rng.below(8);        // the hot set
+        else if (pick < 70)
+            page = (page + 1) % kPages; // sequential, into readahead
+        else if (pick < 95)
+            page = rng.below(kPages);   // a jump: a fresh fault
+        // else: re-touch the page just touched
+        const std::uint64_t at = heap + page * 4096 + rng.below(4096 - 64);
+        const std::size_t len = 1 + rng.below(sizeof(buf));
+        const bool write = rng.below(10) < 3;
+        if (write)
+            fs.writeBytes(at, buf, len);
+        else
+            fs.readBytes(at, buf, len);
+        model.touch(at, len, write);
+    }
+
+    std::vector<std::uint64_t> reclaimed;
+    std::vector<std::uint64_t> dirty;
+    for (const TraceEvent &e : obs.trace().all()) {
+        if (std::strcmp(e.name, "reclaim") == 0) {
+            reclaimed.push_back(e.argValue[0]);
+            dirty.push_back(e.argValue[1]);
+        }
+    }
+    ASSERT_EQ(obs.trace().dropped(), 0u);
+    EXPECT_EQ(reclaimed.size(), fs.stats().reclaims);
+    EXPECT_EQ(reclaimed, model.victims);
+    EXPECT_EQ(dirty, model.dirtyVictims);
+    EXPECT_EQ(fs.stats().pageouts,
+              static_cast<std::uint64_t>(std::count(
+                  model.dirtyVictims.begin(), model.dirtyVictims.end(), 1)));
+    EXPECT_GT(model.victims.size(), 1000u);
+    EXPECT_GT(model.pastEndAppends, 10);
+    // The plane never reaches its two-lap fallback: the page the last
+    // major fault mapped is still mapped at the next reclaim, and two
+    // laps always evict a mapped page. ClockRing.VisitsPagesInVectorOrder
+    // covers the ring's side of the fallback instead.
+    EXPECT_EQ(model.fallbacks, 0);
+}
+
+/**
+ * A charge-only page-out writes no replica, which is safe only because
+ * every replica already holds the page's bytes. A Fastswap run with
+ * dirty page-outs on two shards with two copies each must end with the
+ * replicas byte-identical and the heap equal to a single node's.
+ */
+TEST(Fastswap, ReplicasStayIdenticalUnderChargeOnlyPageOuts)
+{
+    const auto run = [](FastswapRuntime &fs) {
+        const std::uint64_t heap = fs.allocate(96 * 4096);
+        Rng rng(31);
+        for (int step = 0; step < 4000; step++) {
+            const std::uint64_t at = heap + rng.below(96 * 4096 - 8);
+            if (rng.below(2) == 0)
+                fs.store<std::uint64_t>(at, rng());
+            else
+                fs.load<std::uint64_t>(at);
+        }
+    };
+    const RuntimeConfig single = smallConfig(8);
+    RuntimeConfig replicated = single;
+    replicated.cluster.shardCount = 2;
+    replicated.cluster.replicationFactor = 2;
+    FastswapRuntime ref(single, CostParams{});
+    FastswapRuntime fs(replicated, CostParams{});
+    run(ref);
+    run(fs);
+    EXPECT_GT(fs.stats().pageouts, 100u);
+    EXPECT_EQ(fs.stats().pageouts, ref.stats().pageouts);
+
+    RemoteBackend &backend = fs.runtime().backend();
+    ASSERT_EQ(backend.shardCount(), 2u);
+    std::vector<std::byte> a(single.farHeapBytes);
+    std::vector<std::byte> b(single.farHeapBytes);
+    backend.node(0).rawRead(0, a.data(), a.size());
+    backend.node(1).rawRead(0, b.data(), b.size());
+    EXPECT_TRUE(a == b);
+    EXPECT_EQ(fs.runtime().heapChecksum(), ref.runtime().heapChecksum());
 }
 
 /** Fastswap with a four-page budget under three staggered streams. */

@@ -336,17 +336,5 @@ TEST(CostParams, DefaultsMatchPaperTables)
     EXPECT_NEAR(c.netBytesPerCycle, 1.3, 0.01);
 }
 
-TEST(CostParams, DumpMentionsAllGroups)
-{
-    const CostParams c;
-    std::ostringstream os;
-    c.dump(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("fastPath"), std::string::npos);
-    EXPECT_NE(out.find("slowPath"), std::string::npos);
-    EXPECT_NE(out.find("pageFault"), std::string::npos);
-    EXPECT_NE(out.find("netLatency"), std::string::npos);
-}
-
 } // namespace
 } // namespace tfm

@@ -40,8 +40,10 @@ echo "check_build: perfbench anchor OK"
 # pin naive guards at five fast-path costs against chunking, and the
 # chunked stream's prefetch depth sweep; guard_opt pins dynamic guards,
 # revalidations and cycles with the guard optimizer off and on, so a
-# change to a guard path moves a cell there. An intended model change
-# regenerates the expected file from the bench's line.
+# change to a guard path moves a cell there. bench_hybrid pins the guard,
+# paged and hybrid planes of one program, the only bench that runs
+# PagedPlane inside TfmRuntime. An intended model change regenerates the
+# expected file from the bench's line.
 FIG_DIR="${BUILD_DIR}/figure_gate"
 mkdir -p "${FIG_DIR}"
 for fig in table1:bench_table1_guard_costs \
@@ -60,7 +62,8 @@ for fig in table1:bench_table1_guard_costs \
            sec46:bench_sec46_compile_costs \
            ablation_guards:bench_ablation_guards \
            ablation_prefetch:bench_ablation_prefetch \
-           guard_opt:bench_guard_opt; do
+           guard_opt:bench_guard_opt \
+           hybrid:bench_hybrid; do
     "${BUILD_DIR}/bench/${fig#*:}" > "${FIG_DIR}/${fig%%:*}.out"
     if command -v python3 > /dev/null; then
         python3 tools/check_bench_json.py "${FIG_DIR}/${fig%%:*}.out" \
