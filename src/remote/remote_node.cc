@@ -1,8 +1,12 @@
 #include "remote_node.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <mutex>
 
 #include <sys/mman.h>
 
@@ -32,12 +36,85 @@ observeServe(const NetworkModel &net, const char *name, std::uint64_t at,
     obs->trace().arg("payloads", payloads);
 }
 
+/// Parked mappings wait for a store of their size; at most this many,
+/// holding at most kMaxParkedBytes of touched chunks in all, so parking
+/// keeps a bounded amount of host memory resident.
+constexpr std::size_t kMaxParked = 8;
+constexpr std::uint64_t kMaxParkedBytes = 64ull << 20;
+
+/** A dropped store's mapping, waiting for a store of its size. */
+struct ParkedMapping
+{
+    std::byte *bytes = nullptr;
+    std::uint64_t len = 0;
+    std::unique_ptr<std::atomic<std::uint64_t>[]> touched;
+    std::uint64_t touchedBytes = 0;
+};
+
+/** The process-wide parked list, oldest first (never destroyed, so a
+ *  store dropped during static destruction can still park). */
+struct MappingPool
+{
+    MappingPool() { parked.reserve(kMaxParked); }
+
+    std::mutex mu;
+    std::vector<ParkedMapping> parked; ///< guarded by mu; never regrows
+    std::uint64_t touchedBytes = 0;    ///< sum over parked
+};
+
+MappingPool &
+mappingPool()
+{
+    static MappingPool *pool = new MappingPool;
+    return *pool;
+}
+
 } // anonymous namespace
+
+std::uint64_t
+RemoteNode::ZeroFilledBytes::words(std::uint64_t size)
+{
+    const std::uint64_t chunks = ((size - 1) >> kChunkShift) + 1;
+    return (chunks + 63) / 64;
+}
 
 RemoteNode::ZeroFilledBytes::ZeroFilledBytes(std::uint64_t size) : len(size)
 {
     if (size == 0)
         return;
+    {
+        MappingPool &pool = mappingPool();
+        std::lock_guard<std::mutex> g(pool.mu);
+        for (auto it = pool.parked.rbegin(); it != pool.parked.rend();
+             ++it) {
+            if (it->len != size)
+                continue;
+            bytes = it->bytes;
+            touched = std::move(it->touched);
+            pool.touchedBytes -= it->touchedBytes;
+            pool.parked.erase(std::next(it).base());
+            break;
+        }
+    }
+    if (bytes != nullptr) {
+        // Zero what earlier owners wrote; every other chunk still holds
+        // the kernel's zero pages. The bits stay set: those chunks stay
+        // resident, and the next owner's writes land in them again.
+        for (std::uint64_t w = 0; w < words(size); w++) {
+            std::uint64_t bits = touched[w].load(std::memory_order_relaxed);
+            while (bits != 0) {
+                const std::uint64_t at =
+                    (w * 64 + static_cast<std::uint64_t>(
+                                  std::countr_zero(bits)))
+                    << kChunkShift;
+                bits &= bits - 1;
+                std::memset(bytes + at, 0,
+                            std::min<std::uint64_t>(
+                                std::uint64_t{1} << kChunkShift, len - at));
+            }
+        }
+        return;
+    }
     void *p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED) {
@@ -49,12 +126,33 @@ RemoteNode::ZeroFilledBytes::ZeroFilledBytes(std::uint64_t size) : len(size)
         TFM_PANIC(msg);
     }
     bytes = static_cast<std::byte *>(p);
+    touched = std::make_unique<std::atomic<std::uint64_t>[]>(words(size));
 }
 
 RemoteNode::ZeroFilledBytes::~ZeroFilledBytes()
 {
-    if (bytes != nullptr)
+    if (bytes == nullptr)
+        return;
+    std::uint64_t chunks = 0;
+    for (std::uint64_t w = 0; w < words(len); w++)
+        chunks += std::popcount(touched[w].load(std::memory_order_relaxed));
+    const std::uint64_t touched_bytes = chunks << kChunkShift;
+    if (touched_bytes > kMaxParkedBytes) {
         munmap(bytes, len);
+        return;
+    }
+    MappingPool &pool = mappingPool();
+    std::lock_guard<std::mutex> g(pool.mu);
+    while (pool.parked.size() == kMaxParked ||
+           pool.touchedBytes + touched_bytes > kMaxParkedBytes) {
+        // The oldest make room.
+        const ParkedMapping &oldest = pool.parked.front();
+        munmap(oldest.bytes, oldest.len);
+        pool.touchedBytes -= oldest.touchedBytes;
+        pool.parked.erase(pool.parked.begin());
+    }
+    pool.touchedBytes += touched_bytes;
+    pool.parked.push_back({bytes, len, std::move(touched), touched_bytes});
 }
 
 void
@@ -139,8 +237,10 @@ RemoteNode::writeback(NetworkModel &net, std::uint64_t offset,
 {
     checkRange(offset, len);
     net.writebackAsync(len);
-    if (src)
+    if (src) {
+        store.touch(offset, len);
         std::memcpy(store.data() + offset, src, len);
+    }
     _stats.writebackRequests++;
     _stats.writebackPayloads++;
     observeServe(net, "remote.writeback", net.now(), 1);
@@ -157,8 +257,10 @@ RemoteNode::writebackBatch(NetworkModel &net,
         total += seg.len;
     }
     net.writebackBatch(total, static_cast<std::uint32_t>(segs.size()));
-    for (const RemoteWriteSeg &seg : segs)
+    for (const RemoteWriteSeg &seg : segs) {
+        store.touch(seg.offset, seg.len);
         std::memcpy(store.data() + seg.offset, seg.src, seg.len);
+    }
     _stats.writebackRequests++;
     _stats.writebackPayloads += segs.size();
     observeServe(net, "remote.writeback", net.now(), segs.size());
@@ -169,6 +271,7 @@ RemoteNode::rawWrite(std::uint64_t offset, const std::byte *src,
                      std::size_t len)
 {
     checkRange(offset, len);
+    store.touch(offset, len);
     std::memcpy(store.data() + offset, src, len);
 }
 

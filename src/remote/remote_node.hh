@@ -13,8 +13,10 @@
 #ifndef TRACKFM_REMOTE_REMOTE_NODE_HH
 #define TRACKFM_REMOTE_REMOTE_NODE_HH
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -69,7 +71,11 @@ struct RemoteWriteSeg
  *
  * The store starts all zero, lazily: it is an anonymous private
  * mapping, so the kernel supplies zero pages on first touch and a far
- * heap costs host memory only for the pages a run writes.
+ * heap costs host memory only for the pages a run writes. A destroyed
+ * store parks its mapping for the next store of the same size (a few
+ * stay parked process-wide), which zeroes only the 64 KB chunks an
+ * earlier owner wrote, so a process that builds many far heaps in turn
+ * faults their pages in once.
  */
 class RemoteNode
 {
@@ -148,28 +154,41 @@ class RemoteNode
     span(std::uint64_t offset, std::size_t len)
     {
         checkRange(offset, len);
+        store.touch(offset, len);
         return store.data() + offset;
     }
 
     const RemoteStats &stats() const { return _stats; }
 
   private:
-    /** Owner of one zero-filled anonymous mapping (munmap on drop). */
+    /**
+     * Owner of one zero-filled anonymous mapping and of the set of its
+     * 64 KB chunks that any write path of any owner touched. On drop
+     * the mapping is parked in a process-wide list bounded in mappings
+     * and in touched bytes (remote_node.cc); a new store of exactly the
+     * same size takes the newest such mapping and zeroes only its
+     * touched chunks, so it reads zero wherever no owner wrote, as a
+     * fresh mapping does, and faults none of those chunks in again.
+     */
     class ZeroFilledBytes
     {
       public:
+        static constexpr std::uint64_t kChunkShift = 16; ///< 64 KB
+
         explicit ZeroFilledBytes(std::uint64_t size);
         ~ZeroFilledBytes();
 
         ZeroFilledBytes(ZeroFilledBytes &&other) noexcept
             : bytes(std::exchange(other.bytes, nullptr)),
-              len(std::exchange(other.len, 0))
+              len(std::exchange(other.len, 0)),
+              touched(std::move(other.touched))
         {}
         ZeroFilledBytes &
         operator=(ZeroFilledBytes &&other) noexcept
         {
             std::swap(bytes, other.bytes);
             std::swap(len, other.len);
+            std::swap(touched, other.touched);
             return *this;
         }
         ZeroFilledBytes(const ZeroFilledBytes &) = delete;
@@ -178,9 +197,33 @@ class RemoteNode
         std::byte *data() const { return bytes; }
         std::uint64_t size() const { return len; }
 
+        /**
+         * Mark the chunks of [offset, offset + n) as written. Safe from
+         * concurrent writers; a word is written only when one of its
+         * bits is still clear, so a hot chunk costs one relaxed load.
+         */
+        void
+        touch(std::uint64_t offset, std::size_t n)
+        {
+            if (n == 0)
+                return;
+            const std::uint64_t last = (offset + n - 1) >> kChunkShift;
+            for (std::uint64_t c = offset >> kChunkShift; c <= last; c++) {
+                std::atomic<std::uint64_t> &word = touched[c >> 6];
+                const std::uint64_t bit = std::uint64_t{1} << (c & 63);
+                if ((word.load(std::memory_order_relaxed) & bit) == 0)
+                    word.fetch_or(bit, std::memory_order_relaxed);
+            }
+        }
+
       private:
+        /** Words of the touched set of a @p size -byte store. */
+        static std::uint64_t words(std::uint64_t size);
+
         std::byte *bytes = nullptr;
         std::uint64_t len = 0;
+        /// One bit per chunk; null for an empty store.
+        std::unique_ptr<std::atomic<std::uint64_t>[]> touched;
     };
 
     void checkRange(std::uint64_t offset, std::size_t len) const;

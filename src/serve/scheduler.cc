@@ -88,7 +88,7 @@ struct Scheduler::Tenant
           case TenantWorkloadKind::Hashmap: {
             HashmapParams p;
             p.numKeys = cfg.numKeys;
-            p.numOps = 1; // no stored trace: keys arrive open-loop
+            p.numOps = 0; // no stored trace: keys arrive open-loop
             p.zipfSkew = cfg.zipfSkew;
             p.seed = workload_seed;
             hashmap = std::make_unique<HashmapWorkload>(*backend, p);

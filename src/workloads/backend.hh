@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -191,6 +192,56 @@ class MemBackend
         return value;
     }
     /** @} */
+};
+
+/**
+ * Stages unmetered populate writes and hands each run of consecutive
+ * bytes to the backend as one initWrite of at most kBytes. A write that
+ * does not continue the staged run flushes it first, so a loop that
+ * fills several regions keeps one writer per region and the far-heap
+ * image is the one element-wise initT calls would leave (initWrite is
+ * unmetered on every backend). flush() before any initRead/peekT of
+ * the region and before dropCaches(); the destructor flushes the rest.
+ */
+class InitWriter
+{
+  public:
+    static constexpr std::size_t kBytes = 4096;
+
+    explicit InitWriter(MemBackend &backend) : b(backend) {}
+    ~InitWriter() { flush(); }
+    InitWriter(const InitWriter &) = delete;
+    InitWriter &operator=(const InitWriter &) = delete;
+
+    /** Stage @p value for far-heap address @p addr. */
+    template <typename T>
+    void
+    put(std::uint64_t addr, const T &value)
+    {
+        static_assert(sizeof(T) <= kBytes, "element larger than a run");
+        if (used != 0 && (addr != base + used || used + sizeof(T) > kBytes))
+            flush();
+        if (used == 0)
+            base = addr;
+        std::memcpy(buf + used, &value, sizeof(T));
+        used += sizeof(T);
+    }
+
+    /** Write the staged run, if any. */
+    void
+    flush()
+    {
+        if (used == 0)
+            return;
+        b.initWrite(base, buf, used);
+        used = 0;
+    }
+
+  private:
+    MemBackend &b;
+    std::uint64_t base = 0;
+    std::size_t used = 0;
+    std::byte buf[kBytes];
 };
 
 /** Point-in-time counters for windowed measurement. */

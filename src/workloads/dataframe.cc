@@ -26,57 +26,57 @@ DataframeWorkload::DataframeWorkload(MemBackend &backend,
     groupAddrs.reserve(groups);
 
     std::int64_t group_sum = 0;
-    std::uint64_t group_addr = 0;
-    for (std::uint64_t i = 0; i < n; i++) {
-        const std::int64_t pickup =
-            1400000000 + static_cast<std::int64_t>(rng.below(86400 * 30));
-        const std::int64_t duration =
-            120 + static_cast<std::int64_t>(rng.below(3600));
-        const auto passengers =
-            static_cast<std::int32_t>(1 + rng.below(6));
-        const auto distance_hmi =
-            static_cast<std::int32_t>(20 + rng.below(2500));
-        const auto fare_cents = static_cast<std::int32_t>(
-            250 + distance_hmi * 2 + rng.below(500));
-        const auto vendor = static_cast<std::int32_t>(rng.below(2));
+    {
+        // One staging writer per column and one for the row groups, so
+        // each region is populated in 4 KB runs.
+        InitWriter pickup_w(b), hour_w(b), dropoff_w(b), passenger_w(b),
+            distance_w(b), fare_w(b), vendor_w(b), group_w(b);
+        std::uint64_t group_addr = 0;
+        for (std::uint64_t i = 0; i < n; i++) {
+            const std::int64_t pickup =
+                1400000000 + static_cast<std::int64_t>(rng.below(86400 * 30));
+            const std::int64_t duration =
+                120 + static_cast<std::int64_t>(rng.below(3600));
+            const auto passengers =
+                static_cast<std::int32_t>(1 + rng.below(6));
+            const auto distance_hmi =
+                static_cast<std::int32_t>(20 + rng.below(2500));
+            const auto fare_cents = static_cast<std::int32_t>(
+                250 + distance_hmi * 2 + rng.below(500));
+            const auto vendor = static_cast<std::int32_t>(rng.below(2));
 
-        b.initT<std::int64_t>(pickupAddr + i * 8, pickup);
-        b.initT<std::int32_t>(pickupHourAddr + i * 4,
-                              static_cast<std::int32_t>(
-                                  (pickup / 3600) % 24));
-        b.initT<std::int64_t>(dropoffAddr + i * 8, pickup + duration);
-        b.initT<std::int32_t>(passengerAddr + i * 4, passengers);
-        b.initT<std::int32_t>(distanceAddr + i * 4, distance_hmi);
-        b.initT<std::int32_t>(fareAddr + i * 4, fare_cents);
-        b.initT<std::int32_t>(vendorAddr + i * 4, vendor);
+            pickup_w.put<std::int64_t>(pickupAddr + i * 8, pickup);
+            hour_w.put<std::int32_t>(pickupHourAddr + i * 4,
+                                     static_cast<std::int32_t>(
+                                         (pickup / 3600) % 24));
+            dropoff_w.put<std::int64_t>(dropoffAddr + i * 8,
+                                        pickup + duration);
+            passenger_w.put<std::int32_t>(passengerAddr + i * 4, passengers);
+            distance_w.put<std::int32_t>(distanceAddr + i * 4, distance_hmi);
+            fare_w.put<std::int32_t>(fareAddr + i * 4, fare_cents);
+            vendor_w.put<std::int32_t>(vendorAddr + i * 4, vendor);
 
-        // Per-row-group duration arrays: one small heap allocation per
-        // group (the paper's aggregation over small collections of
-        // table rows).
-        const std::uint32_t in_group = i % params.rowGroupSize;
-        if (in_group == 0) {
-            group_addr = b.alloc(params.rowGroupSize * 8);
-            groupAddrs.push_back(group_addr);
+            // Per-row-group duration arrays: one small heap allocation per
+            // group (the paper's aggregation over small collections of
+            // table rows).
+            const std::uint32_t in_group = i % params.rowGroupSize;
+            if (in_group == 0) {
+                group_addr = b.alloc(params.rowGroupSize * 8);
+                groupAddrs.push_back(group_addr);
+            }
+            group_w.put<std::int64_t>(group_addr + in_group * 8, duration);
+
+            // Reference answers.
+            if (passengers >= 4)
+                reference.tripsWithManyPassengers++;
+            if (distance_hmi > 1000)
+                reference.longTrips++;
+            reference.totalFareByHour[(pickup / 3600) % 24] += fare_cents;
+            group_sum += duration;
         }
-        b.initT<std::int64_t>(group_addr + in_group * 8, duration);
-
-        // Reference answers.
-        if (passengers >= 4)
-            reference.tripsWithManyPassengers++;
-        if (distance_hmi > 1000)
-            reference.longTrips++;
-        reference.totalFareByHour[(pickup / 3600) % 24] += fare_cents;
-        group_sum += duration;
-    }
+    } // flushed before dropCaches()
     reference.groupAggregate = group_sum;
     b.dropCaches();
-}
-
-std::uint64_t
-DataframeWorkload::workingSetBytes() const
-{
-    return params.numRows * (8 + 4 + 8 + 4 + 4 + 4 + 4) +
-           groupAddrs.size() * params.rowGroupSize * 8;
 }
 
 std::uint64_t

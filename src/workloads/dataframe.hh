@@ -61,8 +61,6 @@ class DataframeWorkload
   public:
     DataframeWorkload(MemBackend &backend, const DataframeParams &params);
 
-    std::uint64_t workingSetBytes() const;
-
     /** Run the four-query suite once. */
     DataframeResult run();
 

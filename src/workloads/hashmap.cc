@@ -27,9 +27,11 @@ HashmapWorkload::HashmapWorkload(MemBackend &backend,
     traceAddr = b.alloc(params.numOps * sizeof(std::uint32_t));
 
     // Populate the table (unmetered: setup phase).
-    const Slot empty{0, 0, 0, 0};
-    for (std::uint64_t i = 0; i < capacity; i++)
-        b.initWrite(tableAddr + i * sizeof(Slot), &empty, sizeof(Slot));
+    {
+        InitWriter table(b);
+        for (std::uint64_t i = 0; i < capacity; i++)
+            table.put(tableAddr + i * sizeof(Slot), Slot{0, 0, 0, 0});
+    } // flushed before the probes read the table back
     for (std::uint64_t k = 0; k < params.numKeys; k++) {
         std::uint64_t slot = hashKey(static_cast<std::uint32_t>(k)) &
                              (capacity - 1);
@@ -48,19 +50,16 @@ HashmapWorkload::HashmapWorkload(MemBackend &backend,
     }
 
     // Generate and store the access trace (the paper keeps the sampled
-    // key sequence in a heap array of its own).
-    ZipfGenerator zipf(params.numKeys, params.zipfSkew, params.seed);
-    for (std::uint64_t i = 0; i < params.numOps; i++) {
-        const auto key = static_cast<std::uint32_t>(zipf.next());
-        b.initWrite(traceAddr + i * 4, &key, sizeof(key));
+    // key sequence in a heap array of its own). A serving tenant stores
+    // none (numOps = 0) and so builds no sampler.
+    if (params.numOps > 0) {
+        ZipfGenerator zipf(params.numKeys, params.zipfSkew, params.seed);
+        InitWriter trace(b);
+        for (std::uint64_t i = 0; i < params.numOps; i++)
+            trace.put(traceAddr + i * 4,
+                      static_cast<std::uint32_t>(zipf.next()));
     }
     b.dropCaches();
-}
-
-std::uint64_t
-HashmapWorkload::workingSetBytes() const
-{
-    return capacity * sizeof(Slot) + params.numOps * 4;
 }
 
 bool

@@ -61,9 +61,6 @@ class HashmapWorkload
   public:
     HashmapWorkload(MemBackend &backend, const HashmapParams &params);
 
-    /** Total far-memory footprint (table + trace). */
-    std::uint64_t workingSetBytes() const;
-
     /** Run all lookups from the trace. */
     HashmapResult run();
 

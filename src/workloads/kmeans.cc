@@ -17,14 +17,18 @@ KMeansWorkload::KMeansWorkload(MemBackend &backend,
     normAddr = b.alloc(params.numPoints * params.dims * sizeof(float));
 
     Rng rng(params.seed);
-    for (std::uint64_t p = 0; p < params.numPoints; p++) {
-        for (std::uint32_t d = 0; d < params.dims; d++) {
-            const auto v = static_cast<float>(rng.uniform() * 100.0);
-            b.initT<float>(pointsAddr + (p * params.dims + d) * 4, v);
-            b.initT<float>(normAddr + (p * params.dims + d) * 4, v * v);
+    {
+        InitWriter points(b), norms(b), assign(b);
+        for (std::uint64_t p = 0; p < params.numPoints; p++) {
+            for (std::uint32_t d = 0; d < params.dims; d++) {
+                const auto v = static_cast<float>(rng.uniform() * 100.0);
+                points.put<float>(pointsAddr + (p * params.dims + d) * 4, v);
+                norms.put<float>(normAddr + (p * params.dims + d) * 4,
+                                 v * v);
+            }
+            assign.put<std::int32_t>(assignAddr + p * 4, -1);
         }
-        b.initT<std::int32_t>(assignAddr + p * 4, -1);
-    }
+    } // flushed before the centroid read-back below
 
     // Initial centroids: a deterministic sample of the points.
     centroids.resize(static_cast<std::size_t>(params.clusters) *
@@ -38,13 +42,6 @@ KMeansWorkload::KMeansWorkload(MemBackend &backend,
         }
     }
     b.dropCaches();
-}
-
-std::uint64_t
-KMeansWorkload::workingSetBytes() const
-{
-    return params.numPoints * params.dims * 4 + params.numPoints * 4 +
-           params.numPoints * params.dims * 4;
 }
 
 void

@@ -59,8 +59,6 @@ class KMeansWorkload
   public:
     KMeansWorkload(MemBackend &backend, const KMeansParams &params);
 
-    std::uint64_t workingSetBytes() const;
-
     KMeansResult run();
 
   private:

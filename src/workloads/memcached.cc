@@ -27,10 +27,11 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
     while (numBuckets < params.numKeys * 2)
         numBuckets <<= 1;
     indexAddr = b.alloc(numBuckets * sizeof(Bucket));
-    const Bucket empty{0, 0};
-    for (std::uint64_t i = 0; i < numBuckets; i++)
-        b.initWrite(indexAddr + i * sizeof(Bucket), &empty, sizeof(Bucket));
-    footprint = numBuckets * sizeof(Bucket);
+    {
+        InitWriter index(b);
+        for (std::uint64_t i = 0; i < numBuckets; i++)
+            index.put(indexAddr + i * sizeof(Bucket), Bucket{0, 0});
+    } // flushed before the inserts read the index back
 
     // Populate items with USR-style sizes (unmetered setup). Values are
     // a repeating byte derived from the key so gets can be verified.
@@ -41,7 +42,6 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
         const std::uint64_t item_bytes =
             sizeof(ItemHeader) + s.keyBytes + s.valueBytes;
         const std::uint64_t item = b.alloc(item_bytes);
-        footprint += item_bytes;
         const ItemHeader header{k, s.keyBytes, s.valueBytes};
         b.initWrite(item, &header, sizeof(header));
         for (std::uint32_t i = 0; i < s.valueBytes; i++)
@@ -63,9 +63,6 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
             slot = (slot + 1) & (numBuckets - 1);
         }
     }
-
-    keySampler = std::make_unique<ZipfGenerator>(
-        params.numKeys, params.zipfSkew, params.seed);
     b.dropCaches();
 }
 
@@ -164,6 +161,10 @@ MemcachedWorkload::run()
 {
     MemcachedResult result;
     std::uint8_t value[512];
+    if (!keySampler) {
+        keySampler = std::make_unique<ZipfGenerator>(
+            params.numKeys, params.zipfSkew, params.seed);
+    }
     const BackendSnapshot before = snapshot(b);
     for (std::uint64_t i = 0; i < params.numGets; i++) {
         const std::uint64_t key = keySampler->next();

@@ -58,8 +58,6 @@ class MemcachedWorkload
   public:
     MemcachedWorkload(MemBackend &backend, const MemcachedParams &params);
 
-    std::uint64_t workingSetBytes() const { return footprint; }
-
     /** Run the get trace. */
     MemcachedResult run();
 
@@ -92,8 +90,8 @@ class MemcachedWorkload
     MemcachedParams params;
     std::uint64_t numBuckets;
     std::uint64_t indexAddr = 0;
-    std::uint64_t footprint = 0;
-    /// Client-side key sampler; every run() draws a fresh trace, as a
+    /// Client-side key sampler, built by the first run() (serving
+    /// tenants never call it); every run() draws a fresh trace, as a
     /// real load generator would.
     std::unique_ptr<ZipfGenerator> keySampler;
 };

@@ -56,22 +56,25 @@ class CgKernel : public NasKernel
         yAddr = b.alloc(n * 8);
 
         Rng rng(params.seed);
-        for (std::uint64_t row = 0; row <= n; row++) {
-            b.initT<std::uint32_t>(rowptrAddr + row * 4,
-                                   static_cast<std::uint32_t>(
-                                       row * nnzPerRow));
-        }
-        for (std::uint64_t i = 0; i < nnz; i++) {
-            b.initT<std::uint32_t>(
-                colidxAddr + i * 4,
-                static_cast<std::uint32_t>(rng.below(n)));
-            b.initT<double>(valuesAddr + i * 8,
-                            rng.uniform() * 2.0 - 1.0);
-        }
-        for (std::uint64_t i = 0; i < n; i++) {
-            b.initT<double>(xAddr + i * 8, 1.0);
-            b.initT<double>(yAddr + i * 8, 0.0);
-        }
+        {
+            InitWriter rowptr(b), colidx(b), values(b), x(b), y(b);
+            for (std::uint64_t row = 0; row <= n; row++) {
+                rowptr.put<std::uint32_t>(rowptrAddr + row * 4,
+                                          static_cast<std::uint32_t>(
+                                              row * nnzPerRow));
+            }
+            for (std::uint64_t i = 0; i < nnz; i++) {
+                colidx.put<std::uint32_t>(
+                    colidxAddr + i * 4,
+                    static_cast<std::uint32_t>(rng.below(n)));
+                values.put<double>(valuesAddr + i * 8,
+                                   rng.uniform() * 2.0 - 1.0);
+            }
+            for (std::uint64_t i = 0; i < n; i++) {
+                x.put<double>(xAddr + i * 8, 1.0);
+                y.put<double>(yAddr + i * 8, 0.0);
+            }
+        } // flushed before dropCaches()
         b.dropCaches();
     }
 
@@ -160,10 +163,13 @@ class FtKernel : public NasKernel
         TFM_ASSERT((nx & (nx - 1)) == 0, "FT grid must be a power of two");
         gridAddr = b.alloc(cells() * 16); // complex<double>
         Rng rng(params.seed);
-        for (std::uint64_t i = 0; i < cells(); i++) {
-            b.initT<double>(gridAddr + i * 16, rng.uniform());
-            b.initT<double>(gridAddr + i * 16 + 8, rng.uniform());
-        }
+        {
+            InitWriter grid(b);
+            for (std::uint64_t i = 0; i < cells(); i++) {
+                grid.put<double>(gridAddr + i * 16, rng.uniform());
+                grid.put<double>(gridAddr + i * 16 + 8, rng.uniform());
+            }
+        } // flushed before dropCaches()
         b.dropCaches();
     }
 
@@ -278,11 +284,14 @@ class IsKernel : public NasKernel
         ranksAddr = b.alloc(n * 4);
         histAddr = b.alloc(maxKey * 4);
         Rng rng(params.seed);
-        for (std::uint64_t i = 0; i < n; i++) {
-            b.initT<std::uint32_t>(
-                keysAddr + i * 4,
-                static_cast<std::uint32_t>(rng.below(maxKey)));
-        }
+        {
+            InitWriter keys(b);
+            for (std::uint64_t i = 0; i < n; i++) {
+                keys.put<std::uint32_t>(
+                    keysAddr + i * 4,
+                    static_cast<std::uint32_t>(rng.below(maxKey)));
+            }
+        } // flushed before dropCaches()
         b.dropCaches();
     }
 
@@ -370,10 +379,13 @@ class MgKernel : public NasKernel
         fineAddr = b.alloc(cells(n) * 8);
         coarseAddr = b.alloc(cells(n / 2) * 8);
         Rng rng(params.seed);
-        for (std::uint64_t i = 0; i < cells(n); i++)
-            b.initT<double>(fineAddr + i * 8, rng.uniform());
-        for (std::uint64_t i = 0; i < cells(n / 2); i++)
-            b.initT<double>(coarseAddr + i * 8, 0.0);
+        {
+            InitWriter fine(b), coarse(b);
+            for (std::uint64_t i = 0; i < cells(n); i++)
+                fine.put<double>(fineAddr + i * 8, rng.uniform());
+            for (std::uint64_t i = 0; i < cells(n / 2); i++)
+                coarse.put<double>(coarseAddr + i * 8, 0.0);
+        } // flushed before dropCaches()
         b.dropCaches();
     }
 
@@ -517,11 +529,14 @@ class SpKernel : public NasKernel
         lhsAddr = b.alloc(cells() * 8);
         factorAddr = b.alloc(cells() * 8);
         Rng rng(params.seed);
-        for (std::uint64_t i = 0; i < cells(); i++) {
-            b.initT<double>(rhsAddr + i * 8, rng.uniform());
-            b.initT<double>(lhsAddr + i * 8, 2.0 + rng.uniform());
-            b.initT<double>(factorAddr + i * 8, 0.0);
-        }
+        {
+            InitWriter rhs(b), lhs(b), factor(b);
+            for (std::uint64_t i = 0; i < cells(); i++) {
+                rhs.put<double>(rhsAddr + i * 8, rng.uniform());
+                lhs.put<double>(lhsAddr + i * 8, 2.0 + rng.uniform());
+                factor.put<double>(factorAddr + i * 8, 0.0);
+            }
+        } // flushed before dropCaches()
         b.dropCaches();
     }
 

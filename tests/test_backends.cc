@@ -62,6 +62,78 @@ TEST_P(AllBackends, InitIsUnmetered)
     EXPECT_EQ(backend->peekT<std::uint64_t>(addr), 42u);
 }
 
+TEST_P(AllBackends, AllocZeroTakesTheBlockOfAllocFour)
+{
+    // A serving hashmap tenant allocates its empty trace with alloc(0)
+    // where it once stored one key with alloc(4): the block, the next
+    // block and the clock must not tell the two apart.
+    auto four = makeBackend(smallConfig(GetParam()), CostParams{});
+    auto zero = makeBackend(smallConfig(GetParam()), CostParams{});
+    EXPECT_EQ(four->alloc(256 << 10), zero->alloc(256 << 10));
+    EXPECT_EQ(four->alloc(4), zero->alloc(0));
+    EXPECT_EQ(four->alloc(24), zero->alloc(24));
+    EXPECT_EQ(four->alloc(4096), zero->alloc(4096));
+    EXPECT_EQ(four->cycles(), zero->cycles());
+}
+
+TEST_P(AllBackends, InitWriterStagesExactRuns)
+{
+    // Two interleaved regions whose runs are not multiples of the
+    // buffer: 3,075 4-byte words (a 12-byte tail past three full
+    // runs) and 1,001 12-byte records (341 to a run, so runs stop
+    // 4 bytes short of the buffer).
+    struct Rec
+    {
+        std::uint32_t a, b, c;
+    };
+    constexpr std::uint64_t kWords = 3075;
+    constexpr std::uint64_t kRecs = 1001;
+    auto backend = makeBackend(smallConfig(GetParam()), CostParams{});
+    const std::uint64_t words = backend->alloc(kWords * 4);
+    const std::uint64_t recs = backend->alloc(kRecs * sizeof(Rec));
+    const std::uint64_t before = backend->cycles();
+    {
+        InitWriter w(*backend), r(*backend);
+        for (std::uint64_t i = 0; i < kWords; i++) {
+            w.put(words + i * 4, static_cast<std::uint32_t>(i * 7 + 1));
+            if (i < kRecs) {
+                const auto v = static_cast<std::uint32_t>(i);
+                r.put(recs + i * sizeof(Rec), Rec{v, v + 1, v + 2});
+            }
+        }
+    } // both tails flush on destruction
+    EXPECT_EQ(backend->cycles(), before);
+    for (std::uint64_t i = 0; i < kWords; i++) {
+        ASSERT_EQ(backend->peekT<std::uint32_t>(words + i * 4), i * 7 + 1)
+            << "word " << i;
+    }
+    for (std::uint64_t i = 0; i < kRecs; i++) {
+        const Rec got = backend->peekT<Rec>(recs + i * sizeof(Rec));
+        ASSERT_EQ(got.a, i) << "record " << i;
+        ASSERT_EQ(got.c, i + 2) << "record " << i;
+    }
+}
+
+TEST_P(AllBackends, InitWriterFlushesBeforeReadBack)
+{
+    auto backend = makeBackend(smallConfig(GetParam()), CostParams{});
+    const std::uint64_t a = backend->alloc(8192);
+    InitWriter w(*backend);
+    w.put<std::uint64_t>(a, 11);
+    w.put<std::uint64_t>(a + 8, 12);
+    // Staged, not yet written: a read-back needs the flush first.
+    EXPECT_EQ(backend->peekT<std::uint64_t>(a + 8), 0u);
+    w.flush();
+    EXPECT_EQ(backend->peekT<std::uint64_t>(a + 8), 12u);
+    // A put that does not continue the run flushes it.
+    w.put<std::uint64_t>(a + 4096, 13);
+    w.put<std::uint64_t>(a + 64, 14);
+    EXPECT_EQ(backend->peekT<std::uint64_t>(a + 4096), 13u);
+    w.flush();
+    EXPECT_EQ(backend->peekT<std::uint64_t>(a + 64), 14u);
+    EXPECT_EQ(backend->peekT<std::uint64_t>(a), 11u);
+}
+
 TEST_P(AllBackends, StreamWritesThenReads)
 {
     auto backend = makeBackend(smallConfig(GetParam()), CostParams{});

@@ -300,12 +300,80 @@ TEST(RemoteNode, StoreStartsZeroAndSurvivesMoves)
     node.rawWrite(4 << 20, payload.data(), payload.size());
 
     RemoteNode moved(std::move(node));
-    RemoteNode assigned(1024);
-    assigned = std::move(moved);
-    EXPECT_EQ(assigned.capacity(), 8u << 20);
-    std::vector<std::byte> back(64);
-    assigned.rawRead(4 << 20, back.data(), back.size());
-    EXPECT_EQ(back, payload);
+    const std::byte *const host = moved.span(0, 1);
+    {
+        RemoteNode assigned(1024);
+        assigned = std::move(moved);
+        EXPECT_EQ(assigned.capacity(), 8u << 20);
+        std::vector<std::byte> back(64);
+        assigned.rawRead(4 << 20, back.data(), back.size());
+        EXPECT_EQ(back, payload);
+    }
+    // The touched set moved with the mapping: the next store of its
+    // size takes it back and reads zero where the payload was.
+    RemoteNode fresh(8 << 20);
+    EXPECT_EQ(fresh.span(0, 1), host);
+    std::vector<std::byte> again(64, std::byte{0xFF});
+    fresh.rawRead(4 << 20, again.data(), again.size());
+    EXPECT_EQ(again, std::vector<std::byte>(64, std::byte{0}));
+}
+
+/**
+ * Write through every path that stores bytes (rawWrite, writeback,
+ * writebackBatch and a span) at scattered offsets, the last, partial
+ * chunk included, on a store of @p capacity.
+ */
+void
+writeEveryPath(RemoteNode &node, std::uint64_t capacity)
+{
+    CycleClock clock;
+    const CostParams c = simpleCosts();
+    NetworkModel net(clock, c);
+    const std::vector<std::byte> a(100, std::byte{0xA1});
+    const std::vector<std::byte> b(5000, std::byte{0xB2});
+    const std::vector<std::byte> d(64, std::byte{0xD4});
+    node.rawWrite(3, a.data(), a.size());
+    node.writeback(net, (1 << 20) - 2500, b.data(), b.size()); // 2 chunks
+    node.writebackBatch(net, {{(2 << 20) + 12345, d.data(), d.size()},
+                              {capacity - 64, d.data(), d.size()}});
+    std::memset(node.span(3 << 20, 4096), 0xE5, 4096);
+    std::memset(node.span(capacity - 70000, 10), 0xF6, 10);
+}
+
+bool
+allZero(const RemoteNode &node)
+{
+    std::vector<std::byte> all(node.capacity(), std::byte{0xFF});
+    node.rawRead(0, all.data(), all.size());
+    for (const std::byte v : all) {
+        if (v != std::byte{0})
+            return false;
+    }
+    return true;
+}
+
+TEST(RemoteNode, RecycledStoreReadsZero)
+{
+    // Not a multiple of the 64 KB chunk, so the last chunk is partial;
+    // a size no other test uses, so the recycled mapping is this one.
+    const std::uint64_t capacity = (4 << 20) + 3 * 4096;
+    const std::byte *host = nullptr;
+    {
+        RemoteNode node(capacity);
+        host = node.span(0, 1);
+        writeEveryPath(node, capacity);
+        EXPECT_FALSE(allZero(node));
+    }
+    {
+        RemoteNode node(capacity);
+        ASSERT_EQ(node.span(0, 1), host) << "store was not recycled";
+        EXPECT_TRUE(allZero(node));
+        writeEveryPath(node, capacity);
+        RemoteNode moved(std::move(node));
+    }
+    RemoteNode node(capacity);
+    ASSERT_EQ(node.span(0, 1), host) << "moved store was not recycled";
+    EXPECT_TRUE(allZero(node));
 }
 
 TEST(RemoteNodeDeath, OutOfRangeAccessPanics)

@@ -299,5 +299,174 @@ TEST(NasFactory, RejectsUnknownKernels)
                 ::testing::ExitedWithCode(1), "unknown NAS kernel");
 }
 
+/**
+ * Forwards every call to a backend and logs each allocation, so a test
+ * can hash the far-heap image a workload leaves behind through the
+ * backend's own initRead.
+ */
+class AllocLog : public MemBackend
+{
+  public:
+    explicit AllocLog(MemBackend &backend) : in(backend) {}
+
+    std::string name() const override { return in.name(); }
+
+    std::uint64_t
+    alloc(std::uint64_t bytes) override
+    {
+        const std::uint64_t addr = in.alloc(bytes);
+        blocks.emplace_back(addr, bytes);
+        return addr;
+    }
+    void dealloc(std::uint64_t addr) override { in.dealloc(addr); }
+
+    void
+    read(std::uint64_t addr, void *dst, std::size_t len,
+         AccessHint hint) override
+    {
+        in.read(addr, dst, len, hint);
+    }
+    void
+    write(std::uint64_t addr, const void *src, std::size_t len,
+          AccessHint hint) override
+    {
+        in.write(addr, src, len, hint);
+    }
+    std::unique_ptr<SeqStream>
+    stream(std::uint64_t addr, std::uint32_t elem_size, std::uint64_t count,
+           StreamMode mode) override
+    {
+        return in.stream(addr, elem_size, count, mode);
+    }
+    void compute(std::uint64_t cycles) override { in.compute(cycles); }
+
+    void
+    initWrite(std::uint64_t addr, const void *src, std::size_t len) override
+    {
+        in.initWrite(addr, src, len);
+    }
+    void
+    initRead(std::uint64_t addr, void *dst, std::size_t len) override
+    {
+        in.initRead(addr, dst, len);
+    }
+    void dropCaches() override { in.dropCaches(); }
+
+    std::uint64_t cycles() const override { return in.cycles(); }
+    std::uint64_t farEvents() const override { return in.farEvents(); }
+    std::uint64_t guardEvents() const override { return in.guardEvents(); }
+    std::uint64_t bytesFetched() const override { return in.bytesFetched(); }
+    std::uint64_t
+    bytesTransferred() const override
+    {
+        return in.bytesTransferred();
+    }
+    StatSet stats() const override { return in.stats(); }
+
+    /**
+     * FNV-1a over the clock and, in allocation order, every block's
+     * address, size and bytes.
+     */
+    std::uint64_t
+    imageHash()
+    {
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        const auto mix = [&h](const void *p, std::size_t n) {
+            const auto *bytes = static_cast<const unsigned char *>(p);
+            for (std::size_t i = 0; i < n; i++)
+                h = (h ^ bytes[i]) * 0x100000001b3ull;
+        };
+        const std::uint64_t now = in.cycles();
+        mix(&now, sizeof(now));
+        std::vector<unsigned char> buf;
+        for (const auto &[addr, bytes] : blocks) {
+            mix(&addr, sizeof(addr));
+            mix(&bytes, sizeof(bytes));
+            buf.resize(bytes);
+            in.initRead(addr, buf.data(), buf.size());
+            mix(buf.data(), buf.size());
+        }
+        return h;
+    }
+
+  private:
+    MemBackend &in;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> blocks;
+};
+
+/** Build the workload named @p name on @p backend (populate only). */
+void
+populate(const std::string &name, MemBackend &backend)
+{
+    if (name == "dataframe") {
+        DataframeParams p;
+        p.numRows = 3001; // a partial last row group
+        DataframeWorkload w(backend, p);
+    } else if (name == "kmeans") {
+        KMeansParams p;
+        p.numPoints = 2001;
+        KMeansWorkload w(backend, p);
+    } else if (name == "hashmap") {
+        HashmapParams p;
+        p.numKeys = 3000;
+        p.numOps = 5001;
+        HashmapWorkload w(backend, p);
+    } else if (name == "memcached") {
+        MemcachedParams p;
+        p.numKeys = 3000;
+        MemcachedWorkload w(backend, p);
+    } else {
+        NasParams p;
+        p.scale = 8;
+        makeNasKernel(name, backend, p);
+    }
+}
+
+TEST(PopulateImage, FarHeapMatchesElementWisePopulate)
+{
+    // Hashes of each workload's far heap right after construction,
+    // taken from the element-wise initT populate that staged writes
+    // replaced: staging must leave every byte, allocation and cycle
+    // where it was.
+    struct Pin
+    {
+        const char *workload;
+        std::uint64_t local;
+        std::uint64_t trackfm;
+    };
+    const Pin pins[] = {
+        {"dataframe", 15545646956627251773ull,
+         7241333282841043437ull},
+        {"kmeans", 4673827910386932067ull,
+         2114452112749827443ull},
+        {"hashmap", 17599219326636711608ull,
+         3406408755348834744ull},
+        {"memcached", 6906761822144651190ull,
+         793853865602745894ull},
+        {"cg", 13989138994703873698ull,
+         8646545251770395314ull},
+        {"ft", 5918824775776495575ull,
+         16073004809636178375ull},
+        {"is", 15501726833617974245ull,
+         15963056584367443093ull},
+        {"mg", 9209346324127735502ull,
+         129182668674745806ull},
+        {"sp", 12302243789737357648ull,
+         12096834203642000736ull},
+    };
+    for (const Pin &pin : pins) {
+        for (const SystemKind kind :
+             {SystemKind::Local, SystemKind::TrackFm}) {
+            auto backend = makeBackend(baseConfig(kind), CostParams{});
+            AllocLog log(*backend);
+            populate(pin.workload, log);
+            const std::uint64_t want =
+                kind == SystemKind::Local ? pin.local : pin.trackfm;
+            EXPECT_EQ(log.imageHash(), want)
+                << pin.workload << " on " << systemName(kind);
+        }
+    }
+}
+
 } // namespace
 } // namespace tfm

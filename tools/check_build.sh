@@ -42,8 +42,11 @@ echo "check_build: perfbench anchor OK"
 # revalidations and cycles with the guard optimizer off and on, so a
 # change to a guard path moves a cell there. bench_hybrid pins the guard,
 # paged and hybrid planes of one program, the only bench that runs
-# PagedPlane inside TfmRuntime. An intended model change regenerates the
-# expected file from the bench's line.
+# PagedPlane inside TfmRuntime. bench_batching's summary pins the
+# batched data plane's message and cycle ratios (writebackBatch), and
+# bench_cluster_scaling's the 4-shard speedup and the bytes a failed
+# shard's re-replication copies. An intended model change regenerates
+# the expected file from the bench's line.
 FIG_DIR="${BUILD_DIR}/figure_gate"
 mkdir -p "${FIG_DIR}"
 for fig in table1:bench_table1_guard_costs \
@@ -63,7 +66,9 @@ for fig in table1:bench_table1_guard_costs \
            ablation_guards:bench_ablation_guards \
            ablation_prefetch:bench_ablation_prefetch \
            guard_opt:bench_guard_opt \
-           hybrid:bench_hybrid; do
+           hybrid:bench_hybrid \
+           batching:bench_batching \
+           cluster_scaling:bench_cluster_scaling; do
     "${BUILD_DIR}/bench/${fig#*:}" > "${FIG_DIR}/${fig%%:*}.out"
     if command -v python3 > /dev/null; then
         python3 tools/check_bench_json.py "${FIG_DIR}/${fig%%:*}.out" \
@@ -73,7 +78,9 @@ done
 echo "check_build: figure cells OK"
 
 # Observability smoke test: run one bench with --trace, check that the
-# emitted file is Perfetto-loadable JSON and that tfm-stat reads it.
+# emitted file is Perfetto-loadable JSON, that its buffer dropped no
+# event (validate_trace.py fails on otherData.dropped > 0) and that
+# tfm-stat reads it.
 TRACE_FILE="${BUILD_DIR}/smoke_trace.json"
 "${BUILD_DIR}/bench/bench_fig11_prefetch" --trace="${TRACE_FILE}" \
     > /dev/null

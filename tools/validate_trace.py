@@ -25,7 +25,10 @@ Perfetto / chrome://tracing will load. Checks:
     arbiter.guard_sites, arbiter.pgo_tiebreaks), and the cumulative
     paged-plane counters (major_faults, minor_faults, reclaims) are
     monotone per track — paged.resident_pages is a gauge and may move
-    both ways.
+    both ways;
+  * nothing was dropped: otherData.dropped, the count of events the
+    emitter's full buffer turned away, is zero when present (a
+    truncated trace would otherwise validate as a short one).
 
 Exit status 0 when valid; 1 with a diagnostic on the first failure.
 """
@@ -53,6 +56,11 @@ def validate(path):
     events = doc["traceEvents"]
     if not isinstance(events, list):
         fail(f"{path}: traceEvents is not a list")
+    dropped = doc.get("otherData", {}).get("dropped", 0)
+    if not isinstance(dropped, int) or dropped < 0:
+        fail(f"{path}: bad otherData.dropped {dropped!r}")
+    if dropped > 0:
+        fail(f"{path}: truncated: the trace buffer dropped {dropped} events")
 
     last_ts = {}  # (pid, tid) -> last timestamp seen in buffer order
     depth = {}  # (pid, tid) -> open 'B' span count
