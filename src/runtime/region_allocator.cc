@@ -1,5 +1,7 @@
 #include "region_allocator.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace tfm
@@ -13,45 +15,69 @@ RegionAllocator::RegionAllocator(std::uint64_t heap_bytes,
                "object size must be a power of two");
 }
 
-std::uint64_t
-RegionAllocator::classify(std::uint64_t bytes)
+unsigned
+RegionAllocator::classOf(std::uint64_t bytes)
 {
     // Size classes are powers of two starting at 16 bytes.
-    std::uint64_t size = 16;
-    while (size < bytes)
-        size <<= 1;
-    return size;
+    return bytes <= 16 ? kGranuleShift
+                       : static_cast<unsigned>(std::bit_width(bytes - 1));
+}
+
+unsigned
+RegionAllocator::liveClass(std::uint64_t offset) const
+{
+    const std::uint64_t granule = offset >> kGranuleShift;
+    const std::uint64_t page = granule >> kPageShift;
+    if ((offset & ((1ull << kGranuleShift) - 1)) != 0 ||
+        page >= classPages.size() || !classPages[page])
+        return 0;
+    return classPages[page][granule & ((1ull << kPageShift) - 1)];
+}
+
+std::uint8_t &
+RegionAllocator::classSlot(std::uint64_t offset)
+{
+    const std::uint64_t granule = offset >> kGranuleShift;
+    const std::uint64_t page = granule >> kPageShift;
+    if (page >= classPages.size())
+        classPages.resize(page + 1);
+    if (!classPages[page]) {
+        classPages[page] =
+            std::make_unique<std::uint8_t[]>(1ull << kPageShift);
+    }
+    return classPages[page][granule & ((1ull << kPageShift) - 1)];
 }
 
 std::uint64_t
 RegionAllocator::allocate(std::uint64_t bytes)
 {
-    if (bytes == 0)
-        bytes = 1;
-    const std::uint64_t rounded = classify(bytes);
+    // No class of a larger request fits, and none was ever handed out.
+    if (bytes > _heapBytes)
+        return badOffset;
+    const unsigned cls = classOf(bytes);
+    const std::uint64_t rounded = 1ull << cls;
 
-    auto it = freeLists.find(rounded);
-    if (it != freeLists.end() && !it->second.empty()) {
-        const std::uint64_t offset = it->second.back();
-        it->second.pop_back();
-        liveSizes[offset] = rounded;
-        _stats.allocations++;
-        _stats.bytesAllocated += rounded;
-        return offset;
+    std::uint64_t offset;
+    std::vector<std::uint64_t> &reuse = freeLists[cls];
+    if (!reuse.empty()) {
+        offset = reuse.back();
+        reuse.pop_back();
+    } else {
+        // Align every block to min(size class, object size). Large
+        // blocks start on an object boundary and span whole objects;
+        // small blocks are naturally aligned, which also guarantees
+        // they never straddle an object boundary. The bump pointer
+        // stays a multiple of 16, so every block starts on a granule.
+        const std::uint64_t align = rounded < objSize
+                                        ? rounded
+                                        : static_cast<std::uint64_t>(objSize);
+        offset = (bump + align - 1) & ~(align - 1);
+        if (offset + rounded > _heapBytes)
+            return badOffset;
+        bump = offset + rounded;
     }
 
-    // Align every block to min(size class, object size). Large blocks
-    // start on an object boundary and span whole objects; small blocks
-    // are naturally aligned, which also guarantees they never straddle
-    // an object boundary.
-    const std::uint64_t align =
-        rounded < objSize ? rounded : static_cast<std::uint64_t>(objSize);
-    const std::uint64_t offset = (bump + align - 1) & ~(align - 1);
-    if (offset + rounded > _heapBytes)
-        return badOffset;
-
-    bump = offset + rounded;
-    liveSizes[offset] = rounded;
+    classSlot(offset) = static_cast<std::uint8_t>(cls);
     _stats.allocations++;
     _stats.bytesAllocated += rounded;
     return offset;
@@ -60,20 +86,19 @@ RegionAllocator::allocate(std::uint64_t bytes)
 void
 RegionAllocator::deallocate(std::uint64_t offset)
 {
-    auto it = liveSizes.find(offset);
-    TFM_ASSERT(it != liveSizes.end(), "free of unknown far pointer");
-    const std::uint64_t rounded = it->second;
-    liveSizes.erase(it);
-    freeLists[rounded].push_back(offset);
+    const unsigned cls = liveClass(offset);
+    TFM_ASSERT(cls != 0, "free of unknown far pointer");
+    classSlot(offset) = 0;
+    freeLists[cls].push_back(offset);
     _stats.frees++;
-    _stats.bytesFreed += rounded;
+    _stats.bytesFreed += 1ull << cls;
 }
 
 std::uint64_t
 RegionAllocator::sizeOf(std::uint64_t offset) const
 {
-    auto it = liveSizes.find(offset);
-    return it == liveSizes.end() ? 0 : it->second;
+    const unsigned cls = liveClass(offset);
+    return cls == 0 ? 0 : 1ull << cls;
 }
 
 } // namespace tfm

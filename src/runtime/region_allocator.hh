@@ -17,8 +17,9 @@
 #ifndef TRACKFM_RUNTIME_REGION_ALLOCATOR_HH
 #define TRACKFM_RUNTIME_REGION_ALLOCATOR_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 namespace tfm
@@ -38,8 +39,15 @@ struct AllocStats
  *
  * Offsets are never real host addresses; they become TrackFM pointers by
  * tagging (tfm/tagged_ptr.hh). Freed blocks are reused exactly by size
- * class, which is enough fragmentation behaviour for the paper's
- * workloads (memcached-style churn included).
+ * class, newest first, which is enough fragmentation behaviour for the
+ * paper's workloads (memcached-style churn included).
+ *
+ * Every operation is O(1) and touches no hash table (DESIGN.md §2,
+ * runtime/): size classes are powers of two from 16 B, so each has a
+ * LIFO free list in a fixed array indexed by log2(class), and every
+ * block starts on a 16 B granule, so the class of a live block is one
+ * byte per granule (0 for none) in a table paged by 4,096 granules,
+ * whose pages are made the first time a block starts in them.
  */
 class RegionAllocator
 {
@@ -70,17 +78,27 @@ class RegionAllocator
     static constexpr std::uint64_t badOffset = ~0ull;
 
   private:
-    /// Round a small request up to its size class.
-    static std::uint64_t classify(std::uint64_t bytes);
+    /// Blocks start on 16 B granules, the smallest size class.
+    static constexpr unsigned kGranuleShift = 4;
+    /// One class-table page covers 4,096 granules (64 KB of heap).
+    static constexpr unsigned kPageShift = 12;
+
+    /// log2 of the size class of a request of @p bytes (at least 4).
+    static unsigned classOf(std::uint64_t bytes);
+    /// log2 class of the live block starting at @p offset; 0 if none.
+    unsigned liveClass(std::uint64_t offset) const;
+    /// Class-table byte of the granule at @p offset (an aligned
+    /// offset below the heap end), making its page on first use.
+    std::uint8_t &classSlot(std::uint64_t offset);
 
     std::uint64_t _heapBytes;
     std::uint32_t objSize;
     std::uint64_t bump = 0;
     AllocStats _stats;
-    /// size class -> freed offsets of exactly that (rounded) size
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> freeLists;
-    /// live allocation sizes (rounded) for deallocate()
-    std::unordered_map<std::uint64_t, std::uint64_t> liveSizes;
+    /// freeLists[c]: freed offsets of class 2^c, popped newest first.
+    std::array<std::vector<std::uint64_t>, 64> freeLists;
+    /// Class table pages (nullptr until a block starts in the page).
+    std::vector<std::unique_ptr<std::uint8_t[]>> classPages;
 };
 
 } // namespace tfm

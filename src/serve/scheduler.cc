@@ -124,6 +124,36 @@ struct Scheduler::Tenant
         return arrivals->nextGapCycles();
     }
 
+    /** One arrival's draws: its client, its key, the gap after it. */
+    struct Draw
+    {
+        std::uint64_t client = 0;
+        std::uint64_t key = 0;
+        std::uint64_t gap = 0;
+    };
+
+    /**
+     * The next arrival's draws. They are made kDrawBlock arrivals at a
+     * time, each in admit()'s order (client, key, gap): every stream
+     * is the tenant's own, so the values are those of drawing one
+     * arrival at a time, while a tight loop keeps the sampler's tables
+     * in cache.
+     */
+    const Draw &
+    nextDraw()
+    {
+        if (drawn == draws.size()) {
+            draws.resize(kDrawBlock);
+            for (Draw &d : draws) {
+                d.client = arrivals->nextClient();
+                d.key = keySampler->next();
+                d.gap = arrivals->nextGapCycles();
+            }
+            drawn = 0;
+        }
+        return draws[drawn++];
+    }
+
     /** Execute one request; returns service cycles. */
     std::uint64_t
     serve(std::uint64_t key)
@@ -158,6 +188,9 @@ struct Scheduler::Tenant
     std::unique_ptr<ArrivalProcess> arrivals;
     ArrivalConfig arrivalShape;
     std::uint64_t arrivalSeed = 0;
+    static constexpr std::size_t kDrawBlock = 256;
+    std::vector<Draw> draws;
+    std::size_t drawn = 0; ///< draws consumed of the current block
     std::deque<Request> queue;
     TenantReport report;
 };
@@ -249,10 +282,11 @@ Scheduler::admit(std::size_t i)
 {
     Tenant &t = *tenants_[i];
     Request r;
+    const Tenant::Draw &d = t.nextDraw();
     r.arrivalCycle = nextArrival_[i];
-    r.client = t.arrivals->nextClient();
-    r.key = t.keySampler->next();
-    nextArrival_[i] = r.arrivalCycle + t.arrivals->nextGapCycles();
+    r.client = d.client;
+    r.key = d.key;
+    nextArrival_[i] = r.arrivalCycle + d.gap;
     t.report.arrivals++;
     generated_++;
     return r;

@@ -189,7 +189,8 @@ class Scheduler
     /**
      * Generate tenant @p i's pending arrival: draws its client, then
      * its key, then the gap to its next arrival — the one sampling
-     * order both modes share.
+     * order both modes share (made a block of arrivals at a time,
+     * Tenant::nextDraw).
      */
     Request admit(std::size_t i);
     /**

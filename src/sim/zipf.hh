@@ -7,12 +7,34 @@
 #define TRACKFM_SIM_ZIPF_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "rng.hh"
 
 namespace tfm
 {
+
+/**
+ * The immutable sampling tables of one (n, skew) law. Generators of an
+ * equal law share one instance through a process-wide cache
+ * (DESIGN.md §4a); each keeps its own Rng.
+ */
+struct ZipfTable
+{
+    /// cdf[k] = P(X <= k); monotone in [0, 1].
+    std::vector<double> cdf;
+    /// guide[j] = first k with min(floor(cdf[k] * n), n - 1) >= j;
+    /// guide[n] = n.
+    std::vector<std::uint32_t> guide;
+
+    std::uint64_t
+    bytes() const
+    {
+        return cdf.size() * sizeof(double) +
+               guide.size() * sizeof(std::uint32_t);
+    }
+};
 
 /**
  * Samples integers in [0, n) with P(k) proportional to 1 / (k+1)^skew.
@@ -23,10 +45,19 @@ namespace tfm
  * costs O(1) expected probes and returns exactly the rank a search of
  * the whole table would (DESIGN.md §4a). The paper uses skews between
  * 1.0 and 1.3 (Fig. 16) and 1.02 (Fig. 9/13).
+ *
+ * The tables are built once per (n, skew) and process: a generator
+ * takes them from a mutex-guarded cache, which also keeps tables no
+ * generator holds any more, oldest dropped first, up to a fixed byte
+ * bound (kRetainedBytes).
  */
 class ZipfGenerator
 {
   public:
+    /// Bytes of recently built tables the cache keeps alive for later
+    /// generators of the same law.
+    static constexpr std::uint64_t kRetainedBytes = 16ull << 20;
+
     ZipfGenerator(std::uint64_t n, double skew, std::uint64_t seed = 42);
 
     /** Draw one sample (a rank in [0, n)). */
@@ -47,18 +78,14 @@ class ZipfGenerator
 
     std::uint64_t n() const { return _n; }
     double skew() const { return _skew; }
+    /** The shared tables this generator draws against. */
+    const std::shared_ptr<const ZipfTable> &table() const { return tab; }
 
   private:
-    /** Guide bucket of probability @p p: min(floor(p * n), n - 1). */
-    std::uint64_t bucketOf(double p) const;
-
     std::uint64_t _n;
     double _skew;
     Rng rng;
-    /// cdf[k] = P(X <= k); monotone in [0, 1].
-    std::vector<double> cdf;
-    /// guide[j] = first k with bucketOf(cdf[k]) >= j; guide[n] = n.
-    std::vector<std::uint32_t> guide;
+    std::shared_ptr<const ZipfTable> tab;
 };
 
 } // namespace tfm

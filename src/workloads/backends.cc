@@ -7,6 +7,7 @@
 #include "backend_config.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -34,9 +35,11 @@ class LocalBackend : public MemBackend
   public:
     LocalBackend(const BackendConfig &config, const CostParams &cost_params)
         : costs(cost_params),
-          mem(config.farHeapBytes),
+          mem(static_cast<std::byte *>(std::calloc(config.farHeapBytes, 1))),
           alloc_(config.farHeapBytes, 4096)
-    {}
+    {
+        TFM_ASSERT(mem != nullptr, "local heap allocation failed");
+    }
 
     std::string name() const override { return "Local"; }
 
@@ -62,7 +65,7 @@ class LocalBackend : public MemBackend
          AccessHint hint) override
     {
         chargeBase(hint);
-        std::memcpy(dst, mem.data() + addr, len);
+        std::memcpy(dst, mem.get() + addr, len);
     }
 
     void
@@ -70,7 +73,7 @@ class LocalBackend : public MemBackend
           AccessHint hint) override
     {
         chargeBase(hint);
-        std::memcpy(mem.data() + addr, src, len);
+        std::memcpy(mem.get() + addr, src, len);
     }
 
     class Stream : public SeqStream
@@ -95,7 +98,7 @@ class LocalBackend : public MemBackend
         readRun(void *dst, std::uint64_t k) override
         {
             b.clock.advance(k * b.costs.seqAccessCycles);
-            std::memcpy(dst, b.mem.data() + cur, k * elemSize);
+            std::memcpy(dst, b.mem.get() + cur, k * elemSize);
             cur += k * elemSize;
         }
 
@@ -103,7 +106,7 @@ class LocalBackend : public MemBackend
         writeRun(const void *src, std::uint64_t k) override
         {
             b.clock.advance(k * b.costs.seqAccessCycles);
-            std::memcpy(b.mem.data() + cur, src, k * elemSize);
+            std::memcpy(b.mem.get() + cur, src, k * elemSize);
             cur += k * elemSize;
         }
 
@@ -127,13 +130,13 @@ class LocalBackend : public MemBackend
     void
     initWrite(std::uint64_t addr, const void *src, std::size_t len) override
     {
-        std::memcpy(mem.data() + addr, src, len);
+        std::memcpy(mem.get() + addr, src, len);
     }
 
     void
     initRead(std::uint64_t addr, void *dst, std::size_t len) override
     {
-        std::memcpy(dst, mem.data() + addr, len);
+        std::memcpy(dst, mem.get() + addr, len);
     }
 
     void dropCaches() override {}
@@ -160,9 +163,16 @@ class LocalBackend : public MemBackend
                                                      : costs.randAccessCycles);
     }
 
+    struct FreeBytes
+    {
+        void operator()(std::byte *p) const { std::free(p); }
+    };
+
     CostParams costs;
     CycleClock clock;
-    std::vector<std::byte> mem;
+    /// calloc'd, so a large heap is zero-on-demand mapped memory: only
+    /// the pages a run touches become resident.
+    std::unique_ptr<std::byte[], FreeBytes> mem;
     RegionAllocator alloc_;
 };
 

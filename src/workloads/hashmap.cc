@@ -1,5 +1,7 @@
 #include "hashmap.hh"
 
+#include <vector>
+
 #include "sim/logging.hh"
 #include "sim/zipf.hh"
 
@@ -26,27 +28,23 @@ HashmapWorkload::HashmapWorkload(MemBackend &backend,
     tableAddr = b.alloc(capacity * sizeof(Slot));
     traceAddr = b.alloc(params.numOps * sizeof(std::uint32_t));
 
-    // Populate the table (unmetered: setup phase).
+    // Populate the table (unmetered: setup phase). A host bitmap of
+    // the taken slots stands in for reading the table back.
     {
         InitWriter table(b);
         for (std::uint64_t i = 0; i < capacity; i++)
             table.put(tableAddr + i * sizeof(Slot), Slot{0, 0, 0, 0});
-    } // flushed before the probes read the table back
+    } // flushed before the slot writes below overlay it
+    std::vector<bool> taken(capacity, false);
     for (std::uint64_t k = 0; k < params.numKeys; k++) {
         std::uint64_t slot = hashKey(static_cast<std::uint32_t>(k)) &
                              (capacity - 1);
-        while (true) {
-            Slot s;
-            b.initRead(tableAddr + slot * sizeof(Slot), &s, sizeof(Slot));
-            if (s.state == 0) {
-                const Slot fresh{1, static_cast<std::uint32_t>(k),
-                                 static_cast<std::uint32_t>(k * 2 + 1), 0};
-                b.initWrite(tableAddr + slot * sizeof(Slot), &fresh,
-                            sizeof(Slot));
-                break;
-            }
+        while (taken[slot])
             slot = (slot + 1) & (capacity - 1);
-        }
+        taken[slot] = true;
+        const Slot fresh{1, static_cast<std::uint32_t>(k),
+                         static_cast<std::uint32_t>(k * 2 + 1), 0};
+        b.initWrite(tableAddr + slot * sizeof(Slot), &fresh, sizeof(Slot));
     }
 
     // Generate and store the access trace (the paper keeps the sampled

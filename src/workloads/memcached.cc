@@ -31,37 +31,35 @@ MemcachedWorkload::MemcachedWorkload(MemBackend &backend,
         InitWriter index(b);
         for (std::uint64_t i = 0; i < numBuckets; i++)
             index.put(indexAddr + i * sizeof(Bucket), Bucket{0, 0});
-    } // flushed before the inserts read the index back
+    } // flushed before the slot writes below overlay it
 
     // Populate items with USR-style sizes (unmetered setup). Values are
     // a repeating byte derived from the key so gets can be verified.
+    // Each item (header, zero key bytes, value) goes out as one write,
+    // and a host bitmap of the taken index slots stands in for reading
+    // the index back while probing.
     UsrSizeDist sizes(params.seed);
-    std::vector<std::uint8_t> value(512);
+    std::vector<bool> taken(numBuckets, false);
+    std::vector<std::uint8_t> image;
     for (std::uint64_t k = 0; k < params.numKeys; k++) {
         const KvSize s = sizes.next();
-        const std::uint64_t item_bytes =
-            sizeof(ItemHeader) + s.keyBytes + s.valueBytes;
+        const std::uint64_t value_at = sizeof(ItemHeader) + s.keyBytes;
+        const std::uint64_t item_bytes = value_at + s.valueBytes;
         const std::uint64_t item = b.alloc(item_bytes);
         const ItemHeader header{k, s.keyBytes, s.valueBytes};
-        b.initWrite(item, &header, sizeof(header));
+        image.assign(item_bytes, 0);
+        std::memcpy(image.data(), &header, sizeof(header));
         for (std::uint32_t i = 0; i < s.valueBytes; i++)
-            value[i] = static_cast<std::uint8_t>(k * 131 + i);
-        b.initWrite(item + sizeof(ItemHeader) + s.keyBytes, value.data(),
-                    s.valueBytes);
+            image[value_at + i] = static_cast<std::uint8_t>(k * 131 + i);
+        b.initWrite(item, image.data(), item_bytes);
 
         std::uint64_t slot = hashKey(k) & (numBuckets - 1);
-        while (true) {
-            Bucket bucket;
-            b.initRead(indexAddr + slot * sizeof(Bucket), &bucket,
-                       sizeof(bucket));
-            if (bucket.itemAddr == 0) {
-                const Bucket fresh{item, hashKey(k)};
-                b.initWrite(indexAddr + slot * sizeof(Bucket), &fresh,
-                            sizeof(fresh));
-                break;
-            }
+        while (taken[slot])
             slot = (slot + 1) & (numBuckets - 1);
-        }
+        taken[slot] = true;
+        const Bucket fresh{item, hashKey(k)};
+        b.initWrite(indexAddr + slot * sizeof(Bucket), &fresh,
+                    sizeof(fresh));
     }
     b.dropCaches();
 }

@@ -22,6 +22,7 @@
 #include "runtime/frame_cache.hh"
 #include "serve/scheduler.hh"
 #include "sim/cost_params.hh"
+#include "sim/zipf.hh"
 #include "tfm/tfm_runtime.hh"
 
 namespace tfm
@@ -572,6 +573,46 @@ TEST(ConcurrentScheduler, CompletesEverythingAcrossWorkers)
         EXPECT_EQ(report.tenants[i].completions,
                   dr.tenants[i].completions);
     }
+}
+
+/**
+ * Zipf generators built, drawn from and dropped on four threads at once
+ * share the process-wide table cache under its mutex (TSan checks the
+ * locking): every draw equals the one a single-thread generator of the
+ * same law and seed makes.
+ */
+TEST(ConcurrentZipf, ThreadsShareTheTableCache)
+{
+    const std::uint64_t sizes[] = {4000, 9000, 20000};
+    std::vector<std::vector<std::uint64_t>> want;
+    for (const std::uint64_t n : sizes) {
+        ZipfGenerator zipf(n, 1.02, n);
+        std::vector<std::uint64_t> draws(200);
+        for (std::uint64_t &d : draws)
+            d = zipf.next();
+        want.push_back(draws);
+    }
+
+    std::atomic<std::uint64_t> mismatches{0};
+    std::vector<std::thread> threads;
+    for (std::uint32_t t = 0; t < 4; t++) {
+        threads.emplace_back([&, t] {
+            for (std::uint32_t i = 0; i < 30; i++) {
+                const std::size_t law = (t + i) % 3;
+                ZipfGenerator zipf(sizes[law], 1.02, sizes[law]);
+                for (const std::uint64_t d : want[law]) {
+                    if (zipf.next() != d)
+                        mismatches.fetch_add(1);
+                }
+                // A law nobody else draws from: built, then dropped.
+                ZipfGenerator own(1000 + 64 * t + i, 1.1, i);
+                own.next();
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(mismatches.load(), 0u);
 }
 
 } // anonymous namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <unordered_map>
 #include <vector>
 
 #include "runtime/far_mem_runtime.hh"
@@ -131,6 +132,154 @@ TEST(RegionAllocator, BytesInUseTracksAllocations)
     EXPECT_EQ(alloc.bytesInUse(), 256u);
     alloc.deallocate(a);
     EXPECT_EQ(alloc.bytesInUse(), 0u);
+}
+
+/**
+ * The allocator as it was with two hash maps (class -> free list,
+ * offset -> live class): the reference the flat allocator must match
+ * offset for offset.
+ */
+class TwoMapAllocator
+{
+  public:
+    TwoMapAllocator(std::uint64_t heap_bytes, std::uint32_t object_size)
+        : heapBytes(heap_bytes), objSize(object_size)
+    {}
+
+    std::uint64_t
+    allocate(std::uint64_t bytes)
+    {
+        if (bytes == 0)
+            bytes = 1;
+        std::uint64_t rounded = 16;
+        while (rounded < bytes)
+            rounded <<= 1;
+        auto it = freeLists.find(rounded);
+        if (it != freeLists.end() && !it->second.empty()) {
+            const std::uint64_t offset = it->second.back();
+            it->second.pop_back();
+            return take(offset, rounded);
+        }
+        const std::uint64_t align =
+            rounded < objSize ? rounded : std::uint64_t{objSize};
+        const std::uint64_t offset = (bump + align - 1) & ~(align - 1);
+        if (offset + rounded > heapBytes)
+            return RegionAllocator::badOffset;
+        bump = offset + rounded;
+        return take(offset, rounded);
+    }
+
+    void
+    deallocate(std::uint64_t offset)
+    {
+        auto it = liveSizes.find(offset);
+        ASSERT_NE(it, liveSizes.end());
+        freeLists[it->second].push_back(offset);
+        stats.frees++;
+        stats.bytesFreed += it->second;
+        liveSizes.erase(it);
+    }
+
+    std::uint64_t
+    sizeOf(std::uint64_t offset) const
+    {
+        auto it = liveSizes.find(offset);
+        return it == liveSizes.end() ? 0 : it->second;
+    }
+
+    AllocStats stats;
+
+  private:
+    std::uint64_t
+    take(std::uint64_t offset, std::uint64_t rounded)
+    {
+        liveSizes[offset] = rounded;
+        stats.allocations++;
+        stats.bytesAllocated += rounded;
+        return offset;
+    }
+
+    std::uint64_t heapBytes;
+    std::uint32_t objSize;
+    std::uint64_t bump = 0;
+    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> freeLists;
+    std::unordered_map<std::uint64_t, std::uint64_t> liveSizes;
+};
+
+/**
+ * 200K seeded allocations and frees of 16 B to 64 KB classes, in
+ * phases that exhaust the heap and free it again: every offset (or badOffset),
+ * every sizeOf of a block's start, of its interior and of a freed
+ * offset, and the stats must equal the two-map allocator's. Popping a
+ * free list oldest first instead of newest first fails here at the
+ * first reuse of a class with two freed blocks.
+ */
+TEST(RegionAllocator, MatchesTheTwoMapAllocator)
+{
+    for (const std::uint32_t object_size : {64u, 4096u}) {
+        SCOPED_TRACE(object_size);
+        const std::uint64_t heap = 16ull << 20;
+        RegionAllocator alloc(heap, object_size);
+        TwoMapAllocator ref(heap, object_size);
+        Rng rng(0x5eed + object_size);
+        std::vector<std::uint64_t> live;
+        std::uint64_t failed = 0;
+        for (int op = 0; op < 200000; op++) {
+            // Alternate 20K-op phases that grow (a third of the ops
+            // free) and shrink (two thirds free) the live set.
+            const std::uint64_t frees = (op / 20000) % 2 == 0 ? 1 : 2;
+            if (!live.empty() && rng.below(3) < frees) {
+                const std::size_t i = rng.below(live.size());
+                const std::uint64_t offset = live[i];
+                live[i] = live.back();
+                live.pop_back();
+                alloc.deallocate(offset);
+                ref.deallocate(offset);
+                ASSERT_EQ(alloc.sizeOf(offset), 0u) << "op " << op;
+                ASSERT_EQ(ref.sizeOf(offset), 0u) << "op " << op;
+                continue;
+            }
+            const std::uint64_t cls = 4 + rng.below(13); // 16 B .. 64 KB
+            const std::uint64_t bytes =
+                rng.below(8) == 0
+                    ? rng.below(17)
+                    : (1ull << cls) - rng.below(1ull << (cls - 1));
+            const std::uint64_t offset = alloc.allocate(bytes);
+            ASSERT_EQ(offset, ref.allocate(bytes))
+                << "op " << op << ", " << bytes << " bytes";
+            if (offset == RegionAllocator::badOffset) {
+                failed++;
+                continue;
+            }
+            live.push_back(offset);
+            const std::uint64_t size = alloc.sizeOf(offset);
+            ASSERT_EQ(size, ref.sizeOf(offset)) << "op " << op;
+            for (const std::uint64_t inside :
+                 {offset + 1, offset + 16, offset + size / 2,
+                  offset + size - 16}) {
+                ASSERT_EQ(alloc.sizeOf(inside), ref.sizeOf(inside))
+                    << "op " << op << " interior " << inside - offset;
+            }
+            ASSERT_EQ(alloc.stats().allocations, ref.stats.allocations);
+            ASSERT_EQ(alloc.stats().frees, ref.stats.frees);
+            ASSERT_EQ(alloc.stats().bytesAllocated,
+                      ref.stats.bytesAllocated);
+            ASSERT_EQ(alloc.stats().bytesFreed, ref.stats.bytesFreed);
+        }
+        EXPECT_GT(failed, 0u) << "the run never exhausted the heap";
+        for (const std::uint64_t offset : live)
+            ASSERT_EQ(alloc.sizeOf(offset), ref.sizeOf(offset));
+        EXPECT_EQ(alloc.sizeOf(heap + 4096), 0u);
+    }
+}
+
+TEST(RegionAllocatorDeathTest, DoubleFreeIsUnknownPointer)
+{
+    RegionAllocator alloc(1 << 20, 4096);
+    const std::uint64_t a = alloc.allocate(100);
+    alloc.deallocate(a);
+    EXPECT_DEATH(alloc.deallocate(a), "free of unknown far pointer");
+    EXPECT_DEATH(alloc.deallocate(a + 16), "free of unknown far pointer");
 }
 
 TEST(FrameCache, AllocatesUntilFull)

@@ -237,6 +237,82 @@ INSTANTIATE_TEST_SUITE_P(
                                                         250000),
                        ::testing::Values(0.0, 1.02, 1.3)));
 
+/** The CDF a fresh build of (n, skew) yields: the sampler's own loop. */
+std::vector<double>
+freshCdf(std::uint64_t n, double skew)
+{
+    std::vector<double> cdf(n);
+    double sum = 0.0;
+    for (std::uint64_t k = 0; k < n; k++) {
+        sum += 1.0 / std::pow(static_cast<double>(k + 1), skew);
+        cdf[k] = sum;
+    }
+    const double inv = 1.0 / sum;
+    for (auto &p : cdf)
+        p *= inv;
+    return cdf;
+}
+
+/** Draws of @p zipf equal a whole-table search of a fresh CDF fed
+ *  the same uniform stream, and its pmf equals the fresh one. */
+void
+expectFreshDraws(ZipfGenerator &zipf, std::uint64_t seed)
+{
+    const std::vector<double> cdf = freshCdf(zipf.n(), zipf.skew());
+    Rng rng(seed);
+    for (int i = 0; i < 20000; i++) {
+        const auto it =
+            std::lower_bound(cdf.begin(), cdf.end(), rng.uniform());
+        const std::uint64_t want =
+            it == cdf.end() ? zipf.n() - 1
+                            : static_cast<std::uint64_t>(it - cdf.begin());
+        ASSERT_EQ(zipf.next(), want) << "draw " << i;
+    }
+    for (const std::uint64_t k :
+         {std::uint64_t{0}, zipf.n() / 2, zipf.n() - 1})
+        EXPECT_EQ(zipf.pmf(k), k == 0 ? cdf[0] : cdf[k] - cdf[k - 1]);
+}
+
+TEST(ZipfCache, EqualLawSharesOneTable)
+{
+    ZipfGenerator a(3000, 1.02, 1);
+    ZipfGenerator b(3000, 1.02, 2);
+    EXPECT_EQ(a.table(), b.table());
+    EXPECT_NE(ZipfGenerator(3000, 1.03, 1).table(), a.table());
+    EXPECT_NE(ZipfGenerator(3001, 1.02, 1).table(), a.table());
+    // Each generator keeps its own stream over the shared table.
+    ZipfGenerator c(3000, 1.02, 1);
+    for (int i = 0; i < 1000; i++)
+        ASSERT_EQ(a.next(), c.next());
+    expectFreshDraws(b, 2);
+}
+
+TEST(ZipfCache, DroppedTablesStayValidForTheirHolders)
+{
+    ZipfGenerator held(5000, 1.1, 3);
+    const std::weak_ptr<const ZipfTable> held_table = held.table();
+    std::weak_ptr<const ZipfTable> unheld;
+    {
+        ZipfGenerator gone(7000, 1.1, 4);
+        unheld = gone.table();
+    }
+    EXPECT_FALSE(unheld.expired()) << "a fresh table was not retained";
+    // Five laws of a quarter of the bound each push every older table
+    // out of the retained set.
+    const std::uint64_t flood_n =
+        ZipfGenerator::kRetainedBytes / 4 / (sizeof(double) + 4);
+    for (std::uint64_t i = 0; i < 5; i++)
+        ZipfGenerator flood(flood_n + i, 1.1, i);
+    EXPECT_TRUE(unheld.expired()) << "the retained bytes are unbounded";
+    EXPECT_FALSE(held_table.expired());
+    expectFreshDraws(held, 3);
+    // A later generator of the held law still shares its table, and one
+    // of the dropped law gets a correct rebuilt one.
+    EXPECT_EQ(ZipfGenerator(5000, 1.1, 5).table(), held.table());
+    ZipfGenerator rebuilt(7000, 1.1, 4);
+    expectFreshDraws(rebuilt, 4);
+}
+
 TEST(UsrDist, SizesMatchUsrPool)
 {
     UsrSizeDist dist(1);
