@@ -40,10 +40,10 @@ runOne(SystemKind kind, double local_fraction)
     // Analytics sessions re-run query suites over the same columns;
     // two consecutive suites expose the reuse that local memory can
     // capture.
-    const BackendSnapshot before = snapshot(*backend);
+    const BackendSnapshot before = backend->snapshot();
     DataframeResult result = workload.run();
     workload.run();
-    result.delta = deltaSince(before, snapshot(*backend));
+    result.delta = deltaSince(before, backend->snapshot());
     return result;
 }
 

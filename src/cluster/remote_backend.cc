@@ -1,6 +1,7 @@
 #include "remote_backend.hh"
 
 #include "cluster/sharded_cluster.hh"
+#include "obs/replay.hh"
 
 namespace tfm
 {
@@ -10,21 +11,31 @@ RemoteBackend::exportStats(StatSet &) const
 {
 }
 
-void
-RemoteBackend::attachRecorder(FlightRecorder *, std::uint16_t)
-{
-}
-
 std::unique_ptr<RemoteBackend>
 makeRemoteBackend(CycleClock &clock, const CostParams &costs,
                   std::uint64_t capacityBytes, std::uint32_t objectSizeBytes,
-                  const ClusterConfig &config)
+                  const ClusterConfig &config, FlightRecorder *recorder,
+                  std::uint16_t instance)
 {
+    std::unique_ptr<RemoteBackend> tier;
     if (config.wantsCluster()) {
-        return std::make_unique<ShardedCluster>(
+        auto cluster = std::make_unique<ShardedCluster>(
             clock, costs, capacityBytes, objectSizeBytes, config);
+        if (recorder)
+            cluster->attachRecorder(recorder, instance);
+        tier = std::move(cluster);
+    } else {
+        tier = std::make_unique<SingleNodeBackend>(clock, costs,
+                                                   capacityBytes);
+        if (recorder)
+            tier->link(0).attachRecorder(recorder, instance, 0);
     }
-    return std::make_unique<SingleNodeBackend>(clock, costs, capacityBytes);
+    if (!recorder)
+        return tier;
+    // The links log the context streams; the decorator logs the op
+    // stream itself.
+    return std::make_unique<RecordingBackend>(std::move(tier), clock,
+                                              *recorder, instance);
 }
 
 } // namespace tfm

@@ -91,8 +91,6 @@ class RemoteBackend
   public:
     virtual ~RemoteBackend() = default;
 
-    virtual std::uint64_t capacity() const = 0;
-
     /**
      * Blocking demand fetch (full round trip, clock advances).
      *
@@ -164,8 +162,6 @@ class RemoteBackend
 
     /** Aggregate link statistics (sum over shards). */
     virtual NetStats netStats() const = 0;
-    /** Aggregate remote-node statistics (sum over shards). */
-    virtual RemoteStats remoteStats() const = 0;
 
     /**
      * One shard's link statistics. Default: the aggregate (correct for
@@ -191,18 +187,8 @@ class RemoteBackend
     /** Attach the runtime's trace sink to every link. */
     virtual void attachObs(Observability *sink, std::uint32_t stream) = 0;
 
-    /**
-     * Attach the runtime's flight recorder: every link then logs its
-     * message scheduling (and a cluster logs failure/re-replication)
-     * as context events on @p instance's streams. Default: no-op.
-     */
-    virtual void attachRecorder(FlightRecorder *recorder,
-                                std::uint16_t instance);
-
     /** Backend-specific counters ("cluster.*"); default exports none. */
     virtual void exportStats(StatSet &set) const;
-
-    virtual const char *kind() const = 0;
 };
 
 /**
@@ -217,8 +203,6 @@ class SingleNodeBackend final : public RemoteBackend
                       std::uint64_t capacityBytes)
         : net_(clock, costs), node_(capacityBytes)
     {}
-
-    std::uint64_t capacity() const override { return node_.capacity(); }
 
     void
     fetch(std::uint64_t offset, std::byte *dst, std::size_t len) override
@@ -274,7 +258,6 @@ class SingleNodeBackend final : public RemoteBackend
     }
 
     NetStats netStats() const override { return net_.stats(); }
-    RemoteStats remoteStats() const override { return node_.stats(); }
 
     std::uint32_t shardCount() const override { return 1; }
     NetworkModel &link(std::uint32_t) override { return net_; }
@@ -285,15 +268,6 @@ class SingleNodeBackend final : public RemoteBackend
     {
         net_.attachObs(sink, stream);
     }
-
-    void
-    attachRecorder(FlightRecorder *recorder,
-                   std::uint16_t instance) override
-    {
-        net_.attachRecorder(recorder, instance, 0);
-    }
-
-    const char *kind() const override { return "single"; }
 
   private:
     NetworkModel net_;
@@ -307,11 +281,16 @@ class SingleNodeBackend final : public RemoteBackend
  * @param objectSizeBytes the runtime's object size; stripe granularity
  *        defaults to it and must stay a multiple of it, so no coalesced
  *        segment ever straddles a shard boundary.
+ * @param recorder when non-null, every link logs its message
+ *        scheduling (and a cluster its failures and re-replication) as
+ *        context events on @p instance's streams, and the tier comes
+ *        back wrapped in a RecordingBackend that logs each operation.
  */
 std::unique_ptr<RemoteBackend>
 makeRemoteBackend(CycleClock &clock, const CostParams &costs,
                   std::uint64_t capacityBytes, std::uint32_t objectSizeBytes,
-                  const ClusterConfig &config);
+                  const ClusterConfig &config, FlightRecorder *recorder,
+                  std::uint16_t instance);
 
 } // namespace tfm
 

@@ -74,7 +74,6 @@ class ShardedCluster final : public RemoteBackend
 
     /** @name RemoteBackend interface
      * @{ */
-    std::uint64_t capacity() const override { return capacity_; }
     void fetch(std::uint64_t offset, std::byte *dst,
                std::size_t len) override;
     std::uint64_t fetchAsync(std::uint64_t offset, std::byte *dst,
@@ -90,7 +89,6 @@ class ShardedCluster final : public RemoteBackend
     void rawRead(std::uint64_t offset, std::byte *dst,
                  std::size_t len) const override;
     NetStats netStats() const override;
-    RemoteStats remoteStats() const override;
     std::uint32_t
     shardCount() const override
     {
@@ -99,16 +97,21 @@ class ShardedCluster final : public RemoteBackend
     NetworkModel &link(std::uint32_t shard) override;
     RemoteNode &node(std::uint32_t shard) override;
     void attachObs(Observability *sink, std::uint32_t stream) override;
-    void attachRecorder(FlightRecorder *recorder,
-                        std::uint16_t instance) override;
     void exportStats(StatSet &set) const override;
-    const char *kind() const override { return "sharded"; }
     NetStats shardNetStats(std::uint32_t shard) const override;
     ClusterStats clusterStats() const override { return cstats_; }
     /** @} */
 
     /** @name Cluster-specific surface (tests, benches)
      * @{ */
+    /**
+     * Attach a flight recorder: every link then logs its message
+     * scheduling, and the cluster its failures and re-replication, as
+     * context events on @p instance's streams (makeRemoteBackend).
+     */
+    void attachRecorder(FlightRecorder *recorder, std::uint16_t instance);
+    /** Aggregate remote-node statistics (sum over shards). */
+    RemoteStats remoteStats() const;
     std::uint32_t replicationFactor() const { return repl_; }
     std::uint64_t stripeBytes() const { return stripeBytes_; }
     const PlacementPolicy &placement() const { return *policy_; }

@@ -60,14 +60,6 @@ ClockRing::eraseHand()
 }
 
 void
-ClockRing::popFrontAndRewind()
-{
-    TFM_ASSERT(size_ > 0, "pop from an empty CLOCK ring");
-    unlink(head_);
-    hand_ = head_;
-}
-
-void
 ClockRing::clear()
 {
     head_ = tail_ = hand_ = nil;
@@ -199,6 +191,8 @@ PagedPlane::reclaimOne()
     // comes around. In-flight pages are skipped (their fetch is already
     // paid for); if everything is referenced the sweep degrades to FIFO
     // after one lap, like the kernel's active/inactive approximation.
+    // Two laps always find a victim: reclaims run only from major
+    // faults, and the page the previous fault mapped is still mapped.
     for (std::size_t scanned = 0; scanned < 2 * resident_.size(); scanned++) {
         const std::uint32_t pageId = resident_.hand();
         Page &pg = table_[pageId];
@@ -211,13 +205,8 @@ PagedPlane::reclaimOne()
         resident_.eraseHand();
         return;
     }
-    // Two full laps found only in-flight pages: evict the oldest one
-    // anyway (its readahead bytes are sunk cost; no writeback needed).
-    // Reclaims run only from major faults, and the page the previous
-    // fault mapped is still mapped here, so the sweep above finds a
-    // victim first; this only guarantees that a reclaim never fails.
-    evict(resident_.front());
-    resident_.popFrontAndRewind();
+    TFM_PANIC("CLOCK reclaim found only in-flight pages: the page the "
+              "last major fault mapped must still be mapped");
 }
 
 void

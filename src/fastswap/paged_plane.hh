@@ -64,9 +64,6 @@ class ClockRing
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    /** The oldest page. The ring must not be empty. */
-    std::uint32_t front() const { return head_; }
-
     /** Add @p id, which must not be in the ring, as the newest page. */
     void pushBack(std::uint32_t id);
     /**
@@ -81,8 +78,6 @@ class ClockRing
     void advance() { hand_ = links_[hand()].next; }
     /** Remove the page under the hand; the hand moves to the next one. */
     void eraseHand();
-    /** Remove the oldest page and put the hand on the new oldest one. */
-    void popFrontAndRewind();
     /** Remove every page; the hand is past the end. */
     void clear();
 

@@ -261,23 +261,4 @@ ReplayBackend::clusterStats() const
     return stats;
 }
 
-RemoteStats
-ReplayBackend::remoteStats() const
-{
-    // The remote node mirrors the link: requests == messages served.
-    const NetStats net = netStats();
-    RemoteStats stats;
-    stats.fetchRequests = net.fetchMessages;
-    stats.writebackRequests = net.writebackMessages;
-    stats.fetchPayloads = net.fetchPayloads;
-    stats.writebackPayloads = net.writebackPayloads;
-    return stats;
-}
-
-void
-ReplayBackend::exportStats(StatSet &) const
-{
-    // The runtime exports the recorder's replay.* counters itself.
-}
-
 } // namespace tfm

@@ -49,7 +49,6 @@ class RecordingBackend final : public RemoteBackend
           instance_(instance)
     {}
 
-    std::uint64_t capacity() const override { return inner_->capacity(); }
     void fetch(std::uint64_t offset, std::byte *dst,
                std::size_t len) override;
     std::uint64_t fetchAsync(std::uint64_t offset, std::byte *dst,
@@ -82,10 +81,6 @@ class RecordingBackend final : public RemoteBackend
     }
 
     NetStats netStats() const override { return inner_->netStats(); }
-    RemoteStats remoteStats() const override
-    {
-        return inner_->remoteStats();
-    }
     NetStats shardNetStats(std::uint32_t shard) const override
     {
         return inner_->shardNetStats(shard);
@@ -111,21 +106,10 @@ class RecordingBackend final : public RemoteBackend
         inner_->attachObs(sink, stream);
     }
 
-    void
-    attachRecorder(FlightRecorder *recorder,
-                   std::uint16_t instance) override
-    {
-        inner_->attachRecorder(recorder, instance);
-    }
-
     void exportStats(StatSet &set) const override
     {
         inner_->exportStats(set);
     }
-
-    const char *kind() const override { return inner_->kind(); }
-
-    RemoteBackend &inner() { return *inner_; }
 
   private:
     std::unique_ptr<RemoteBackend> inner_;
@@ -150,7 +134,6 @@ class ReplayBackend final : public RemoteBackend
                   std::uint64_t capacityBytes, FlightRecorder &recorder,
                   std::uint16_t instance);
 
-    std::uint64_t capacity() const override { return node_.capacity(); }
     void fetch(std::uint64_t offset, std::byte *dst,
                std::size_t len) override;
     std::uint64_t fetchAsync(std::uint64_t offset, std::byte *dst,
@@ -184,7 +167,6 @@ class ReplayBackend final : public RemoteBackend
 
     /** Aggregated from the recorded net stream (context events). */
     NetStats netStats() const override;
-    RemoteStats remoteStats() const override;
     /** Reconstructed per-shard from the net events' shard argument. */
     NetStats shardNetStats(std::uint32_t shard) const override;
     /** Re-injected from the recorded snapshot (a consumed event). */
@@ -196,8 +178,6 @@ class ReplayBackend final : public RemoteBackend
     RemoteNode &node(std::uint32_t) override { return node_; }
 
     void attachObs(Observability *, std::uint32_t) override {}
-    void exportStats(StatSet &set) const override;
-    const char *kind() const override { return "replay"; }
 
   private:
     /** netStats() restricted to one shard (@p shard < 0: all shards). */

@@ -14,33 +14,22 @@ SafetyReport::totalDiagnostics() const
     return total;
 }
 
-bool
-SafetyCheckPass::run(ir::Module &module)
-{
-    SafetyReport::PassEntry entry;
-    entry.pass = stageLabel;
-    entry.diagnostics = checkGuardSafety(module);
-    report->perPass.push_back(std::move(entry));
-    return false;
-}
-
 void
 installSafetyObserver(
     PassManager &manager, SafetyReport &report,
     std::function<void(const std::string &, const ir::Module &)> next,
-    SafetyCheckCallback on_checked,
-    const std::string &first_checked_pass)
+    SafetyCheckCallback on_checked)
 {
     // The armed flag lives on the heap so the observer stays valid
     // however long the PassManager keeps it.
     auto armed = std::make_shared<bool>(false);
     manager.setObserver(
         [&report, next = std::move(next),
-         on_checked = std::move(on_checked), first_checked_pass,
+         on_checked = std::move(on_checked),
          armed](const std::string &pass, const ir::Module &module) {
             if (next)
                 next(pass, module);
-            if (pass == first_checked_pass)
+            if (pass == "pointer-guards")
                 *armed = true;
             if (!*armed)
                 return;

@@ -1,11 +1,11 @@
 /**
  * @file
- * Pipeline integration of the guard-safety checker: a pass wrapper
- * that records one checked stage into a SafetyReport, and an observer
+ * Pipeline integration of the guard-safety checker: an observer
  * installer that re-checks the module after every pipeline pass from
- * the pointer-guards pass onward. The compile driver (core/system.cc)
- * installs the observer when SystemConfig::checkSafety is set; tfmc
- * surfaces the report through --check-safety.
+ * the pointer-guards pass onward, recording each checked stage into a
+ * SafetyReport. System::compile (core/system.cc) installs the
+ * observer when SystemConfig::checkSafety is set; tfmc surfaces the
+ * report through --check-safety.
  */
 
 #ifndef TRACKFM_PASSES_SAFETY_CHECK_PASS_HH
@@ -37,26 +37,6 @@ struct SafetyReport
     bool clean() const { return totalDiagnostics() == 0; }
 };
 
-/**
- * A schedulable safety check: running the pass checks the module as it
- * stands and appends one entry (labelled @p stage) to the bound
- * report. Never modifies the module.
- */
-class SafetyCheckPass : public Pass
-{
-  public:
-    SafetyCheckPass(SafetyReport &report_sink, std::string stage)
-        : report(&report_sink), stageLabel(std::move(stage))
-    {}
-
-    std::string name() const override { return "safety-check"; }
-    bool run(ir::Module &module) override;
-
-  private:
-    SafetyReport *report;
-    std::string stageLabel;
-};
-
 /** Called after each checked stage with (pass name, diagnostic count);
  *  the driver uses it to mirror counts into the observability trace. */
 using SafetyCheckCallback =
@@ -64,17 +44,16 @@ using SafetyCheckCallback =
 
 /**
  * Install a PassManager observer that runs the guard-safety checker on
- * the module after every pass from @p first_checked_pass onward (IR
- * before the pointer-guards pass legitimately contains unguarded heap
- * accesses, so checking it would only produce noise). Chains to
- * @p next when set; @p on_checked fires per checked stage.
+ * the module after every pass from the pointer-guards pass onward (IR
+ * before it legitimately contains unguarded heap accesses, so checking
+ * it would only produce noise). Chains to @p next when set;
+ * @p on_checked fires per checked stage.
  */
 void installSafetyObserver(
     PassManager &manager, SafetyReport &report,
     std::function<void(const std::string &, const ir::Module &)> next =
         nullptr,
-    SafetyCheckCallback on_checked = nullptr,
-    const std::string &first_checked_pass = "pointer-guards");
+    SafetyCheckCallback on_checked = nullptr);
 
 } // namespace tfm
 

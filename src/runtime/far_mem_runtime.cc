@@ -52,14 +52,8 @@ FarMemRuntime::FarMemRuntime(const RuntimeConfig &config,
             clock, _costs, cfg.farHeapBytes, *rec_, recInstance_);
     } else {
         backend_ = makeRemoteBackend(clock, _costs, cfg.farHeapBytes,
-                                     cfg.objectSizeBytes, cfg.cluster);
-        if (rec_) {
-            // Context streams (link messages, shard deaths) hook the
-            // inner backend; the decorator logs the op stream itself.
-            backend_->attachRecorder(rec_, recInstance_);
-            backend_ = std::make_unique<RecordingBackend>(
-                std::move(backend_), clock, *rec_, recInstance_);
-        }
+                                     cfg.objectSizeBytes, cfg.cluster, rec_,
+                                     recInstance_);
     }
     obs_ = cfg.obs ? cfg.obs : obs::defaultSink();
     if (obs_) {
@@ -607,6 +601,8 @@ FarMemRuntime::rawWrite(std::uint64_t offset, const void *src,
                         std::size_t len)
 {
     const auto *bytes = static_cast<const std::byte *>(src);
+    backend_->rawWrite(offset, bytes, len);
+    // The remote tier now holds the bytes; local copies follow them.
     std::size_t done = 0;
     while (done < len) {
         const std::uint64_t at = offset + done;
@@ -614,7 +610,6 @@ FarMemRuntime::rawWrite(std::uint64_t offset, const void *src,
         const std::uint64_t in_obj = ost.offsetInObject(at);
         const std::size_t chunk = std::min<std::size_t>(
             len - done, ost.objectSize() - in_obj);
-        backend_->rawWrite(at, bytes + done, chunk);
         const ObjectMeta &meta = ost[obj_id];
         if (meta.present()) {
             std::memcpy(cache.frameData(meta.frame()) + in_obj,

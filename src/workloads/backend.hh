@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <string>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -96,13 +95,31 @@ class SeqStream
     }
 };
 
+/** Point-in-time counters for windowed measurement. */
+struct BackendSnapshot
+{
+    std::uint64_t cycles = 0;
+    /// Far-memory events: TrackFM slow-path + locality guards that
+    /// reached the remote node, Fastswap major faults, AIFM misses, 0
+    /// for local (Figs. 14b / 16b).
+    std::uint64_t farEvents = 0;
+    /// All guard events including fast paths (TrackFM; 0 elsewhere).
+    std::uint64_t guardEvents = 0;
+    /// Payload bytes fetched from the remote node.
+    std::uint64_t bytesFetched = 0;
+    /// Total payload bytes moved in either direction.
+    std::uint64_t bytesTransferred = 0;
+};
+
+/** Counter deltas between two snapshots (b - a). */
+BackendSnapshot deltaSince(const BackendSnapshot &a,
+                           const BackendSnapshot &b);
+
 /** Abstract memory system. Addresses are backend-specific handles. */
 class MemBackend
 {
   public:
     virtual ~MemBackend() = default;
-
-    virtual std::string name() const = 0;
 
     /** @name Allocation
      * @{ */
@@ -143,17 +160,8 @@ class MemBackend
      * @{ */
     /** Simulated cycles elapsed on this backend's clock. */
     virtual std::uint64_t cycles() const = 0;
-    /**
-     * Far-memory events: TrackFM slow-path + locality guards, Fastswap
-     * major faults, AIFM misses, 0 for local (Figs. 14b / 16b).
-     */
-    virtual std::uint64_t farEvents() const = 0;
-    /** All guard events including fast paths (TrackFM; 0 elsewhere). */
-    virtual std::uint64_t guardEvents() const = 0;
-    /** Payload bytes fetched from the remote node. */
-    virtual std::uint64_t bytesFetched() const = 0;
-    /** Total payload bytes moved in either direction. */
-    virtual std::uint64_t bytesTransferred() const = 0;
+    /** The clock and every far-memory counter, read together. */
+    virtual BackendSnapshot snapshot() const = 0;
     /** Full statistics export. */
     virtual StatSet stats() const = 0;
     /** @} */
@@ -243,23 +251,6 @@ class InitWriter
     std::size_t used = 0;
     std::byte buf[kBytes];
 };
-
-/** Point-in-time counters for windowed measurement. */
-struct BackendSnapshot
-{
-    std::uint64_t cycles = 0;
-    std::uint64_t farEvents = 0;
-    std::uint64_t guardEvents = 0;
-    std::uint64_t bytesFetched = 0;
-    std::uint64_t bytesTransferred = 0;
-};
-
-/** Capture current counters. */
-BackendSnapshot snapshot(const MemBackend &backend);
-
-/** Counter deltas between two snapshots (b - a). */
-BackendSnapshot deltaSince(const BackendSnapshot &a,
-                           const BackendSnapshot &b);
 
 } // namespace tfm
 

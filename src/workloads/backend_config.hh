@@ -55,14 +55,14 @@ std::unique_ptr<MemBackend> makeBackend(const BackendConfig &config,
 class TfmRuntime;
 
 /**
- * A backend view over an externally-owned TrackFM runtime, for serving
+ * A TrackFM backend over an externally-owned runtime, for serving
  * tenants that share one far-memory runtime across worker threads
- * (DESIGN.md §4k). Metered accesses route through the guard layer of
- * @p runtime, which dispatches per-thread (bound workers use the MT
- * guard paths); sequential streams always use the naive one-guard-per-
- * element transformation, since loop chunking pins frames and is
- * single-thread-only. The caller keeps ownership of @p runtime and is
- * responsible for its lifetime outliving every view.
+ * (DESIGN.md §4k). It is the TrackFM backend with chunking off:
+ * metered accesses run on the calling thread's bound worker, and
+ * sequential streams use the naive one-guard-per-element
+ * transformation, since loop chunking pins frames and is
+ * single-thread-only. Its snapshot() counts every worker's guards. The
+ * caller keeps ownership of @p runtime, which must outlive every view.
  */
 std::unique_ptr<MemBackend> makeSharedBackend(TfmRuntime &runtime);
 

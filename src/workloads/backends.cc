@@ -41,8 +41,6 @@ class LocalBackend : public MemBackend
         TFM_ASSERT(mem != nullptr, "local heap allocation failed");
     }
 
-    std::string name() const override { return "Local"; }
-
     std::uint64_t
     alloc(std::uint64_t bytes) override
     {
@@ -142,10 +140,14 @@ class LocalBackend : public MemBackend
     void dropCaches() override {}
 
     std::uint64_t cycles() const override { return clock.now(); }
-    std::uint64_t farEvents() const override { return 0; }
-    std::uint64_t guardEvents() const override { return 0; }
-    std::uint64_t bytesFetched() const override { return 0; }
-    std::uint64_t bytesTransferred() const override { return 0; }
+
+    BackendSnapshot
+    snapshot() const override
+    {
+        BackendSnapshot s;
+        s.cycles = cycles();
+        return s;
+    }
 
     StatSet
     stats() const override
@@ -178,7 +180,8 @@ class LocalBackend : public MemBackend
 
 /**
  * The naive TrackFM transformation of a sequential loop: one guard per
- * element access. Both TrackFM backends stream through it.
+ * element access. Unchunked loops stream through it, and so does every
+ * stream of a shared-runtime view (makeSharedBackend).
  */
 class GuardedStream : public SeqStream
 {
@@ -213,17 +216,24 @@ class GuardedStream : public SeqStream
 /**
  * TrackFM backend: the compiler-transformed program. Handles are tagged
  * pointers; every metered access goes through a guard; sequential
- * streams are chunked according to the configured policy.
+ * streams are chunked according to the configured policy. It owns its
+ * runtime, or is a view over a shared one (makeSharedBackend).
  */
 class TrackFmBackend : public MemBackend
 {
   public:
+    /** A backend over its own runtime, built from @p config. */
     TrackFmBackend(const BackendConfig &config, const CostParams &cost_params)
-        : cfg(config), rt(runtimeConfig(config), cost_params),
-          model()
+        : cfg(config),
+          owned(std::make_unique<TfmRuntime>(runtimeConfig(config),
+                                             cost_params)),
+          rt(*owned)
     {}
 
-    std::string name() const override { return "TrackFM"; }
+    /** A view over @p runtime, which the caller owns. */
+    TrackFmBackend(const BackendConfig &config, TfmRuntime &runtime)
+        : cfg(config), rt(runtime)
+    {}
 
     std::uint64_t alloc(std::uint64_t bytes) override
     {
@@ -349,32 +359,26 @@ class TrackFmBackend : public MemBackend
 
     std::uint64_t cycles() const override { return rt.runtime().clock().now(); }
 
-    std::uint64_t
-    farEvents() const override
+    BackendSnapshot
+    snapshot() const override
     {
+        // Merged, so a view counts its workers' guards; with no worker
+        // registered this is the main thread's count.
+        const GuardStats g = rt.mergedGuardStats();
+        // Through the RemoteBackend interface, never the link
+        // directly: behind --replay the backend reconstructs these
+        // numbers from the recorded net stream.
+        const NetStats net = rt.runtime().backend().netStats();
+        BackendSnapshot s;
+        s.cycles = cycles();
         // Guard events that actually reached the remote node, the
         // analogue of Fastswap's major faults (Figs. 14b / 16b).
-        const GuardStats &g = rt.guardStats();
-        return g.slowRemoteReads + g.slowRemoteWrites +
-               g.localityRemotes;
-    }
-
-    std::uint64_t
-    guardEvents() const override
-    {
-        return rt.guardStats().guardTotal();
-    }
-
-    std::uint64_t
-    bytesFetched() const override
-    {
-        return netStats().bytesFetched;
-    }
-
-    std::uint64_t
-    bytesTransferred() const override
-    {
-        return netStats().totalBytes();
+        s.farEvents =
+            g.slowRemoteReads + g.slowRemoteWrites + g.localityRemotes;
+        s.guardEvents = g.guardTotal();
+        s.bytesFetched = net.bytesFetched;
+        s.bytesTransferred = net.totalBytes();
+        return s;
     }
 
     StatSet
@@ -384,8 +388,6 @@ class TrackFmBackend : public MemBackend
         rt.exportStats(set);
         return set;
     }
-
-    TfmRuntime &tfmRuntime() { return rt; }
 
   private:
     static RuntimeConfig
@@ -401,18 +403,6 @@ class TrackFmBackend : public MemBackend
         return rc;
     }
 
-    NetStats
-    netStats() const
-    {
-        // Through the RemoteBackend interface, never the link
-        // directly: behind --replay the backend reconstructs these
-        // numbers from the recorded net stream.
-        return const_cast<TrackFmBackend *>(this)
-            ->rt.runtime()
-            .backend()
-            .netStats();
-    }
-
     void
     chargeBase(AccessHint hint)
     {
@@ -422,7 +412,8 @@ class TrackFmBackend : public MemBackend
     }
 
     BackendConfig cfg;
-    mutable TfmRuntime rt;
+    std::unique_ptr<TfmRuntime> owned; ///< null for a view
+    TfmRuntime &rt;
     ChunkCostModel model;
 };
 
@@ -433,8 +424,6 @@ class FastswapBackend : public MemBackend
     FastswapBackend(const BackendConfig &config, const CostParams &cost_params)
         : fs(fastswapConfig(config), cost_params)
     {}
-
-    std::string name() const override { return "Fastswap"; }
 
     std::uint64_t alloc(std::uint64_t bytes) override
     {
@@ -550,24 +539,16 @@ class FastswapBackend : public MemBackend
 
     std::uint64_t cycles() const override { return fs.clock().now(); }
 
-    std::uint64_t
-    farEvents() const override
+    BackendSnapshot
+    snapshot() const override
     {
-        return fs.stats().majorFaults;
-    }
-
-    std::uint64_t guardEvents() const override { return 0; }
-
-    std::uint64_t
-    bytesFetched() const override
-    {
-        return fs.netStats().bytesFetched;
-    }
-
-    std::uint64_t
-    bytesTransferred() const override
-    {
-        return fs.netStats().totalBytes();
+        const NetStats net = fs.netStats();
+        BackendSnapshot s;
+        s.cycles = cycles();
+        s.farEvents = fs.stats().majorFaults;
+        s.bytesFetched = net.bytesFetched;
+        s.bytesTransferred = net.totalBytes();
+        return s;
     }
 
     StatSet
@@ -618,8 +599,6 @@ class AifmBackend : public MemBackend
     AifmBackend(const BackendConfig &config, const CostParams &cost_params)
         : rt(runtimeConfig(config), cost_params)
     {}
-
-    std::string name() const override { return "AIFM"; }
 
     std::uint64_t alloc(std::uint64_t bytes) override
     {
@@ -726,20 +705,16 @@ class AifmBackend : public MemBackend
 
     std::uint64_t cycles() const override { return rt.runtime().clock().now(); }
 
-    std::uint64_t farEvents() const override { return rt.stats().misses; }
-
-    std::uint64_t guardEvents() const override { return 0; }
-
-    std::uint64_t
-    bytesFetched() const override
+    BackendSnapshot
+    snapshot() const override
     {
-        return netStats().bytesFetched;
-    }
-
-    std::uint64_t
-    bytesTransferred() const override
-    {
-        return netStats().totalBytes();
+        const NetStats net = rt.runtime().backend().netStats();
+        BackendSnapshot s;
+        s.cycles = cycles();
+        s.farEvents = rt.stats().misses;
+        s.bytesFetched = net.bytesFetched;
+        s.bytesTransferred = net.totalBytes();
+        return s;
     }
 
     StatSet
@@ -762,12 +737,6 @@ class AifmBackend : public MemBackend
         rc.prefetchDepth = config.prefetchDepth;
         rc.obsLabel = config.obsLabel;
         return rc;
-    }
-
-    const NetStats &
-    netStats() const
-    {
-        return const_cast<AifmBackend *>(this)->rt.runtime().net().stats();
     }
 
     void
@@ -805,123 +774,6 @@ class AifmBackend : public MemBackend
     mutable AifmRuntime rt;
 };
 
-/**
- * TrackFM backend view over a shared, externally-owned runtime: the
- * multi-tenant serving shape, where N tenants' accesses contend in one
- * frame cache and on one remote link. Guard state is per-thread (each
- * thread runs on its bound TfmRuntime::Worker), so one view can be
- * driven from any worker. Streams are always the naive guarded kind:
- * chunking pins frames across calls, which is single-thread-only.
- */
-class SharedTfmBackend : public MemBackend
-{
-  public:
-    explicit SharedTfmBackend(TfmRuntime &runtime) : rt(runtime) {}
-
-    std::string name() const override { return "TrackFM-shared"; }
-
-    std::uint64_t alloc(std::uint64_t bytes) override
-    {
-        return rt.tfmMalloc(bytes);
-    }
-
-    void dealloc(std::uint64_t addr) override { rt.tfmFree(addr); }
-
-    void
-    read(std::uint64_t addr, void *dst, std::size_t len,
-         AccessHint hint) override
-    {
-        chargeBase(hint);
-        rt.readGuarded(addr, dst, len);
-    }
-
-    void
-    write(std::uint64_t addr, const void *src, std::size_t len,
-          AccessHint hint) override
-    {
-        chargeBase(hint);
-        rt.writeGuarded(addr, src, len);
-    }
-
-    std::unique_ptr<SeqStream>
-    stream(std::uint64_t addr, std::uint32_t elem_size, std::uint64_t,
-           StreamMode) override
-    {
-        return std::make_unique<GuardedStream>(rt, addr, elem_size);
-    }
-
-    void compute(std::uint64_t c) override { rt.clock().advance(c); }
-
-    void
-    initWrite(std::uint64_t addr, const void *src, std::size_t len) override
-    {
-        rt.rawWrite(addr, src, len);
-    }
-
-    void
-    initRead(std::uint64_t addr, void *dst, std::size_t len) override
-    {
-        rt.rawRead(addr, dst, len);
-    }
-
-    void dropCaches() override { rt.runtime().evacuateAll(); }
-
-    std::uint64_t cycles() const override { return rt.runtime().clock().now(); }
-
-    std::uint64_t
-    farEvents() const override
-    {
-        const GuardStats g = rt.mergedGuardStats();
-        return g.slowRemoteReads + g.slowRemoteWrites + g.localityRemotes;
-    }
-
-    std::uint64_t
-    guardEvents() const override
-    {
-        return rt.mergedGuardStats().guardTotal();
-    }
-
-    std::uint64_t
-    bytesFetched() const override
-    {
-        return backendNetStats().bytesFetched;
-    }
-
-    std::uint64_t
-    bytesTransferred() const override
-    {
-        return backendNetStats().totalBytes();
-    }
-
-    StatSet
-    stats() const override
-    {
-        StatSet set;
-        rt.exportStats(set);
-        return set;
-    }
-
-  private:
-    NetStats
-    backendNetStats() const
-    {
-        return const_cast<SharedTfmBackend *>(this)
-            ->rt.runtime()
-            .backend()
-            .netStats();
-    }
-
-    void
-    chargeBase(AccessHint hint)
-    {
-        rt.clock().advance(hint == AccessHint::Sequential
-                               ? rt.costs().guardedSeqAccessCycles
-                               : rt.costs().randAccessCycles);
-    }
-
-    TfmRuntime &rt;
-};
-
 } // anonymous namespace
 
 std::unique_ptr<MemBackend>
@@ -943,7 +795,11 @@ makeBackend(const BackendConfig &config, const CostParams &costs)
 std::unique_ptr<MemBackend>
 makeSharedBackend(TfmRuntime &runtime)
 {
-    return std::make_unique<SharedTfmBackend>(runtime);
+    // Chunking pins frames across calls, which is single-thread-only,
+    // so the view's streams take the one-guard-per-element path.
+    BackendConfig config;
+    config.chunkPolicy = ChunkPolicy::None;
+    return std::make_unique<TrackFmBackend>(config, runtime);
 }
 
 const char *
@@ -960,18 +816,6 @@ systemName(SystemKind kind)
         return "AIFM";
     }
     return "?";
-}
-
-BackendSnapshot
-snapshot(const MemBackend &backend)
-{
-    BackendSnapshot s;
-    s.cycles = backend.cycles();
-    s.farEvents = backend.farEvents();
-    s.guardEvents = backend.guardEvents();
-    s.bytesFetched = backend.bytesFetched();
-    s.bytesTransferred = backend.bytesTransferred();
-    return s;
 }
 
 BackendSnapshot

@@ -170,12 +170,12 @@ DataframeResult
 DataframeWorkload::run()
 {
     DataframeResult result;
-    const BackendSnapshot before = snapshot(b);
+    const BackendSnapshot before = b.snapshot();
     result.answers.tripsWithManyPassengers = passengerQuery();
     result.answers.longTrips = distanceQuery();
     fareByHourQuery(result.answers.totalFareByHour);
     result.answers.groupAggregate = groupAggregationQuery();
-    result.delta = deltaSince(before, snapshot(b));
+    result.delta = deltaSince(before, b.snapshot());
     return result;
 }
 

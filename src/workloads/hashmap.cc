@@ -90,7 +90,7 @@ HashmapResult
 HashmapWorkload::run()
 {
     HashmapResult result;
-    const BackendSnapshot before = snapshot(b);
+    const BackendSnapshot before = b.snapshot();
 
     auto trace = b.stream(traceAddr, sizeof(std::uint32_t), params.numOps,
                           StreamMode::Read);
@@ -116,7 +116,7 @@ HashmapWorkload::run()
         }
     }
 
-    result.delta = deltaSince(before, snapshot(b));
+    result.delta = deltaSince(before, b.snapshot());
     return result;
 }
 

@@ -109,14 +109,14 @@ KMeansWorkload::run()
 {
     KMeansResult result;
     result.clusterSizes.assign(params.clusters, 0);
-    const BackendSnapshot before = snapshot(b);
+    const BackendSnapshot before = b.snapshot();
     for (std::uint32_t it = 0; it < params.iterations; it++) {
         std::fill(result.clusterSizes.begin(), result.clusterSizes.end(),
                   0ull);
         assignStep(result.clusterSizes);
         normCachePass();
     }
-    result.delta = deltaSince(before, snapshot(b));
+    result.delta = deltaSince(before, b.snapshot());
     return result;
 }
 

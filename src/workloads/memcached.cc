@@ -163,7 +163,7 @@ MemcachedWorkload::run()
         keySampler = std::make_unique<ZipfGenerator>(
             params.numKeys, params.zipfSkew, params.seed);
     }
-    const BackendSnapshot before = snapshot(b);
+    const BackendSnapshot before = b.snapshot();
     for (std::uint64_t i = 0; i < params.numGets; i++) {
         const std::uint64_t key = keySampler->next();
         const int len = get(key, value, sizeof(value));
@@ -178,7 +178,7 @@ MemcachedWorkload::run()
             }
         }
     }
-    result.delta = deltaSince(before, snapshot(b));
+    result.delta = deltaSince(before, b.snapshot());
     return result;
 }
 

@@ -90,7 +90,7 @@ class CgKernel : public NasKernel
     run() override
     {
         NasResult result;
-        const BackendSnapshot before = snapshot(b);
+        const BackendSnapshot before = b.snapshot();
         double norm = 0.0;
         for (std::uint32_t it = 0; it < iterations; it++) {
             // y = A * x : sequential scans of colidx/values, random
@@ -139,7 +139,7 @@ class CgKernel : public NasKernel
             }
         }
         result.checksum = norm;
-        result.delta = deltaSince(before, snapshot(b));
+        result.delta = deltaSince(before, b.snapshot());
         return result;
     }
 
@@ -181,7 +181,7 @@ class FtKernel : public NasKernel
     run() override
     {
         NasResult result;
-        const BackendSnapshot before = snapshot(b);
+        const BackendSnapshot before = b.snapshot();
         for (std::uint32_t it = 0; it < iterations; it++) {
             fftDim(nx, 1, ny * nz, nx);              // x lines
             fftDim(ny, nx, nx * nz, ny);             // y lines
@@ -191,7 +191,7 @@ class FtKernel : public NasKernel
         const double re = b.peekT<double>(gridAddr);
         const double im = b.peekT<double>(gridAddr + 8);
         result.checksum = re * re + im * im;
-        result.delta = deltaSince(before, snapshot(b));
+        result.delta = deltaSince(before, b.snapshot());
         return result;
     }
 
@@ -307,7 +307,7 @@ class IsKernel : public NasKernel
     run() override
     {
         NasResult result;
-        const BackendSnapshot before = snapshot(b);
+        const BackendSnapshot before = b.snapshot();
         for (std::uint32_t it = 0; it < iterations; it++) {
             // Histogram: sequential key scan, random histogram bumps
             // (the histogram is small and stays hot).
@@ -357,7 +357,7 @@ class IsKernel : public NasKernel
         // Checksum: rank of the last key.
         result.checksum = static_cast<double>(
             b.peekT<std::uint32_t>(ranksAddr + (n - 1) * 4));
-        result.delta = deltaSince(before, snapshot(b));
+        result.delta = deltaSince(before, b.snapshot());
         return result;
     }
 
@@ -401,7 +401,7 @@ class MgKernel : public NasKernel
     run() override
     {
         NasResult result;
-        const BackendSnapshot before = snapshot(b);
+        const BackendSnapshot before = b.snapshot();
         double residual = 0.0;
         for (std::uint32_t it = 0; it < iterations; it++) {
             residual = smooth(fineAddr, n);
@@ -410,7 +410,7 @@ class MgKernel : public NasKernel
             prolongate(coarseAddr, n / 2, fineAddr, n);
         }
         result.checksum = residual;
-        result.delta = deltaSince(before, snapshot(b));
+        result.delta = deltaSince(before, b.snapshot());
         return result;
     }
 
@@ -548,14 +548,14 @@ class SpKernel : public NasKernel
     run() override
     {
         NasResult result;
-        const BackendSnapshot before = snapshot(b);
+        const BackendSnapshot before = b.snapshot();
         for (std::uint32_t it = 0; it < iterations; it++) {
             solveDim(1);           // x lines (contiguous)
             solveDim(n);           // y lines
             solveDim(n * n);       // z lines
         }
         result.checksum = b.peekT<double>(rhsAddr);
-        result.delta = deltaSince(before, snapshot(b));
+        result.delta = deltaSince(before, b.snapshot());
         return result;
     }
 

@@ -223,13 +223,13 @@ StreamResult
 StreamWorkload::runSum(int passes)
 {
     StreamResult result;
-    const BackendSnapshot before = snapshot(b);
+    const BackendSnapshot before = b.snapshot();
     std::int64_t sum = 0;
     for (int p = 0; p < passes; p++) {
         auto src = b.stream(srcAddr, elemBytes, n, StreamMode::Read);
         sum += streamSum(*src, n, elemBytes);
     }
-    result.delta = deltaSince(before, snapshot(b));
+    result.delta = deltaSince(before, b.snapshot());
     result.checksum = sum;
     result.bytesTouched =
         static_cast<std::uint64_t>(passes) * n * elemBytes;
@@ -240,14 +240,14 @@ StreamResult
 StreamWorkload::runCopy(int passes)
 {
     StreamResult result;
-    const BackendSnapshot before = snapshot(b);
+    const BackendSnapshot before = b.snapshot();
     std::int64_t last = 0;
     for (int p = 0; p < passes; p++) {
         auto src = b.stream(srcAddr, elemBytes, n, StreamMode::Read);
         auto dst = b.stream(dstAddr, elemBytes, n, StreamMode::Write);
         last = streamCopy(*src, *dst, n, elemBytes);
     }
-    result.delta = deltaSince(before, snapshot(b));
+    result.delta = deltaSince(before, b.snapshot());
     result.checksum = last;
     result.bytesTouched =
         static_cast<std::uint64_t>(passes) * 2 * n * elemBytes;
@@ -259,7 +259,7 @@ StreamWorkload::runTriad(int passes, std::int64_t scale)
 {
     TFM_ASSERT(numArrays == 3, "triad needs a third array");
     StreamResult result;
-    const BackendSnapshot before = snapshot(b);
+    const BackendSnapshot before = b.snapshot();
     std::int64_t last = 0;
     for (int p = 0; p < passes; p++) {
         auto a = b.stream(srcAddr, elemBytes, n, StreamMode::Read);
@@ -267,7 +267,7 @@ StreamWorkload::runTriad(int passes, std::int64_t scale)
         auto c = b.stream(thirdAddr, elemBytes, n, StreamMode::Write);
         last = streamTriad(b, *a, *bb, *c, n, elemBytes, scale);
     }
-    result.delta = deltaSince(before, snapshot(b));
+    result.delta = deltaSince(before, b.snapshot());
     result.checksum = last;
     result.bytesTouched =
         static_cast<std::uint64_t>(passes) * 3 * n * elemBytes;

@@ -148,7 +148,8 @@ expectSameBackendRun(MemBackend &run, MemBackend &ref,
                      const std::array<std::uint64_t, 3> &arrays)
 {
     EXPECT_EQ(run.cycles(), ref.cycles());
-    EXPECT_EQ(run.bytesTransferred(), ref.bytesTransferred());
+    EXPECT_EQ(run.snapshot().bytesTransferred,
+              ref.snapshot().bytesTransferred);
     EXPECT_EQ(run.stats().all(), ref.stats().all());
     for (int k = 0; k < 3; k++) {
         for (std::uint64_t i = 0; i < kStreamElems; i++) {

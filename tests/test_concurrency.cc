@@ -7,7 +7,8 @@
  * tools/check_build.sh), per-worker counter exactness against a
  * sequential replay of the same traces, a reader's epoch section
  * holding retired frames, worker-parked writebacks seen by raw access,
- * and the concurrent serving scheduler.
+ * the shared-runtime backend view, and the concurrent serving
+ * scheduler.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "sim/cost_params.hh"
 #include "sim/zipf.hh"
 #include "tfm/tfm_runtime.hh"
+#include "workloads/backend_config.hh"
 
 namespace tfm
 {
@@ -475,7 +477,9 @@ TEST(ConcurrentRuntime, ReaderEpochSectionHoldsRetiredFrames)
  * logical heap: rawRead, rawWrite, heapChecksum and pendingWritebacks()
  * must see them before any drain, exactly like the main thread's own
  * parked copies. One worker writes 256 objects through 64 local frames
- * with a 100-entry buffer, so 92 dirty objects stay parked.
+ * with a 100-entry buffer, so 92 dirty objects stay parked. One raw
+ * write then spans remote, parked, and clean and dirty present
+ * objects; it must read back the same before and after evacuateAll().
  */
 TEST(ConcurrentRuntime, WorkerParkedWritebacksAreVisible)
 {
@@ -510,10 +514,32 @@ TEST(ConcurrentRuntime, WorkerParkedWritebacksAreVisible)
     }
     EXPECT_EQ(stale, 0u);
 
-    // Objects 100..191 are the parked ones. A raw write to one of them
-    // must survive the drain, and draining must not change the heap.
+    // Objects 0..99 were flushed, 100..191 are parked and 192..255 are
+    // present and dirty. A main-thread read makes object 99 present and
+    // clean (its victim, object 192, parks too), so one raw write from
+    // inside object 98 to inside object 193 crosses a remote object, a
+    // clean and a dirty present one, and the parked ones.
+    EXPECT_EQ(rt.load<std::uint64_t>(base + 99 * 64), mix64(99));
+    const std::uint64_t parked = rt.runtime().pendingWritebacks();
+    ASSERT_FALSE(rt.runtime().isLocal(tfmOffsetOf(base + 98 * 64)));
+    ASSERT_TRUE(rt.runtime().isLocal(tfmOffsetOf(base + 99 * 64)));
+    ASSERT_FALSE(rt.runtime().isLocal(tfmOffsetOf(base + 100 * 64)));
+    ASSERT_TRUE(rt.runtime().isLocal(tfmOffsetOf(base + 193 * 64)));
+    const std::uint64_t span_at = base + 98 * 64 + 8;
+    std::vector<std::uint8_t> span(95 * 64 + 8);
+    for (std::size_t i = 0; i < span.size(); i++)
+        span[i] = static_cast<std::uint8_t>(mix64(i));
+    rt.rawWrite(span_at, span.data(), span.size());
+    EXPECT_EQ(rt.runtime().pendingWritebacks(), parked);
+    std::vector<std::uint8_t> back(span.size());
+    rt.rawRead(span_at, back.data(), back.size());
+    EXPECT_EQ(back, span);
+
+    // A raw write to one parked object must survive the drain, and
+    // draining must not change the heap.
     const std::uint64_t patched = 0xfeedface;
     rt.rawWrite(base + 150 * 64, &patched, sizeof(patched));
+    std::memcpy(&span[150 * 64 - 98 * 64 - 8], &patched, sizeof(patched));
     const std::uint64_t parked_sum = rt.runtime().heapChecksum();
     rt.runtime().drainWritebacks();
     EXPECT_EQ(rt.runtime().pendingWritebacks(), 0u);
@@ -521,6 +547,132 @@ TEST(ConcurrentRuntime, WorkerParkedWritebacksAreVisible)
     std::uint64_t got = 0;
     rt.rawRead(base + 150 * 64, &got, sizeof(got));
     EXPECT_EQ(got, patched);
+
+    // With every object remote, the span reads back from the tier.
+    rt.runtime().evacuateAll();
+    ASSERT_FALSE(rt.runtime().isLocal(tfmOffsetOf(base + 193 * 64)));
+    rt.rawRead(span_at, back.data(), back.size());
+    EXPECT_EQ(back, span);
+}
+
+/**
+ * makeSharedBackend's view is the TrackFM backend with chunking off.
+ * Two registered workers read through one view: its snapshot counts
+ * both workers' guards, which are the runtime's merged totals.
+ */
+TEST(SharedBackendView, SnapshotCountsEveryWorkersGuards)
+{
+    constexpr unsigned kThreads = 2;
+    constexpr std::uint64_t kElems = 4096;
+    RuntimeConfig rc;
+    rc.farHeapBytes = 1ull << 20;
+    rc.localMemBytes = 4 * 4096; // 4 frames for 8 objects
+    rc.objectSizeBytes = 4096;
+    rc.prefetchEnabled = false;
+    TfmRuntime rt(rc, CostParams{});
+    const std::unique_ptr<MemBackend> view = makeSharedBackend(rt);
+    const std::uint64_t base = view->alloc(kElems * 8);
+    {
+        InitWriter init(*view);
+        for (std::uint64_t i = 0; i < kElems; i++)
+            init.put(base + i * 8, mix64(i));
+    }
+
+    std::vector<TfmRuntime::Worker *> workers;
+    for (unsigned t = 0; t < kThreads; t++)
+        workers.push_back(rt.registerWorker());
+    std::atomic<std::uint64_t> wrong{0};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            rt.bindWorker(workers[t]);
+            for (std::uint64_t i = t; i < kElems; i += kThreads) {
+                const std::uint64_t v = view->readT<std::uint64_t>(
+                    base + i * 8, AccessHint::Random);
+                if (v != mix64(i))
+                    wrong.fetch_add(1);
+            }
+            rt.unbindWorker();
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    EXPECT_EQ(wrong.load(), 0u);
+    const GuardStats g = rt.mergedGuardStats();
+    const BackendSnapshot s = view->snapshot();
+    EXPECT_EQ(rt.guardStats().guardTotal(), 0u);
+    EXPECT_EQ(s.guardEvents, kElems);
+    EXPECT_EQ(s.guardEvents, g.guardTotal());
+    EXPECT_EQ(s.farEvents,
+              g.slowRemoteReads + g.slowRemoteWrites + g.localityRemotes);
+    EXPECT_GE(s.farEvents, 8u);
+    EXPECT_EQ(s.bytesFetched, rt.runtime().backend().netStats().bytesFetched);
+}
+
+/**
+ * A stream on the view charges exactly what per-element guarded reads
+ * charge, over a loop long enough (eight whole objects) that the
+ * owning TrackFM backend would chunk it.
+ */
+TEST(SharedBackendView, StreamChargesLikeGuardedReads)
+{
+    constexpr std::uint64_t kElems = 4096;
+    RuntimeConfig rc;
+    rc.farHeapBytes = 1ull << 20;
+    rc.localMemBytes = 4 * 4096;
+    rc.objectSizeBytes = 4096;
+    rc.prefetchEnabled = false;
+    struct Run
+    {
+        explicit Run(const RuntimeConfig &config)
+            : rt(config, CostParams{}), view(makeSharedBackend(rt))
+        {
+            base = view->alloc(kElems * 8);
+            InitWriter init(*view);
+            for (std::uint64_t i = 0; i < kElems; i++)
+                init.put(base + i * 8, mix64(i));
+        }
+        TfmRuntime rt;
+        std::unique_ptr<MemBackend> view;
+        std::uint64_t base = 0;
+        std::uint64_t sum = 0;
+    };
+
+    Run streamed(rc);
+    Run elementwise(rc);
+    TfmRuntime::Worker *sw = streamed.rt.registerWorker();
+    TfmRuntime::Worker *ew = elementwise.rt.registerWorker();
+
+    streamed.rt.bindWorker(sw);
+    {
+        const std::unique_ptr<SeqStream> s = streamed.view->stream(
+            streamed.base, 8, kElems, StreamMode::Read);
+        for (std::uint64_t i = 0; i < kElems; i++) {
+            std::uint64_t v = 0;
+            s->read(&v);
+            streamed.sum += v;
+        }
+    }
+    const BackendSnapshot a = streamed.view->snapshot();
+    streamed.rt.unbindWorker();
+
+    elementwise.rt.bindWorker(ew);
+    for (std::uint64_t i = 0; i < kElems; i++) {
+        elementwise.sum += elementwise.view->readT<std::uint64_t>(
+            elementwise.base + i * 8, AccessHint::Sequential);
+    }
+    const BackendSnapshot b = elementwise.view->snapshot();
+    elementwise.rt.unbindWorker();
+
+    EXPECT_EQ(streamed.sum, elementwise.sum);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.guardEvents, kElems);
+    EXPECT_EQ(a.guardEvents, b.guardEvents);
+    EXPECT_EQ(a.farEvents, b.farEvents);
+    EXPECT_EQ(a.bytesTransferred, b.bytesTransferred);
+    EXPECT_EQ(streamed.rt.mergedGuardStats().localityGuards, 0u);
+    EXPECT_EQ(streamed.view->stats().all(), elementwise.view->stats().all());
 }
 
 /**

@@ -16,6 +16,7 @@
 #include "fastswap/fastswap_runtime.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/obs.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "stream_harness.hh"
 #include "tfm/tfm_runtime.hh"
@@ -275,12 +276,6 @@ struct VectorClock
         handPage();
         ring.erase(ring.begin() + static_cast<std::ptrdiff_t>(hand));
     }
-    void
-    popFrontAndRewind()
-    {
-        ring.erase(ring.begin());
-        hand = 0;
-    }
 };
 
 std::vector<std::uint32_t>
@@ -293,10 +288,9 @@ ringOrder(const ClockRing &ring)
 
 /**
  * A seeded mix of every ring operation against the vector order,
- * including the three cases a linked ring gets wrong most easily: the
- * hand wrapping at the newest page, a page appended while the hand is
- * past the end (it must be the next one shown), and removing the oldest
- * page with the hand rewound (PagedPlane's all-in-flight fallback).
+ * including the two cases a linked ring gets wrong most easily: the
+ * hand wrapping at the newest page, and a page appended while the hand
+ * is past the end (it must be the next one shown).
  */
 TEST(ClockRing, VisitsPagesInVectorOrder)
 {
@@ -305,7 +299,7 @@ TEST(ClockRing, VisitsPagesInVectorOrder)
     VectorClock ref;
     std::vector<bool> inRing(kIds, false);
     Rng rng(7);
-    int wraps = 0, pastEndAppends = 0, rewinds = 0;
+    int wraps = 0, pastEndAppends = 0;
     for (int step = 0; step < 20000; step++) {
         const std::uint64_t op = rng.below(100);
         if (ref.ring.empty() || (op < 35 && ref.ring.size() < kIds)) {
@@ -323,16 +317,10 @@ TEST(ClockRing, VisitsPagesInVectorOrder)
             ASSERT_EQ(ring.hand(), ref.handPage()) << "step " << step;
             ring.advance();
             ref.hand++;
-        } else if (op < 90) {
+        } else if (op < 99) {
             inRing[ref.handPage()] = false;
             ring.eraseHand();
             ref.eraseHand();
-        } else if (op < 99) {
-            inRing[ref.ring.front()] = false;
-            ASSERT_EQ(ring.front(), ref.ring.front()) << "step " << step;
-            ring.popFrontAndRewind();
-            ref.popFrontAndRewind();
-            rewinds++;
         } else {
             ring.clear();
             ref.ring.clear();
@@ -346,13 +334,12 @@ TEST(ClockRing, VisitsPagesInVectorOrder)
     }
     EXPECT_GT(wraps, 100);
     EXPECT_GT(pastEndAppends, 100);
-    EXPECT_GT(rewinds, 100);
 }
 
 /**
  * PagedPlane's residency rules over a VectorClock: major faults with
- * readahead, minor faults on in-flight pages, CLOCK reclaim with the
- * two-lap fallback, and evacuation. It records every victim in order.
+ * readahead, minor faults on in-flight pages, CLOCK reclaim, and
+ * evacuation. It records every victim in order.
  */
 struct PagedModel
 {
@@ -429,9 +416,7 @@ struct PagedModel
             clock.eraseHand();
             return;
         }
-        fallbacks++;
-        victim(clock.ring.front());
-        clock.popFrontAndRewind();
+        TFM_PANIC("model CLOCK sweep found no victim in two laps");
     }
 
     void
@@ -458,7 +443,6 @@ struct PagedModel
     std::vector<std::uint64_t> victims;
     std::vector<std::uint64_t> dirtyVictims;
     int pastEndAppends = 0;
-    int fallbacks = 0;
 };
 
 /**
@@ -526,11 +510,6 @@ TEST(PagedPlane, ReclaimOrderMatchesTheVectorClock)
                   model.dirtyVictims.begin(), model.dirtyVictims.end(), 1)));
     EXPECT_GT(model.victims.size(), 1000u);
     EXPECT_GT(model.pastEndAppends, 10);
-    // The plane never reaches its two-lap fallback: the page the last
-    // major fault mapped is still mapped at the next reclaim, and two
-    // laps always evict a mapped page. ClockRing.VisitsPagesInVectorOrder
-    // covers the ring's side of the fallback instead.
-    EXPECT_EQ(model.fallbacks, 0);
 }
 
 /**

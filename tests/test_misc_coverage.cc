@@ -104,7 +104,7 @@ TEST(BackendMisc, GuardEventsAreTrackFmOnly)
         auto backend = makeBackend(cfg, CostParams{});
         const std::uint64_t addr = backend->alloc(4096);
         backend->readT<std::uint64_t>(addr, AccessHint::Random);
-        EXPECT_EQ(backend->guardEvents(), 0u) << systemName(kind);
+        EXPECT_EQ(backend->snapshot().guardEvents, 0u) << systemName(kind);
     }
 }
 

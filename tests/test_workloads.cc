@@ -309,8 +309,6 @@ class AllocLog : public MemBackend
   public:
     explicit AllocLog(MemBackend &backend) : in(backend) {}
 
-    std::string name() const override { return in.name(); }
-
     std::uint64_t
     alloc(std::uint64_t bytes) override
     {
@@ -353,14 +351,7 @@ class AllocLog : public MemBackend
     void dropCaches() override { in.dropCaches(); }
 
     std::uint64_t cycles() const override { return in.cycles(); }
-    std::uint64_t farEvents() const override { return in.farEvents(); }
-    std::uint64_t guardEvents() const override { return in.guardEvents(); }
-    std::uint64_t bytesFetched() const override { return in.bytesFetched(); }
-    std::uint64_t
-    bytesTransferred() const override
-    {
-        return in.bytesTransferred();
-    }
+    BackendSnapshot snapshot() const override { return in.snapshot(); }
     StatSet stats() const override { return in.stats(); }
 
     /**

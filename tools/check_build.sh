@@ -153,6 +153,36 @@ done
 "${BUILD_DIR}/bench/bench_hybrid" --check > /dev/null
 echo "check_build: hybrid data-plane gate OK"
 
+# Profile round trip: two profiled runs of one example write, then merge
+# into, one allocation-site profile (the second run must change it), a
+# profile-guided compile parses it back, and a garbage profile is
+# refused with tfmc's diagnostic.
+PROF_DIR="${BUILD_DIR}/profile_gate"
+mkdir -p "${PROF_DIR}"
+rm -f "${PROF_DIR}/sum_loop.prof"
+"${BUILD_DIR}/tools/tfmc" --run --hybrid \
+    --emit-profile="${PROF_DIR}/sum_loop.prof" examples/sum_loop.tir \
+    > /dev/null 2>&1
+cp "${PROF_DIR}/sum_loop.prof" "${PROF_DIR}/first.prof"
+"${BUILD_DIR}/tools/tfmc" --run --hybrid \
+    --emit-profile="${PROF_DIR}/sum_loop.prof" examples/sum_loop.tir \
+    > /dev/null 2>&1
+if cmp -s "${PROF_DIR}/first.prof" "${PROF_DIR}/sum_loop.prof"; then
+    echo "check_build: second profiled run did not merge" >&2
+    exit 1
+fi
+"${BUILD_DIR}/tools/tfmc" --hybrid --profile="${PROF_DIR}/sum_loop.prof" \
+    --print-access-report examples/sum_loop.tir > /dev/null
+echo "not a profile" > "${PROF_DIR}/garbage.prof"
+if "${BUILD_DIR}/tools/tfmc" --hybrid \
+    --profile="${PROF_DIR}/garbage.prof" --print-access-report \
+    examples/sum_loop.tir > /dev/null 2> "${PROF_DIR}/garbage.err"; then
+    echo "check_build: a garbage profile was accepted" >&2
+    exit 1
+fi
+grep -q "malformed profile" "${PROF_DIR}/garbage.err"
+echo "check_build: profile round trip OK"
+
 # Guard-safety gate: the static checker must stay diagnostic-free on
 # every example at both opt levels (tfmc exits non-zero on any
 # finding), and the farmem sanitizer must execute every example without
