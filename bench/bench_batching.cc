@@ -46,9 +46,10 @@ runStream(const char *name, bool batching, bool guard_cache,
     cfg.objectSizeBytes = objectSize;
     cfg.prefetchEnabled = true;
     cfg.prefetchDepth = 16;
-    cfg.batchingEnabled = batching;
-    cfg.fetchBatchMax = 16;
-    cfg.writebackBatchMax = 8;
+    // Batching off is a batch size of 1: every message carries one
+    // payload.
+    cfg.fetchBatchMax = batching ? 16 : 1;
+    cfg.writebackBatchMax = batching ? 8 : 1;
     cfg.guardCacheEnabled = guard_cache;
 
     TfmRuntime rt(cfg, costs);

@@ -63,7 +63,6 @@ runScan(std::uint32_t shards, std::uint32_t repl, std::uint64_t failShard,
     cfg.objectSizeBytes = objectSize;
     cfg.prefetchEnabled = true;
     cfg.prefetchDepth = 256; // deep windows: links serialization-bound
-    cfg.batchingEnabled = true;
     cfg.fetchBatchMax = 64;
     cfg.writebackBatchMax = 32;
     cfg.cluster.shardCount = shards;

@@ -5,6 +5,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hh"
 #include "workloads/backend_config.hh"
@@ -59,58 +60,77 @@ main()
 
     const double skews[] = {1.0, 1.05, 1.1, 1.15, 1.2, 1.25, 1.3};
 
+    // One run per system and skew; (a), (b) and (c) all read the same
+    // runs. Every cell also goes to one BENCH_JSON line, keyed e.g.
+    // "tfm_cycles_s105", that tools/check_build.sh compares against
+    // bench/expected/fig16.json.
+    struct Row
+    {
+        MemcachedResult tfm, fsw, local;
+    };
+    std::vector<Row> rows;
+    bench::JsonLine json("fig16_memcached");
+    for (const double skew : skews) {
+        Row &r = rows.emplace_back();
+        r.tfm = runOne(SystemKind::TrackFm, skew, costs);
+        r.fsw = runOne(SystemKind::Fastswap, skew, costs);
+        r.local = runOne(SystemKind::Local, skew, costs);
+        const int s = static_cast<int>(skew * 100.0 + 0.5);
+        const auto cell = [&](const char *what, std::uint64_t value) {
+            char key[48];
+            std::snprintf(key, sizeof(key), "%s_s%d", what, s);
+            json.field(key, value);
+        };
+        cell("tfm_cycles", r.tfm.delta.cycles);
+        cell("fastswap_cycles", r.fsw.delta.cycles);
+        cell("local_cycles", r.local.delta.cycles);
+        cell("tfm_hits", r.tfm.hits);
+        cell("fastswap_hits", r.fsw.hits);
+        cell("local_hits", r.local.hits);
+        cell("tfm_far_events", r.tfm.delta.farEvents);
+        cell("fastswap_far_events", r.fsw.delta.farEvents);
+        cell("tfm_bytes", r.tfm.delta.bytesTransferred);
+        cell("fastswap_bytes", r.fsw.delta.bytesTransferred);
+    }
+
     bench::section("(a) throughput (KOps/s)");
     std::printf("%6s %12s %12s %12s %10s\n", "skew", "TrackFM",
                 "Fastswap", "All local", "TFM/FSW");
-    for (const double skew : skews) {
-        const MemcachedResult tfm_result =
-            runOne(SystemKind::TrackFm, skew, costs);
-        const MemcachedResult fsw_result =
-            runOne(SystemKind::Fastswap, skew, costs);
-        const MemcachedResult local_result =
-            runOne(SystemKind::Local, skew, costs);
-        std::printf("%6.2f %12.1f %12.1f %12.1f %9.2fx\n", skew,
-                    tfm_result.throughputKopsPerSec(costs.cpuGhz),
-                    fsw_result.throughputKopsPerSec(costs.cpuGhz),
-                    local_result.throughputKopsPerSec(costs.cpuGhz),
-                    tfm_result.throughputKopsPerSec(costs.cpuGhz) /
-                        fsw_result.throughputKopsPerSec(costs.cpuGhz));
+    for (std::size_t i = 0; i < rows.size(); i++) {
+        const Row &r = rows[i];
+        std::printf("%6.2f %12.1f %12.1f %12.1f %9.2fx\n", skews[i],
+                    r.tfm.throughputKopsPerSec(costs.cpuGhz),
+                    r.fsw.throughputKopsPerSec(costs.cpuGhz),
+                    r.local.throughputKopsPerSec(costs.cpuGhz),
+                    r.tfm.throughputKopsPerSec(costs.cpuGhz) /
+                        r.fsw.throughputKopsPerSec(costs.cpuGhz));
     }
 
     bench::section("(b) far-memory events per 1K gets");
     std::printf("%6s %16s %16s\n", "skew", "TrackFM guards",
                 "Fastswap faults");
-    for (const double skew : skews) {
-        const MemcachedResult tfm_result =
-            runOne(SystemKind::TrackFm, skew, costs);
-        const MemcachedResult fsw_result =
-            runOne(SystemKind::Fastswap, skew, costs);
-        std::printf("%6.2f %16.1f %16.1f\n", skew,
-                    1000.0 * static_cast<double>(
-                                 tfm_result.delta.farEvents) /
-                        static_cast<double>(tfm_result.hits),
-                    1000.0 * static_cast<double>(
-                                 fsw_result.delta.farEvents) /
-                        static_cast<double>(fsw_result.hits));
+    for (std::size_t i = 0; i < rows.size(); i++) {
+        const Row &r = rows[i];
+        std::printf("%6.2f %16.1f %16.1f\n", skews[i],
+                    1000.0 * static_cast<double>(r.tfm.delta.farEvents) /
+                        static_cast<double>(r.tfm.hits),
+                    1000.0 * static_cast<double>(r.fsw.delta.farEvents) /
+                        static_cast<double>(r.fsw.hits));
     }
 
     bench::section("(c) data transferred (x working set)");
     std::printf("%6s %12s %12s\n", "skew", "TrackFM", "Fastswap");
-    for (const double skew : skews) {
-        const MemcachedResult tfm_result =
-            runOne(SystemKind::TrackFm, skew, costs);
-        const MemcachedResult fsw_result =
-            runOne(SystemKind::Fastswap, skew, costs);
-        const double working_set = 1000000.0 * 96.0;
-        std::printf("%6.2f %11.1fx %11.1fx\n", skew,
-                    static_cast<double>(
-                        tfm_result.delta.bytesTransferred) /
+    const double working_set = 1000000.0 * 96.0;
+    for (std::size_t i = 0; i < rows.size(); i++) {
+        const Row &r = rows[i];
+        std::printf("%6.2f %11.1fx %11.1fx\n", skews[i],
+                    static_cast<double>(r.tfm.delta.bytesTransferred) /
                         working_set,
-                    static_cast<double>(
-                        fsw_result.delta.bytesTransferred) /
+                    static_cast<double>(r.fsw.delta.bytesTransferred) /
                         working_set);
     }
     std::printf("\nPaper reference: Fastswap transfers ~66x the WS, "
                 "TrackFM ~15x; throughput gap shrinks with skew.\n");
+    json.emit();
     return 0;
 }

@@ -9,8 +9,9 @@
  * pre-cluster runtime), and ShardedCluster (sharded_cluster.hh), which
  * stripes the far heap over N remote nodes with k-way replication and
  * injectable failures. The runtime neither knows nor cares which one it
- * drives; the data plane — including PR 1's coalesced multi-object
- * messages — flows through the same five operations either way.
+ * drives; the data plane flows through the same three operations
+ * either way: the blocking fetch, and the async fetch and writeback,
+ * whose messages carry one or more segments.
  */
 
 #ifndef TRACKFM_CLUSTER_REMOTE_BACKEND_HH
@@ -19,7 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "cluster/failure_plan.hh"
 #include "cluster/placement.hh"
@@ -104,41 +105,28 @@ class RemoteBackend
                        std::size_t len) = 0;
 
     /**
-     * Async single-object fetch; returns the arrival cycle. A null
-     * @p dst is charge-only, as in fetch().
-     */
-    virtual std::uint64_t fetchAsync(std::uint64_t offset, std::byte *dst,
-                                     std::size_t len) = 0;
-
-    /**
-     * Async multi-object fetch. One coalesced message per remote node
-     * touched; @p arrivals (when non-null) gets the per-segment arrival
-     * cycle, index-aligned with @p segs. Every segment needs a buffer:
-     * the batch calls have no charge-only form.
+     * Async fetch of every segment of @p segs: one message per remote
+     * node touched. @p arrivals, sized like @p segs, gets each
+     * segment's arrival cycle. A segment with a null dst is
+     * charge-only, as in fetch(). Batching off is a one-segment call.
      * @return arrival of the last payload.
      */
     virtual std::uint64_t
-    fetchBatchAsync(const std::vector<RemoteFetchSeg> &segs,
-                    std::vector<std::uint64_t> *arrivals = nullptr) = 0;
+    fetchBatchAsync(std::span<const RemoteFetchSeg> segs,
+                    std::span<std::uint64_t> arrivals) = 0;
 
     /**
-     * Async single-object writeback (evacuation).
+     * Writeback of every segment of @p segs (evacuation): one message
+     * per remote node touched.
      *
-     * A null @p src is charge-only, as in fetch(): the transfer is
-     * charged, counted and recorded, and every store keeps its bytes.
-     * It is for data the far heap already holds, such as a page the
-     * paging plane writes back after its callers wrote it in place. It
-     * writes no replica, so it never re-homes a stripe lost with its
-     * last replica; a cluster dies on such a stripe instead.
+     * A segment with a null src is charge-only, as in fetch(): the
+     * transfer is charged, counted and recorded, and every store keeps
+     * its bytes. It is for data the far heap already holds, such as a
+     * page the paging plane writes back after its callers wrote it in
+     * place. It writes no replica, so it never re-homes a stripe lost
+     * with its last replica; a cluster dies on such a stripe instead.
      */
-    virtual void writeback(std::uint64_t offset, const std::byte *src,
-                           std::size_t len) = 0;
-
-    /**
-     * Coalesced multi-object writeback (batched evacuation flush).
-     * Every segment needs a buffer, as in fetchBatchAsync().
-     */
-    virtual void writebackBatch(const std::vector<RemoteWriteSeg> &segs) = 0;
+    virtual void writebackBatch(std::span<const RemoteWriteSeg> segs) = 0;
 
     /** @name Initialization / verification (no cycle accounting)
      * @{ */
@@ -211,28 +199,14 @@ class SingleNodeBackend final : public RemoteBackend
     }
 
     std::uint64_t
-    fetchAsync(std::uint64_t offset, std::byte *dst,
-               std::size_t len) override
-    {
-        return node_.fetchAsync(net_, offset, dst, len);
-    }
-
-    std::uint64_t
-    fetchBatchAsync(const std::vector<RemoteFetchSeg> &segs,
-                    std::vector<std::uint64_t> *arrivals) override
+    fetchBatchAsync(std::span<const RemoteFetchSeg> segs,
+                    std::span<std::uint64_t> arrivals) override
     {
         return node_.fetchBatchAsync(net_, segs, arrivals);
     }
 
     void
-    writeback(std::uint64_t offset, const std::byte *src,
-              std::size_t len) override
-    {
-        node_.writeback(net_, offset, src, len);
-    }
-
-    void
-    writebackBatch(const std::vector<RemoteWriteSeg> &segs) override
+    writebackBatch(std::span<const RemoteWriteSeg> segs) override
     {
         node_.writebackBatch(net_, segs);
     }

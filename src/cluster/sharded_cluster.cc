@@ -232,22 +232,13 @@ ShardedCluster::fetch(std::uint64_t offset, std::byte *dst,
 }
 
 std::uint64_t
-ShardedCluster::fetchAsync(std::uint64_t offset, std::byte *dst,
-                           std::size_t len)
-{
-    pollFailures();
-    TFM_ASSERT(len == 0 || stripeOf(offset) == stripeOf(offset + len - 1),
-               "fetch segment straddles a stripe boundary");
-    Shard &s = *shards_[readShard(stripeOf(offset))];
-    return s.node.fetchAsync(s.net, offset, dst, len);
-}
-
-std::uint64_t
-ShardedCluster::fetchBatchAsync(const std::vector<RemoteFetchSeg> &segs,
-                                std::vector<std::uint64_t> *arrivals)
+ShardedCluster::fetchBatchAsync(std::span<const RemoteFetchSeg> segs,
+                                std::span<std::uint64_t> arrivals)
 {
     pollFailures();
     TFM_ASSERT(!segs.empty(), "empty cluster fetch batch");
+    TFM_ASSERT(arrivals.size() == segs.size(),
+               "one arrival slot per segment");
 
     // Split the host-side batch by serving shard, keeping each group a
     // single coalesced message on that shard's link.
@@ -267,8 +258,7 @@ ShardedCluster::fetchBatchAsync(const std::vector<RemoteFetchSeg> &segs,
         groups[s].index.push_back(i);
     }
 
-    if (arrivals)
-        arrivals->assign(segs.size(), 0);
+    std::vector<std::uint64_t> shard_arrivals;
     std::uint64_t last = 0;
     std::uint32_t touched = 0;
     for (std::size_t s = 0; s < groups.size(); s++) {
@@ -277,66 +267,56 @@ ShardedCluster::fetchBatchAsync(const std::vector<RemoteFetchSeg> &segs,
             continue;
         touched++;
         Shard &shard = *shards_[s];
-        if (arrivals) {
-            std::vector<std::uint64_t> shard_arrivals;
-            const std::uint64_t a = shard.node.fetchBatchAsync(
-                shard.net, g.segs, &shard_arrivals);
-            for (std::size_t i = 0; i < g.index.size(); i++)
-                (*arrivals)[g.index[i]] = shard_arrivals[i];
-            last = std::max(last, a);
-        } else {
-            last = std::max(
-                last, shard.node.fetchBatchAsync(shard.net, g.segs));
-        }
+        shard_arrivals.resize(g.segs.size());
+        last = std::max(last, shard.node.fetchBatchAsync(
+                                  shard.net, g.segs, shard_arrivals));
+        for (std::size_t i = 0; i < g.index.size(); i++)
+            arrivals[g.index[i]] = shard_arrivals[i];
     }
     if (touched >= 2)
         cstats_.splitFetchBatches++;
     return last;
 }
 
-void
-ShardedCluster::writeback(std::uint64_t offset, const std::byte *src,
-                          std::size_t len)
+ShardedCluster::ReplicaSet
+ShardedCluster::writeReplicas(const RemoteWriteSeg &seg)
 {
-    pollFailures();
-    TFM_ASSERT(len == 0 || stripeOf(offset) == stripeOf(offset + len - 1),
+    TFM_ASSERT(seg.len == 0 || stripeOf(seg.offset) ==
+                                   stripeOf(seg.offset + seg.len - 1),
                "writeback segment straddles a stripe boundary");
-    const std::uint64_t stripe = stripeOf(offset);
+    const std::uint64_t stripe = stripeOf(seg.offset);
     // A charge-only write carries no bytes to re-home a lost stripe with.
-    if (!src && lost(stripe))
+    if (!seg.src && lost(stripe))
         TFM_PANIC("charge-only write of a stripe lost with its last replica");
     const ReplicaSet set = liveReplicas(stripe);
     TFM_ASSERT(set.count > 0,
                "shard failure left no live replica for stripe");
     if (set.count < repl_)
         cstats_.degradedWrites++;
-    for (std::uint32_t i = 0; i < set.count; i++) {
-        Shard &s = *shards_[set.shard[i]];
-        s.node.writeback(s.net, offset, src, len);
-    }
-    if (src)
-        markStripeWritten(stripe, offset, len);
+    if (seg.src)
+        markStripeWritten(stripe, seg.offset, seg.len);
+    return set;
 }
 
 void
-ShardedCluster::writebackBatch(const std::vector<RemoteWriteSeg> &segs)
+ShardedCluster::writebackBatch(std::span<const RemoteWriteSeg> segs)
 {
     pollFailures();
     TFM_ASSERT(!segs.empty(), "empty cluster writeback batch");
+    if (segs.size() == 1) {
+        // One payload: one message to each live replica, primary first.
+        const ReplicaSet set = writeReplicas(segs[0]);
+        for (std::uint32_t i = 0; i < set.count; i++) {
+            Shard &shard = *shards_[set.shard[i]];
+            shard.node.writebackBatch(shard.net, segs);
+        }
+        return;
+    }
     std::vector<std::vector<RemoteWriteSeg>> groups(shards_.size());
     for (const RemoteWriteSeg &seg : segs) {
-        TFM_ASSERT(seg.len == 0 || stripeOf(seg.offset) ==
-                                       stripeOf(seg.offset + seg.len - 1),
-                   "writeback segment straddles a stripe boundary");
-        const std::uint64_t stripe = stripeOf(seg.offset);
-        const ReplicaSet set = liveReplicas(stripe);
-        TFM_ASSERT(set.count > 0,
-                   "shard failure left no live replica for stripe");
-        if (set.count < repl_)
-            cstats_.degradedWrites++;
+        const ReplicaSet set = writeReplicas(seg);
         for (std::uint32_t i = 0; i < set.count; i++)
             groups[set.shard[i]].push_back(seg);
-        markStripeWritten(stripe, seg.offset, seg.len);
     }
     std::uint32_t touched = 0;
     for (std::size_t s = 0; s < groups.size(); s++) {

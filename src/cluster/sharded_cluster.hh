@@ -76,14 +76,9 @@ class ShardedCluster final : public RemoteBackend
      * @{ */
     void fetch(std::uint64_t offset, std::byte *dst,
                std::size_t len) override;
-    std::uint64_t fetchAsync(std::uint64_t offset, std::byte *dst,
-                             std::size_t len) override;
-    std::uint64_t
-    fetchBatchAsync(const std::vector<RemoteFetchSeg> &segs,
-                    std::vector<std::uint64_t> *arrivals) override;
-    void writeback(std::uint64_t offset, const std::byte *src,
-                   std::size_t len) override;
-    void writebackBatch(const std::vector<RemoteWriteSeg> &segs) override;
+    std::uint64_t fetchBatchAsync(std::span<const RemoteFetchSeg> segs,
+                                  std::span<std::uint64_t> arrivals) override;
+    void writebackBatch(std::span<const RemoteWriteSeg> segs) override;
     void rawWrite(std::uint64_t offset, const std::byte *src,
                   std::size_t len) override;
     void rawRead(std::uint64_t offset, std::byte *dst,
@@ -154,6 +149,12 @@ class ShardedCluster final : public RemoteBackend
     void pollFailures();
     /** Kill @p dead and re-replicate every stripe it held. */
     void onShardDeath(std::uint32_t dead);
+    /**
+     * Route one writeback segment: check it, count a degraded write,
+     * mark a lost stripe it re-covers written, and return the replicas
+     * it goes to. Panics on a charge-only segment of a lost stripe.
+     */
+    ReplicaSet writeReplicas(const RemoteWriteSeg &seg);
     /** Clear the lost flag when a write re-covers a whole lost stripe. */
     void markStripeWritten(std::uint64_t stripe, std::uint64_t offset,
                            std::size_t len);

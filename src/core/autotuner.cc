@@ -31,7 +31,6 @@ autotuneObjectSize(const std::string &source, const AutotuneConfig &config)
             SystemConfig sys_config = config.system;
             sys_config.runtime.objectSizeBytes = size;
             if (sweep_batches) {
-                sys_config.runtime.batchingEnabled = batch > 1;
                 sys_config.runtime.fetchBatchMax = batch;
                 sys_config.runtime.writebackBatchMax = batch;
             }

@@ -104,7 +104,8 @@ PagedPlane::pageOut(std::uint64_t pageId)
     // rawWrite or a window onto it), so only the transfer is new.
     RemoteBackend &backend = rt_.backend();
     forEachSegment(pageId, [&backend](std::uint64_t at, std::size_t len) {
-        backend.writeback(at, nullptr, len);
+        const RemoteWriteSeg seg{at, nullptr, len};
+        backend.writebackBatch({&seg, 1});
     });
 }
 
@@ -248,8 +249,11 @@ PagedPlane::readahead(std::uint64_t pageId)
         RemoteBackend &backend = rt_.backend();
         forEachSegment(target, [&backend, &pg](std::uint64_t at,
                                                std::size_t len) {
-            pg.arrival =
-                std::max(pg.arrival, backend.fetchAsync(at, nullptr, len));
+            const RemoteFetchSeg seg{at, nullptr, len};
+            std::uint64_t arrival = 0;
+            pg.arrival = std::max(pg.arrival,
+                                  backend.fetchBatchAsync({&seg, 1},
+                                                          {&arrival, 1}));
         });
         resident_.pushBack(static_cast<std::uint32_t>(target));
         _stats.readaheads++;

@@ -33,17 +33,6 @@ NetworkModel::transferCycles(std::uint64_t bytes) const
         std::ceil(static_cast<double>(bytes) / _costs.netBytesPerCycle));
 }
 
-std::uint64_t
-NetworkModel::reserveInbound(std::uint64_t bytes)
-{
-    // The request leaves now; payload serialization begins once the
-    // request reaches the remote node and the inbound link is free.
-    const std::uint64_t ready =
-        std::max(_clock.now() + _costs.netLatencyCycles, inFreeAt);
-    inFreeAt = ready + transferCycles(bytes);
-    return inFreeAt;
-}
-
 void
 NetworkModel::accountFetch(std::uint64_t bytes, std::uint32_t payloads)
 {
@@ -80,20 +69,16 @@ NetworkModel::observeFetch(std::uint64_t issue, std::uint64_t arrival,
 void
 NetworkModel::fetchSync(std::uint64_t bytes)
 {
-    fetchBatchSync(bytes, 1);
-}
-
-void
-NetworkModel::fetchBatchSync(std::uint64_t bytes, std::uint32_t payloads)
-{
-    TFM_ASSERT(payloads > 0, "empty fetch batch");
     const std::uint64_t issue = _clock.now();
-    _clock.advance(_costs.perMessageCpuCycles +
-                   _costs.perPayloadCpuCycles * (payloads - 1));
-    const std::uint64_t arrival = reserveInbound(bytes);
+    _clock.advance(_costs.perMessageCpuCycles);
+    // The request leaves now; payload serialization begins once the
+    // request reaches the remote node and the inbound link is free.
+    inFreeAt = std::max(_clock.now() + _costs.netLatencyCycles, inFreeAt) +
+               transferCycles(bytes);
+    const std::uint64_t arrival = inFreeAt;
     _clock.advanceTo(arrival);
-    accountFetch(bytes, payloads);
-    observeFetch(issue, arrival, bytes, payloads);
+    accountFetch(bytes, 1);
+    observeFetch(issue, arrival, bytes, 1);
 }
 
 std::uint64_t
@@ -109,56 +94,29 @@ NetworkModel::fetchSyncAt(std::uint64_t issue, std::uint64_t bytes)
 }
 
 std::uint64_t
-NetworkModel::fetchAsync(std::uint64_t bytes)
-{
-    return fetchBatchAsync(bytes, 1);
-}
-
-std::uint64_t
-NetworkModel::fetchBatchAsync(std::uint64_t bytes, std::uint32_t payloads)
-{
-    TFM_ASSERT(payloads > 0, "empty fetch batch");
-    const std::uint64_t issue = _clock.now();
-    _clock.advance(_costs.prefetchIssueCycles +
-                   _costs.perPayloadCpuCycles * (payloads - 1));
-    const std::uint64_t arrival = reserveInbound(bytes);
-    accountFetch(bytes, payloads);
-    observeFetch(issue, arrival, bytes, payloads);
-    return arrival;
-}
-
-std::uint64_t
-NetworkModel::fetchBatchAsyncSegmented(
-    const std::vector<std::uint64_t> &payloadBytes,
-    std::vector<std::uint64_t> &arrivals)
+NetworkModel::fetchBatchAsync(std::span<const std::uint64_t> payloadBytes,
+                              std::span<std::uint64_t> arrivals)
 {
     TFM_ASSERT(!payloadBytes.empty(), "empty fetch batch");
+    TFM_ASSERT(arrivals.size() == payloadBytes.size(),
+               "one arrival slot per payload");
     const auto payloads = static_cast<std::uint32_t>(payloadBytes.size());
     const std::uint64_t issue = _clock.now();
     _clock.advance(_costs.prefetchIssueCycles +
                    _costs.perPayloadCpuCycles * (payloads - 1));
     std::uint64_t total = 0;
-    for (const std::uint64_t bytes : payloadBytes)
-        total += bytes;
-    const std::uint64_t ready =
+    std::uint64_t at =
         std::max(_clock.now() + _costs.netLatencyCycles, inFreeAt);
-    arrivals.clear();
-    arrivals.reserve(payloads);
-    std::uint64_t at = ready;
-    for (const std::uint64_t bytes : payloadBytes) {
+    for (std::size_t i = 0; i < payloadBytes.size(); i++) {
+        const std::uint64_t bytes = payloadBytes[i];
+        total += bytes;
         at += transferCycles(bytes);
-        arrivals.push_back(at);
+        arrivals[i] = at;
     }
     inFreeAt = at;
     accountFetch(total, payloads);
     observeFetch(issue, at, total, payloads);
     return at;
-}
-
-void
-NetworkModel::writebackAsync(std::uint64_t bytes)
-{
-    writebackBatch(bytes, 1);
 }
 
 void

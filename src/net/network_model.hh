@@ -14,7 +14,7 @@
 #define TRACKFM_NET_NETWORK_MODEL_HH
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "sim/cost_params.hh"
 #include "sim/cycle_clock.hh"
@@ -95,47 +95,24 @@ class NetworkModel
     void fetchSync(std::uint64_t bytes);
 
     /**
-     * Issue an asynchronous fetch of @p bytes (prefetch). Returns the
-     * absolute cycle at which the data will have arrived. The caller is
-     * charged only the issue-side CPU cost.
+     * Issue one asynchronous fetch message carrying one payload per
+     * entry of @p payloadBytes (a prefetch, or a coalesced window). A
+     * single issue-side CPU + latency charge covers the whole message;
+     * each payload beyond the first adds only the scatter-gather entry
+     * cost. The caller is charged only the issue-side CPU cost.
      *
-     * @return arrival time in absolute cycles.
-     */
-    std::uint64_t fetchAsync(std::uint64_t bytes);
-
-    /**
-     * Issue one asynchronous multi-object fetch message carrying
-     * @p payloads coalesced objects totalling @p bytes. A single
-     * issue-side CPU + latency charge covers the whole batch; each
-     * payload beyond the first adds only the scatter-gather entry cost.
-     *
-     * @return arrival time of the complete batch in absolute cycles.
-     */
-    std::uint64_t fetchBatchAsync(std::uint64_t bytes,
-                                  std::uint32_t payloads);
-
-    /**
-     * Like fetchBatchAsync(), but reports when each payload of the
-     * single response message becomes usable: payloads stream back
-     * back-to-back, so payload i arrives after the request latency plus
-     * the cumulative serialization of payloads 0..i, not at the end of
-     * the whole batch.
+     * Payloads stream back back-to-back, so payload i arrives after the
+     * request latency plus the cumulative serialization of payloads
+     * 0..i, not at the end of the whole message.
      *
      * @param payloadBytes per-payload byte counts, in transfer order.
-     * @param arrivals out-param; arrivals[i] is the absolute cycle at
-     *                 which payload i has fully arrived.
+     * @param arrivals out-param, sized like @p payloadBytes (it may be
+     *                 the same span); arrivals[i] is the absolute cycle
+     *                 at which payload i has fully arrived.
      * @return arrival of the last payload (== arrivals.back()).
      */
-    std::uint64_t
-    fetchBatchAsyncSegmented(const std::vector<std::uint64_t> &payloadBytes,
-                             std::vector<std::uint64_t> &arrivals);
-
-    /**
-     * Synchronous multi-object fetch (a demand miss that drags its
-     * coalescing window along): one per-message charge, the clock
-     * advances to the arrival of the whole batch.
-     */
-    void fetchBatchSync(std::uint64_t bytes, std::uint32_t payloads);
+    std::uint64_t fetchBatchAsync(std::span<const std::uint64_t> payloadBytes,
+                                  std::span<std::uint64_t> arrivals);
 
     /**
      * Block until an asynchronous fetch issued earlier has arrived.
@@ -163,16 +140,10 @@ class NetworkModel
     std::uint64_t fetchSyncAt(std::uint64_t issue, std::uint64_t bytes);
 
     /**
-     * Write @p bytes back to the remote node asynchronously (evacuation,
-     * page-out). Reserves outbound link time and counts bytes; the caller
-     * pays only the per-message CPU cost.
-     */
-    void writebackAsync(std::uint64_t bytes);
-
-    /**
-     * Write @p payloads coalesced objects totalling @p bytes back in one
-     * outbound message (batched evacuation). One per-message CPU charge
-     * plus the per-payload scatter-gather cost covers the whole batch.
+     * Write @p payloads objects totalling @p bytes back in one outbound
+     * message (evacuation, page-out). Reserves outbound link time and
+     * counts bytes; the caller pays one per-message CPU charge plus the
+     * per-payload scatter-gather cost of each payload beyond the first.
      */
     void writebackBatch(std::uint64_t bytes, std::uint32_t payloads);
 
@@ -227,8 +198,6 @@ class NetworkModel
   private:
     /// Cycles needed to push @p bytes through the link at line rate.
     std::uint64_t transferCycles(std::uint64_t bytes) const;
-    /// Reserve inbound link time for a payload, returning arrival cycle.
-    std::uint64_t reserveInbound(std::uint64_t bytes);
     /// Record one inbound message carrying @p payloads objects.
     void accountFetch(std::uint64_t bytes, std::uint32_t payloads);
     /// Observe one inbound message span (no-op when unattached).

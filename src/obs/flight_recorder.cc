@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "obs/obs.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace tfm
@@ -88,14 +89,10 @@ frKindName(std::uint16_t kind)
         return "net.writeback";
       case FrKind::BackendFetch:
         return "backend.fetch";
-      case FrKind::BackendFetchAsync:
-        return "backend.fetch-async";
       case FrKind::BackendFetchBatch:
         return "backend.fetch-batch";
       case FrKind::BackendFetchSeg:
         return "backend.fetch-seg";
-      case FrKind::BackendWriteback:
-        return "backend.writeback";
       case FrKind::BackendWritebackBatch:
         return "backend.writeback-batch";
       case FrKind::BackendWritebackSeg:
@@ -441,6 +438,13 @@ FlightRecorder::categoryCount(FrCat cat) const
             count += (e.stream % frCatSlots) == wanted;
     }
     return count;
+}
+
+const std::vector<FrEvent> &
+FlightRecorder::replayLog() const
+{
+    TFM_ASSERT(mode_ == Mode::Replay, "only a replay has a loaded log");
+    return log_.events;
 }
 
 std::vector<FrEvent>

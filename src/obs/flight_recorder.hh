@@ -80,12 +80,13 @@ enum class FrKind : std::uint16_t
     NetFetch = 1,     ///< {bytes, payloads, arrival, shard}
     NetWriteback = 2, ///< {bytes, payloads, drained, shard}
 
-    // FrCat::Backend — one event (or batch header + segments) per op.
+    // FrCat::Backend — one event per blocking fetch; every async fetch
+    // and writeback is a batch header plus one segment event per
+    // payload. 11 and 14 stay reserved: they were the single-payload
+    // async fetch and writeback, and no log reuses them.
     BackendFetch = 10,        ///< {offset, len, endCycle}
-    BackendFetchAsync = 11,   ///< {offset, len, arrival, endCycle}
     BackendFetchBatch = 12,   ///< {segCount, lastArrival, endCycle}
     BackendFetchSeg = 13,     ///< {offset, len, arrival}
-    BackendWriteback = 14,    ///< {offset, len, endCycle}
     BackendWritebackBatch = 15, ///< {segCount, endCycle}
     BackendWritebackSeg = 16, ///< {offset, len}
     /// {degradedReads, reReplicatedBytes, shardFailures, degradedWrites}
@@ -268,6 +269,9 @@ class FlightRecorder
 
     /** The held (record) or loaded (replay) events, oldest first. */
     std::vector<FrEvent> snapshot() const;
+
+    /** The loaded log, read in place (replay mode only). */
+    const std::vector<FrEvent> &replayLog() const;
 
     /** Write the current contents to @p path (ring: the tail dump). */
     bool save(const std::string &path, std::string &error) const;

@@ -13,7 +13,7 @@ namespace
 /// Batch headers check only the segment count; arrivals/completions
 /// are outcomes, re-injected by the recorder during replay.
 constexpr int kCheckBatchHeader = 1;
-/// Per-segment and single-op events check {offset, len}.
+/// Per-segment and blocking-fetch events check {offset, len}.
 constexpr int kCheckOffsetLen = 2;
 
 } // anonymous namespace
@@ -29,45 +29,22 @@ RecordingBackend::fetch(std::uint64_t offset, std::byte *dst,
 }
 
 std::uint64_t
-RecordingBackend::fetchAsync(std::uint64_t offset, std::byte *dst,
-                             std::size_t len)
+RecordingBackend::fetchBatchAsync(std::span<const RemoteFetchSeg> segs,
+                                  std::span<std::uint64_t> arrivals)
 {
     const std::uint64_t start = clock_.now();
-    const std::uint64_t arrival = inner_->fetchAsync(offset, dst, len);
-    rec_.note(instance_, FrCat::Backend, FrKind::BackendFetchAsync, start,
-              offset, len, arrival, clock_.now());
-    return arrival;
-}
-
-std::uint64_t
-RecordingBackend::fetchBatchAsync(const std::vector<RemoteFetchSeg> &segs,
-                                  std::vector<std::uint64_t> *arrivals)
-{
-    const std::uint64_t start = clock_.now();
-    std::vector<std::uint64_t> local;
-    std::vector<std::uint64_t> &out = arrivals ? *arrivals : local;
-    const std::uint64_t last = inner_->fetchBatchAsync(segs, &out);
+    const std::uint64_t last = inner_->fetchBatchAsync(segs, arrivals);
     rec_.note(instance_, FrCat::Backend, FrKind::BackendFetchBatch, start,
               segs.size(), last, clock_.now());
     for (std::size_t i = 0; i < segs.size(); i++) {
         rec_.note(instance_, FrCat::Backend, FrKind::BackendFetchSeg,
-                  start, segs[i].offset, segs[i].len, out[i]);
+                  start, segs[i].offset, segs[i].len, arrivals[i]);
     }
     return last;
 }
 
 void
-RecordingBackend::writeback(std::uint64_t offset, const std::byte *src,
-                            std::size_t len)
-{
-    const std::uint64_t start = clock_.now();
-    inner_->writeback(offset, src, len);
-    rec_.note(instance_, FrCat::Backend, FrKind::BackendWriteback, start,
-              offset, len, clock_.now());
-}
-
-void
-RecordingBackend::writebackBatch(const std::vector<RemoteWriteSeg> &segs)
+RecordingBackend::writebackBatch(std::span<const RemoteWriteSeg> segs)
 {
     const std::uint64_t start = clock_.now();
     inner_->writebackBatch(segs);
@@ -99,56 +76,30 @@ ReplayBackend::fetch(std::uint64_t offset, std::byte *dst, std::size_t len)
 }
 
 std::uint64_t
-ReplayBackend::fetchAsync(std::uint64_t offset, std::byte *dst,
-                          std::size_t len)
+ReplayBackend::fetchBatchAsync(std::span<const RemoteFetchSeg> segs,
+                               std::span<std::uint64_t> arrivals)
 {
-    std::uint64_t args[4] = {offset, len, 0, 0};
-    rec_.record(instance_, FrCat::Backend, FrKind::BackendFetchAsync,
-                clock_.now(), args, kCheckOffsetLen);
-    if (dst)
-        node_.rawRead(offset, dst, len);
-    clock_.advanceTo(args[3]);
-    return args[2];
-}
-
-std::uint64_t
-ReplayBackend::fetchBatchAsync(const std::vector<RemoteFetchSeg> &segs,
-                               std::vector<std::uint64_t> *arrivals)
-{
+    TFM_ASSERT(arrivals.size() == segs.size(),
+               "one arrival slot per segment");
     const std::uint64_t start = clock_.now();
     std::uint64_t header[4] = {segs.size(), 0, 0, 0};
     rec_.record(instance_, FrCat::Backend, FrKind::BackendFetchBatch,
                 start, header, kCheckBatchHeader);
-    if (arrivals) {
-        arrivals->clear();
-        arrivals->reserve(segs.size());
-    }
-    for (const RemoteFetchSeg &seg : segs) {
+    for (std::size_t i = 0; i < segs.size(); i++) {
+        const RemoteFetchSeg &seg = segs[i];
         std::uint64_t args[4] = {seg.offset, seg.len, 0, 0};
         rec_.record(instance_, FrCat::Backend, FrKind::BackendFetchSeg,
                     start, args, kCheckOffsetLen);
-        node_.rawRead(seg.offset, seg.dst, seg.len);
-        if (arrivals)
-            arrivals->push_back(args[2]);
+        if (seg.dst)
+            node_.rawRead(seg.offset, seg.dst, seg.len);
+        arrivals[i] = args[2];
     }
     clock_.advanceTo(header[2]);
     return header[1];
 }
 
 void
-ReplayBackend::writeback(std::uint64_t offset, const std::byte *src,
-                         std::size_t len)
-{
-    std::uint64_t args[4] = {offset, len, 0, 0};
-    rec_.record(instance_, FrCat::Backend, FrKind::BackendWriteback,
-                clock_.now(), args, kCheckOffsetLen);
-    if (src)
-        node_.rawWrite(offset, src, len);
-    clock_.advanceTo(args[2]);
-}
-
-void
-ReplayBackend::writebackBatch(const std::vector<RemoteWriteSeg> &segs)
+ReplayBackend::writebackBatch(std::span<const RemoteWriteSeg> segs)
 {
     const std::uint64_t start = clock_.now();
     std::uint64_t header[4] = {segs.size(), 0, 0, 0};
@@ -159,7 +110,8 @@ ReplayBackend::writebackBatch(const std::vector<RemoteWriteSeg> &segs)
         rec_.record(instance_, FrCat::Backend,
                     FrKind::BackendWritebackSeg, start, args,
                     kCheckOffsetLen);
-        node_.rawWrite(seg.offset, seg.src, seg.len);
+        if (seg.src)
+            node_.rawWrite(seg.offset, seg.src, seg.len);
     }
     clock_.advanceTo(header[1]);
 }
@@ -186,7 +138,7 @@ ReplayBackend::netStatsFiltered(std::int64_t shard) const
     // mid-run (resetStats() on the dummy link is a no-op for these
     // numbers).
     NetStats stats;
-    const std::vector<FrEvent> events = rec_.snapshot();
+    const std::vector<FrEvent> &events = rec_.replayLog();
     const std::size_t frontier = static_cast<std::size_t>(
         std::min<std::uint64_t>(rec_.consumedFrontier(), events.size()));
     const std::uint16_t wanted = static_cast<std::uint16_t>(
@@ -240,7 +192,7 @@ ReplayBackend::shardCount() const
         instance_ * frCatSlots +
         static_cast<std::uint16_t>(FrCat::Net));
     std::uint64_t top = 0;
-    for (const FrEvent &e : rec_.snapshot()) {
+    for (const FrEvent &e : rec_.replayLog()) {
         if (e.stream == wanted)
             top = std::max(top, e.arg[3]);
     }

@@ -51,14 +51,9 @@ class RecordingBackend final : public RemoteBackend
 
     void fetch(std::uint64_t offset, std::byte *dst,
                std::size_t len) override;
-    std::uint64_t fetchAsync(std::uint64_t offset, std::byte *dst,
-                             std::size_t len) override;
-    std::uint64_t
-    fetchBatchAsync(const std::vector<RemoteFetchSeg> &segs,
-                    std::vector<std::uint64_t> *arrivals) override;
-    void writeback(std::uint64_t offset, const std::byte *src,
-                   std::size_t len) override;
-    void writebackBatch(const std::vector<RemoteWriteSeg> &segs) override;
+    std::uint64_t fetchBatchAsync(std::span<const RemoteFetchSeg> segs,
+                                  std::span<std::uint64_t> arrivals) override;
+    void writebackBatch(std::span<const RemoteWriteSeg> segs) override;
 
     void
     rawWrite(std::uint64_t offset, const std::byte *src,
@@ -136,14 +131,9 @@ class ReplayBackend final : public RemoteBackend
 
     void fetch(std::uint64_t offset, std::byte *dst,
                std::size_t len) override;
-    std::uint64_t fetchAsync(std::uint64_t offset, std::byte *dst,
-                             std::size_t len) override;
-    std::uint64_t
-    fetchBatchAsync(const std::vector<RemoteFetchSeg> &segs,
-                    std::vector<std::uint64_t> *arrivals) override;
-    void writeback(std::uint64_t offset, const std::byte *src,
-                   std::size_t len) override;
-    void writebackBatch(const std::vector<RemoteWriteSeg> &segs) override;
+    std::uint64_t fetchBatchAsync(std::span<const RemoteFetchSeg> segs,
+                                  std::span<std::uint64_t> arrivals) override;
+    void writebackBatch(std::span<const RemoteWriteSeg> segs) override;
 
     void
     rawWrite(std::uint64_t offset, const std::byte *src,

@@ -186,45 +186,24 @@ RemoteNode::fetch(NetworkModel &net, std::uint64_t offset, std::byte *dst,
 }
 
 std::uint64_t
-RemoteNode::fetchAsync(NetworkModel &net, std::uint64_t offset,
-                       std::byte *dst, std::size_t len)
-{
-    checkRange(offset, len);
-    const std::uint64_t arrival = net.fetchAsync(len);
-    if (dst)
-        std::memcpy(dst, store.data() + offset, len);
-    _stats.fetchRequests++;
-    _stats.fetchPayloads++;
-    observeServe(net, "remote.fetch", net.now(), 1);
-    return arrival;
-}
-
-std::uint64_t
 RemoteNode::fetchBatchAsync(NetworkModel &net,
-                            const std::vector<RemoteFetchSeg> &segs,
-                            std::vector<std::uint64_t> *arrivals)
+                            std::span<const RemoteFetchSeg> segs,
+                            std::span<std::uint64_t> arrivals)
 {
     TFM_ASSERT(!segs.empty(), "empty remote fetch batch");
-    std::uint64_t arrival;
-    if (arrivals) {
-        std::vector<std::uint64_t> sizes;
-        sizes.reserve(segs.size());
-        for (const RemoteFetchSeg &seg : segs) {
-            checkRange(seg.offset, seg.len);
-            sizes.push_back(seg.len);
-        }
-        arrival = net.fetchBatchAsyncSegmented(sizes, *arrivals);
-    } else {
-        std::uint64_t total = 0;
-        for (const RemoteFetchSeg &seg : segs) {
-            checkRange(seg.offset, seg.len);
-            total += seg.len;
-        }
-        arrival = net.fetchBatchAsync(
-            total, static_cast<std::uint32_t>(segs.size()));
+    TFM_ASSERT(arrivals.size() == segs.size(),
+               "one arrival slot per segment");
+    // The arrival slots carry the payload sizes in; the link overwrites
+    // each with its arrival.
+    for (std::size_t i = 0; i < segs.size(); i++) {
+        checkRange(segs[i].offset, segs[i].len);
+        arrivals[i] = segs[i].len;
     }
-    for (const RemoteFetchSeg &seg : segs)
-        std::memcpy(seg.dst, store.data() + seg.offset, seg.len);
+    const std::uint64_t arrival = net.fetchBatchAsync(arrivals, arrivals);
+    for (const RemoteFetchSeg &seg : segs) {
+        if (seg.dst)
+            std::memcpy(seg.dst, store.data() + seg.offset, seg.len);
+    }
     _stats.fetchRequests++;
     _stats.fetchPayloads += segs.size();
     observeServe(net, "remote.fetch", net.now(), segs.size());
@@ -232,23 +211,8 @@ RemoteNode::fetchBatchAsync(NetworkModel &net,
 }
 
 void
-RemoteNode::writeback(NetworkModel &net, std::uint64_t offset,
-                      const std::byte *src, std::size_t len)
-{
-    checkRange(offset, len);
-    net.writebackAsync(len);
-    if (src) {
-        store.touch(offset, len);
-        std::memcpy(store.data() + offset, src, len);
-    }
-    _stats.writebackRequests++;
-    _stats.writebackPayloads++;
-    observeServe(net, "remote.writeback", net.now(), 1);
-}
-
-void
 RemoteNode::writebackBatch(NetworkModel &net,
-                           const std::vector<RemoteWriteSeg> &segs)
+                           std::span<const RemoteWriteSeg> segs)
 {
     TFM_ASSERT(!segs.empty(), "empty remote writeback batch");
     std::uint64_t total = 0;
@@ -258,6 +222,8 @@ RemoteNode::writebackBatch(NetworkModel &net,
     }
     net.writebackBatch(total, static_cast<std::uint32_t>(segs.size()));
     for (const RemoteWriteSeg &seg : segs) {
+        if (!seg.src)
+            continue;
         store.touch(seg.offset, seg.len);
         std::memcpy(store.data() + seg.offset, seg.src, seg.len);
     }

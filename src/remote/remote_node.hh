@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -45,18 +46,22 @@ struct RemoteStats
     }
 };
 
-/** One object of a multi-object fetch message. */
+/** One payload of a fetch message. */
 struct RemoteFetchSeg
 {
     std::uint64_t offset = 0; ///< far-heap byte offset
-    std::byte *dst = nullptr; ///< local frame the payload lands in
+    /// Local frame the payload lands in; null for a charge-only payload
+    /// (charged, counted and recorded, no byte copied).
+    std::byte *dst = nullptr;
     std::size_t len = 0;
 };
 
-/** One object of a multi-object writeback message. */
+/** One payload of a writeback message. */
 struct RemoteWriteSeg
 {
     std::uint64_t offset = 0;
+    /// Bytes to store; null for a charge-only payload (the far heap
+    /// already holds them, so every store keeps its bytes).
     const std::byte *src = nullptr;
     std::size_t len = 0;
 };
@@ -95,44 +100,27 @@ class RemoteNode
                std::size_t len);
 
     /**
-     * Asynchronously fetch (prefetch). Data is copied immediately (the
-     * store is in-process) but the returned arrival cycle tells the
-     * runtime when the object may be marked present. A null @p dst
-     * copies nothing, as in fetch().
+     * Asynchronously fetch every segment of @p segs as ONE network
+     * message (a prefetch, or a coalesced window). Data is copied
+     * immediately (the store is in-process), but @p arrivals, sized
+     * like @p segs, gets the cycle at which each segment may be marked
+     * present: the response streams its payloads back in order, so
+     * earlier segments are usable before the message completes. A
+     * segment with a null dst copies nothing, as in fetch().
      *
-     * @return absolute cycle of arrival.
-     */
-    std::uint64_t fetchAsync(NetworkModel &net, std::uint64_t offset,
-                             std::byte *dst, std::size_t len);
-
-    /**
-     * Asynchronously fetch every segment of @p segs as ONE coalesced
-     * network message (batched prefetch / coalesced demand window).
-     *
-     * @param arrivals when non-null, filled with the per-segment arrival
-     *                 cycles: the response streams its payloads back in
-     *                 order, so earlier segments are usable before the
-     *                 batch completes.
-     * @return absolute cycle at which the whole batch has arrived.
+     * @return absolute cycle at which the whole message has arrived.
      */
     std::uint64_t fetchBatchAsync(NetworkModel &net,
-                                  const std::vector<RemoteFetchSeg> &segs,
-                                  std::vector<std::uint64_t> *arrivals = nullptr);
+                                  std::span<const RemoteFetchSeg> segs,
+                                  std::span<std::uint64_t> arrivals);
 
     /**
-     * Write @p len bytes at @p offset from @p src (evacuation). A null
-     * @p src charges and counts the transfer but leaves the store as it
-     * is (RemoteBackend::writeback).
-     */
-    void writeback(NetworkModel &net, std::uint64_t offset,
-                   const std::byte *src, std::size_t len);
-
-    /**
-     * Absorb every segment of @p segs as ONE coalesced writeback
-     * message (batched evacuation flush).
+     * Absorb every segment of @p segs as ONE writeback message
+     * (evacuation, page-out). A segment with a null @p src charges and
+     * counts its transfer but leaves the store as it is.
      */
     void writebackBatch(NetworkModel &net,
-                        const std::vector<RemoteWriteSeg> &segs);
+                        std::span<const RemoteWriteSeg> segs);
 
     /**
      * Populate the store directly, bypassing the network. Used only for

@@ -323,7 +323,7 @@ FarMemRuntime::evictFrame(WorkerContext &c, std::uint32_t shard,
     if (meta.dirty()) {
         c.stats.dirtyWritebacks++;
         std::byte *data = cache.frameData(frame_idx);
-        if (cfg.batchingEnabled && cfg.writebackBatchMax > 1) {
+        if (cfg.writebackBatchMax > 1) {
             // Park the payload in the coalescing buffer; the frame is
             // reused once retired, so the bytes must be copied out.
             std::unique_lock<std::mutex> g = lockIfShared(c.wbMu);
@@ -336,10 +336,9 @@ FarMemRuntime::evictFrame(WorkerContext &c, std::uint32_t shard,
             c.wbBuf.push_back(std::move(pending));
             parkedCount_++;
         } else {
-            onBackend(c, [&] {
-                backend_->writeback(f.objId << ost.objectShift(), data,
-                                    ost.objectSize());
-            });
+            const RemoteWriteSeg seg{f.objId << ost.objectShift(), data,
+                                     ost.objectSize()};
+            onBackend(c, [&] { backend_->writebackBatch({&seg, 1}); });
         }
     }
     // Unmap, then stamp, then retire. A reader whose epoch slot is >=
@@ -498,9 +497,7 @@ FarMemRuntime::prefetchObjects(std::uint64_t obj_id, std::int64_t stride,
     const std::uint64_t frontier_obj =
         (alloc_.frontier() + ost.objectSize() - 1) >> ost.objectShift();
 
-    const std::uint32_t batch_max =
-        (cfg.batchingEnabled && cfg.fetchBatchMax > 1) ? cfg.fetchBatchMax
-                                                       : 1;
+    const std::uint32_t batch_max = std::max(cfg.fetchBatchMax, 1u);
     // Segments of the batch being assembled, and the frames they land
     // in. Collected frames are transiently pinned so mid-collection
     // evictions (for later targets) can never steal them before their
@@ -519,8 +516,8 @@ FarMemRuntime::prefetchObjects(std::uint64_t obj_id, std::int64_t stride,
         // Per-segment arrivals: the batch's payloads stream back in
         // order, so the first objects of the window are consumable
         // before the tail has serialized.
-        std::vector<std::uint64_t> arrivals;
-        backend_->fetchBatchAsync(segs, &arrivals);
+        std::vector<std::uint64_t> arrivals(segs.size());
+        backend_->fetchBatchAsync(segs, arrivals);
         for (std::size_t i = 0; i < seg_frames.size(); i++) {
             Frame &f = cache.frame(seg_frames[i]);
             f.arrivalCycle = arrivals[i];

@@ -55,13 +55,13 @@ struct RuntimeConfig
 
     /** @name Batched data plane (see DESIGN.md "Batched data plane")
      * @{ */
-    /// Coalesce prefetch windows and evacuation writebacks into
-    /// multi-object network messages.
-    bool batchingEnabled = true;
-    /// Max object payloads coalesced into one fetch message.
+    /// Max object payloads coalesced into one fetch message. 1 (or 0)
+    /// turns fetch batching off: every prefetch is its own message.
     std::uint32_t fetchBatchMax = 8;
     /// Dirty-writeback buffer flush threshold (objects). The buffer is
-    /// also flushed by evacuateAll() and by the age window below.
+    /// also flushed by evacuateAll() and by the age window below. 1 (or
+    /// 0) turns writeback batching off: an evicted dirty object goes out
+    /// at once as its own message, with no buffer.
     std::uint32_t writebackBatchMax = 8;
     /// Age window: flush a non-empty writeback buffer once its oldest
     /// entry is this many cycles old (bounds remote-copy staleness).

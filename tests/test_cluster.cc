@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/remote_backend.hh"
@@ -45,6 +47,26 @@ fillPattern(std::vector<std::byte> &buf, std::uint64_t seed)
 {
     for (std::size_t i = 0; i < buf.size(); i++)
         buf[i] = static_cast<std::byte>((seed + i) * 2654435761u >> 16);
+}
+
+/** A one-segment async fetch; returns the arrival. */
+std::uint64_t
+fetchOne(RemoteBackend &b, std::uint64_t offset, std::byte *dst,
+         std::size_t len)
+{
+    const RemoteFetchSeg seg{offset, dst, len};
+    std::uint64_t arrival = 0;
+    b.fetchBatchAsync({&seg, 1}, {&arrival, 1});
+    return arrival;
+}
+
+/** A one-segment writeback. */
+void
+writeOne(RemoteBackend &b, std::uint64_t offset, const std::byte *src,
+         std::size_t len)
+{
+    const RemoteWriteSeg seg{offset, src, len};
+    b.writebackBatch({&seg, 1});
 }
 
 TEST(ShardMap, StripedPlacementRoutesByStripe)
@@ -151,17 +173,17 @@ TEST(ClusterEquivalence, OneShardMatchesSingleNodeByteForByte)
 
         std::vector<std::byte> buf(kObj);
         b.fetch(0, buf.data(), kObj);
-        const std::uint64_t a1 = b.fetchAsync(kObj, buf.data(), kObj);
+        const std::uint64_t a1 = fetchOne(b, kObj, buf.data(), kObj);
         clock.advanceTo(a1);
 
         std::vector<std::byte> f2(kObj), f3(kObj), f4(kObj);
         std::vector<RemoteFetchSeg> segs{{2 * kObj, f2.data(), kObj},
                                          {3 * kObj, f3.data(), kObj},
                                          {4 * kObj, f4.data(), kObj}};
-        std::vector<std::uint64_t> arrivals;
-        clock.advanceTo(b.fetchBatchAsync(segs, &arrivals));
+        std::vector<std::uint64_t> arrivals(segs.size());
+        clock.advanceTo(b.fetchBatchAsync(segs, arrivals));
 
-        b.writeback(5 * kObj, buf.data(), kObj);
+        writeOne(b, 5 * kObj, buf.data(), kObj);
         std::vector<RemoteWriteSeg> wsegs{{6 * kObj, f2.data(), kObj},
                                           {7 * kObj, f3.data(), kObj}};
         b.writebackBatch(wsegs);
@@ -237,7 +259,7 @@ TEST(ClusterReplication, WriteAllReadOne)
 
     std::vector<std::byte> data(kObj);
     fillPattern(data, 42);
-    cluster.writeback(0, data.data(), kObj);
+    writeOne(cluster, 0, data.data(), kObj);
 
     // Write-all: both shards absorbed the payload...
     std::vector<std::byte> check(kObj);
@@ -290,9 +312,8 @@ TEST(ClusterReplication, SplitBatchKeepsPerShardCoalescing)
     std::vector<RemoteFetchSeg> segs;
     for (std::uint64_t obj = 0; obj < 8; obj++)
         segs.push_back({obj * kObj, frames.data() + obj * kObj, kObj});
-    std::vector<std::uint64_t> arrivals;
-    clock.advanceTo(cluster.fetchBatchAsync(segs, &arrivals));
-    ASSERT_EQ(arrivals.size(), segs.size());
+    std::vector<std::uint64_t> arrivals(segs.size());
+    clock.advanceTo(cluster.fetchBatchAsync(segs, arrivals));
 
     for (std::uint32_t s = 0; s < 4; s++) {
         EXPECT_EQ(cluster.shardNetStats(s).fetchMessages, 1u);
@@ -446,10 +467,10 @@ TEST(ClusterFailover, UnreplicatedStripeLossIsLoud)
     // ...but stripe 0 died with shard 0.
     EXPECT_DEATH(cluster.fetch(0, buf.data(), kObj), "lost");
     // A charge-only write carries no bytes, so it cannot re-home it.
-    EXPECT_DEATH(cluster.writeback(0, nullptr, kObj), "lost");
+    EXPECT_DEATH(writeOne(cluster, 0, nullptr, kObj), "lost");
 
     // A full overwrite re-homes the stripe on the survivors.
-    cluster.writeback(0, data.data(), kObj);
+    writeOne(cluster, 0, data.data(), kObj);
     cluster.fetch(0, buf.data(), kObj);
     EXPECT_EQ(std::memcmp(buf.data(), data.data(), kObj), 0);
 }
@@ -514,6 +535,174 @@ TEST(RawSpan, ShardedClusterHasNone)
     cfg.shardCount = 2;
     ShardedCluster cluster(clock, costs, 8 * kObj, kObj, cfg);
     EXPECT_EQ(cluster.rawSpan(0, kObj), nullptr);
+}
+
+// ---------------------------------------------------------------------
+// One message shape: batching off is a one-segment batch. The cells
+// below were produced by the single-payload async fetch and writeback
+// calls that one-segment batches replaced; every clock, counter, link
+// reservation and arrival must stay as it was.
+// ---------------------------------------------------------------------
+
+/** Expected outcome of two one-segment operations on a fresh tier. */
+struct OneSegCell
+{
+    const char *backend; ///< "single", or "cluster" (2 shards, 2 copies)
+    const char *op;      ///< "fetch" or "writeback"
+    const char *kind;    ///< "64B", "4KB" or "charge-only" (4 KB)
+    std::uint64_t clock;
+    std::uint64_t arrival[2];
+    /// bytesFetched, bytesWrittenBack, fetchMessages, writebackMessages,
+    /// fetchPayloads, writebackPayloads, fetchBatches, writebackBatches,
+    /// maxFetchBatch, maxWritebackBatch
+    std::uint64_t net[10];
+    /// fetchRequests, writebackRequests, fetchPayloads, writebackPayloads
+    std::uint64_t remote[4];
+    /// inboundFreeAt, outboundFreeAt of link 0, then of link 1
+    std::uint64_t links[4];
+    /// splitFetchBatches, splitWritebackBatches, degradedReads,
+    /// degradedWrites
+    std::uint64_t cluster[4];
+};
+
+constexpr OneSegCell kOneSegCells[] = {
+    {"single", "fetch", "64B", 160, {28130, 28210}, {128,0,2,0,2,0,0,0,1,0}, {2,0,2,0}, {28210, 0, 28210, 0}, {0, 0, 0, 0}},
+    {"single", "fetch", "4KB", 160, {31231, 34382}, {8192,0,2,0,2,0,0,0,1,0}, {2,0,2,0}, {34382, 0, 34382, 0}, {0, 0, 0, 0}},
+    {"single", "fetch", "charge-only", 160, {31231, 34382}, {8192,0,2,0,2,0,0,0,1,0}, {2,0,2,0}, {34382, 0, 34382, 0}, {0, 0, 0, 0}},
+    {"single", "writeback", "64B", 1200, {0, 0}, {0,128,0,2,0,2,0,0,0,1}, {0,2,0,2}, {0, 1250, 0, 1250}, {0, 0, 0, 0}},
+    {"single", "writeback", "4KB", 1200, {0, 0}, {0,8192,0,2,0,2,0,0,0,1}, {0,2,0,2}, {0, 6902, 0, 6902}, {0, 0, 0, 0}},
+    {"single", "writeback", "charge-only", 1200, {0, 0}, {0,8192,0,2,0,2,0,0,0,1}, {0,2,0,2}, {0, 6902, 0, 6902}, {0, 0, 0, 0}},
+    {"cluster", "fetch", "64B", 160, {28130, 28210}, {128,0,2,0,2,0,0,0,1,0}, {2,0,2,0}, {28210, 0, 28130, 0}, {0, 0, 0, 0}},
+    {"cluster", "fetch", "4KB", 160, {31231, 31311}, {8192,0,2,0,2,0,0,0,1,0}, {2,0,2,0}, {31311, 0, 31231, 0}, {0, 0, 0, 0}},
+    {"cluster", "fetch", "charge-only", 160, {31231, 31311}, {8192,0,2,0,2,0,0,0,1,0}, {2,0,2,0}, {31311, 0, 31231, 0}, {0, 0, 0, 0}},
+    {"cluster", "writeback", "64B", 2400, {0, 0}, {0,256,0,4,0,4,0,0,0,1}, {0,4,0,4}, {0, 1850, 0, 2450}, {0, 0, 0, 0}},
+    {"cluster", "writeback", "4KB", 2400, {0, 0}, {0,16384,0,4,0,4,0,0,0,1}, {0,4,0,4}, {0, 7502, 0, 6902}, {0, 0, 0, 0}},
+    {"cluster", "writeback", "charge-only", 2400, {0, 0}, {0,16384,0,4,0,4,0,0,0,1}, {0,4,0,4}, {0, 7502, 0, 6902}, {0, 0, 0, 0}},
+};
+
+std::unique_ptr<RemoteBackend>
+makeOneSegTier(const OneSegCell &cell, CycleClock &clock,
+               const CostParams &costs)
+{
+    if (std::strcmp(cell.backend, "single") == 0)
+        return std::make_unique<SingleNodeBackend>(clock, costs, 1 << 20);
+    ClusterConfig cfg;
+    cfg.shardCount = 2;
+    cfg.replicationFactor = 2;
+    return std::make_unique<ShardedCluster>(clock, costs, 1 << 20, kObj,
+                                            cfg);
+}
+
+TEST(OneSegmentMessages, MatchPinnedSinglePayloadCharges)
+{
+    const CostParams costs;
+    for (const OneSegCell &cell : kOneSegCells) {
+        SCOPED_TRACE(std::string(cell.backend) + " " + cell.op + " " +
+                     cell.kind);
+        CycleClock clock;
+        std::unique_ptr<RemoteBackend> tier =
+            makeOneSegTier(cell, clock, costs);
+        const bool charge_only = std::strcmp(cell.kind, "charge-only") == 0;
+        const std::size_t len = std::strcmp(cell.kind, "64B") == 0 ? 64 : kObj;
+        // Stripe 3's replicas are {1, 0} (the ring wraps), stripe 4's
+        // {0, 1}: a replicated write reaches the primary first.
+        const std::uint64_t offsets[2] = {3 * kObj + (len == 64 ? 128 : 0),
+                                          4 * kObj};
+        std::vector<std::byte> buf(kObj);
+        std::uint64_t arrivals[2] = {0, 0};
+        for (int i = 0; i < 2; i++) {
+            fillPattern(buf, static_cast<std::uint64_t>(i));
+            std::byte *data = charge_only ? nullptr : buf.data();
+            if (std::strcmp(cell.op, "fetch") == 0)
+                arrivals[i] = fetchOne(*tier, offsets[i], data, len);
+            else
+                writeOne(*tier, offsets[i], data, len);
+        }
+
+        EXPECT_EQ(clock.now(), cell.clock);
+        EXPECT_EQ(arrivals[0], cell.arrival[0]);
+        EXPECT_EQ(arrivals[1], cell.arrival[1]);
+        const NetStats n = tier->netStats();
+        const std::uint64_t net[10] = {
+            n.bytesFetched,     n.bytesWrittenBack,  n.fetchMessages,
+            n.writebackMessages, n.fetchPayloads,    n.writebackPayloads,
+            n.fetchBatches,     n.writebackBatches,  n.maxFetchBatch,
+            n.maxWritebackBatch};
+        for (int f = 0; f < 10; f++)
+            EXPECT_EQ(net[f], cell.net[f]) << "NetStats field " << f;
+        RemoteStats r;
+        for (std::uint32_t s = 0; s < tier->shardCount(); s++)
+            r += tier->node(s).stats();
+        const std::uint64_t remote[4] = {r.fetchRequests,
+                                         r.writebackRequests,
+                                         r.fetchPayloads,
+                                         r.writebackPayloads};
+        for (int f = 0; f < 4; f++)
+            EXPECT_EQ(remote[f], cell.remote[f]) << "RemoteStats field " << f;
+        for (std::uint32_t s = 0; s < 2; s++) {
+            EXPECT_EQ(tier->link(s).inboundFreeAt(), cell.links[2 * s])
+                << "link " << s;
+            EXPECT_EQ(tier->link(s).outboundFreeAt(), cell.links[2 * s + 1])
+                << "link " << s;
+        }
+        const ClusterStats c = tier->clusterStats();
+        EXPECT_EQ(c.splitFetchBatches, cell.cluster[0]);
+        EXPECT_EQ(c.splitWritebackBatches, cell.cluster[1]);
+        EXPECT_EQ(c.degradedReads, cell.cluster[2]);
+        EXPECT_EQ(c.degradedWrites, cell.cluster[3]);
+    }
+}
+
+TEST(OneSegmentMessages, ReplicasKeepTheirBytesUnderChargeOnlyWrites)
+{
+    CycleClock clock;
+    const CostParams costs;
+    ClusterConfig cfg;
+    cfg.shardCount = 2;
+    cfg.replicationFactor = 2;
+    ShardedCluster cluster(clock, costs, 1 << 20, kObj, cfg);
+
+    std::vector<std::byte> held(kObj), sent(kObj), check(kObj);
+    fillPattern(held, 5);
+    fillPattern(sent, 6);
+    cluster.rawWrite(3 * kObj, held.data(), kObj);
+    writeOne(cluster, 3 * kObj, nullptr, kObj);
+    for (std::uint32_t s = 0; s < 2; s++) {
+        cluster.node(s).rawRead(3 * kObj, check.data(), kObj);
+        EXPECT_EQ(check, held) << "shard " << s;
+        EXPECT_EQ(cluster.shardNetStats(s).bytesWrittenBack, kObj);
+    }
+    // A buffered one-segment write reaches both replicas.
+    writeOne(cluster, 3 * kObj, sent.data(), kObj);
+    for (std::uint32_t s = 0; s < 2; s++) {
+        cluster.node(s).rawRead(3 * kObj, check.data(), kObj);
+        EXPECT_EQ(check, sent) << "shard " << s;
+    }
+}
+
+TEST(OneSegmentMessagesDeathTest, ChargeOnlySegmentOfLostStripeDies)
+{
+    // Replication 1: shard 0's death loses stripe 0. A batch whose
+    // charge-only segment names it dies even beside a buffered segment
+    // of a live stripe, and a buffered segment never needs one.
+    CycleClock clock;
+    const CostParams costs;
+    ClusterConfig cfg;
+    cfg.shardCount = 2;
+    cfg.failures.killShard(0, 1);
+    ShardedCluster cluster(clock, costs, 1 << 20, kObj, cfg);
+    clock.advance(10);
+    std::vector<std::byte> data(kObj);
+    fillPattern(data, 9);
+    cluster.fetch(1 * kObj, data.data(), kObj); // notices the death
+    ASSERT_FALSE(cluster.shardAlive(0));
+
+    const std::vector<RemoteWriteSeg> mixed = {{1 * kObj, data.data(), kObj},
+                                               {0, nullptr, kObj}};
+    EXPECT_DEATH(cluster.writebackBatch(mixed),
+                 "charge-only write of a stripe lost");
+    // The charge-only segment alone must not re-home the stripe either.
+    EXPECT_DEATH(writeOne(cluster, 0, nullptr, 64), "lost");
 }
 
 } // anonymous namespace

@@ -209,7 +209,8 @@ TEST(FailureInjection, RemoteSegmentStraddlingCapacityNamesOffset)
     RemoteNode node(1024);
     std::vector<std::byte> frame(128);
     std::vector<RemoteFetchSeg> segs{{960, frame.data(), 128}};
-    EXPECT_DEATH(node.fetchBatchAsync(net, segs), "offset 960");
+    std::vector<std::uint64_t> arrivals(segs.size());
+    EXPECT_DEATH(node.fetchBatchAsync(net, segs, arrivals), "offset 960");
     EXPECT_DEATH(node.fetch(net, 960, frame.data(), 128),
                  "offset 960 len 128 capacity 1024");
 }

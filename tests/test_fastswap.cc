@@ -329,8 +329,9 @@ TEST(ClockRing, VisitsPagesInVectorOrder)
         }
         ASSERT_EQ(ring.size(), ref.ring.size()) << "step " << step;
         ASSERT_EQ(ringOrder(ring), ref.ring) << "step " << step;
-        if (!ref.ring.empty() && rng.below(4) == 0)
+        if (!ref.ring.empty() && rng.below(4) == 0) {
             ASSERT_EQ(ring.hand(), ref.handPage()) << "step " << step;
+        }
     }
     EXPECT_GT(wraps, 100);
     EXPECT_GT(pastEndAppends, 100);

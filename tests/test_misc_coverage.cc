@@ -24,9 +24,9 @@ TEST(NetworkModelMisc, OutboundLinkSerializesWritebacks)
     CostParams costs;
     costs.netBytesPerCycle = 1.0;
     NetworkModel net(clock, costs);
-    net.writebackAsync(1000);
+    net.writebackBatch(1000, 1);
     const std::uint64_t first_free = net.outboundFreeAt();
-    net.writebackAsync(1000);
+    net.writebackBatch(1000, 1);
     EXPECT_GE(net.outboundFreeAt(), first_free + 1000);
     EXPECT_EQ(net.stats().writebackMessages, 2u);
 }

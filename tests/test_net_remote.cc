@@ -29,6 +29,14 @@ simpleCosts()
     return c;
 }
 
+/** One async fetch message carrying one payload of @p bytes. */
+std::uint64_t
+fetchOne(NetworkModel &net, std::uint64_t bytes)
+{
+    std::uint64_t arrival = 0;
+    return net.fetchBatchAsync({&bytes, 1}, {&arrival, 1});
+}
+
 TEST(NetworkModel, SyncFetchChargesLatencyPlusTransfer)
 {
     CycleClock clock;
@@ -48,8 +56,8 @@ TEST(NetworkModel, BandwidthSerializesBackToBackTransfers)
     NetworkModel net(clock, c);
     // Two async fetches issued immediately: the second serializes after
     // the first on the inbound link.
-    const std::uint64_t a1 = net.fetchAsync(1000);
-    const std::uint64_t a2 = net.fetchAsync(1000);
+    const std::uint64_t a1 = fetchOne(net, 1000);
+    const std::uint64_t a2 = fetchOne(net, 1000);
     EXPECT_GT(a2, a1);
     EXPECT_GE(a2 - a1, 1000u); // at least one transfer time apart
 }
@@ -59,7 +67,7 @@ TEST(NetworkModel, AsyncFetchOnlyChargesIssueCost)
     CycleClock clock;
     const CostParams c = simpleCosts();
     NetworkModel net(clock, c);
-    net.fetchAsync(4096);
+    fetchOne(net, 4096);
     EXPECT_EQ(clock.now(), c.prefetchIssueCycles);
 }
 
@@ -68,7 +76,7 @@ TEST(NetworkModel, WaitUntilBlocksToArrival)
     CycleClock clock;
     const CostParams c = simpleCosts();
     NetworkModel net(clock, c);
-    const std::uint64_t arrival = net.fetchAsync(100);
+    const std::uint64_t arrival = fetchOne(net, 100);
     net.waitUntil(arrival);
     EXPECT_EQ(clock.now(), arrival);
     // Waiting again is free.
@@ -81,7 +89,7 @@ TEST(NetworkModel, WritebackCountsBytesWithoutBlocking)
     CycleClock clock;
     const CostParams c = simpleCosts();
     NetworkModel net(clock, c);
-    net.writebackAsync(4096);
+    net.writebackBatch(4096, 1);
     EXPECT_EQ(clock.now(), c.perMessageCpuCycles);
     EXPECT_EQ(net.stats().bytesWrittenBack, 4096u);
     EXPECT_EQ(net.stats().totalBytes(), 4096u);
@@ -103,12 +111,15 @@ TEST(NetworkModel, BatchFetchChargesOneMessageForManyPayloads)
     CycleClock clock;
     const CostParams c = simpleCosts();
     NetworkModel net(clock, c);
-    net.fetchBatchSync(4 * 500, 4);
-    // One per-message CPU charge plus three scatter-gather entries;
-    // the 2000 batched bytes serialize behind a single latency.
+    const std::vector<std::uint64_t> sizes(4, 500);
+    std::vector<std::uint64_t> arrivals(4);
+    const std::uint64_t last = net.fetchBatchAsync(sizes, arrivals);
+    // One issue charge plus three scatter-gather entries; the 2000
+    // batched bytes serialize behind a single latency.
     const std::uint64_t issue =
-        c.perMessageCpuCycles + 3 * c.perPayloadCpuCycles;
-    EXPECT_EQ(clock.now(), issue + 1000u + 2000u);
+        c.prefetchIssueCycles + 3 * c.perPayloadCpuCycles;
+    EXPECT_EQ(clock.now(), issue);
+    EXPECT_EQ(last, issue + 1000u + 2000u);
     EXPECT_EQ(net.stats().fetchMessages, 1u);
     EXPECT_EQ(net.stats().fetchPayloads, 4u);
     EXPECT_EQ(net.stats().fetchBatches, 1u);
@@ -133,18 +144,20 @@ TEST(NetworkModel, BatchWritebackChargesOneMessage)
 TEST(NetworkModel, SingletonBatchMatchesUnbatchedCharges)
 {
     const CostParams c = simpleCosts();
-    CycleClock clock_a;
-    NetworkModel net_a(clock_a, c);
-    net_a.fetchSync(500);
-    CycleClock clock_b;
-    NetworkModel net_b(clock_b, c);
-    net_b.fetchBatchSync(500, 1);
-    // A one-payload batch degenerates to the plain message: identical
-    // cycle charges, and it does not count as a coalesced batch.
-    EXPECT_EQ(clock_a.now(), clock_b.now());
-    EXPECT_EQ(net_b.stats().fetchMessages, 1u);
-    EXPECT_EQ(net_b.stats().fetchPayloads, 1u);
-    EXPECT_EQ(net_b.stats().fetchBatches, 0u);
+    CycleClock clock;
+    NetworkModel net(clock, c);
+    // A one-payload message pays the issue charge and no scatter-gather
+    // entry, and it does not count as a coalesced batch.
+    EXPECT_EQ(fetchOne(net, 500), c.prefetchIssueCycles + 1000u + 500u);
+    EXPECT_EQ(clock.now(), c.prefetchIssueCycles);
+    EXPECT_EQ(net.stats().fetchMessages, 1u);
+    EXPECT_EQ(net.stats().fetchPayloads, 1u);
+    EXPECT_EQ(net.stats().fetchBatches, 0u);
+    EXPECT_EQ(net.stats().maxFetchBatch, 1u);
+    net.writebackBatch(500, 1);
+    EXPECT_EQ(clock.now(), c.prefetchIssueCycles + c.perMessageCpuCycles);
+    EXPECT_EQ(net.stats().writebackMessages, 1u);
+    EXPECT_EQ(net.stats().writebackBatches, 0u);
 }
 
 TEST(NetworkModel, BatchedMessagesAreCheaperAtEqualBytes)
@@ -155,10 +168,12 @@ TEST(NetworkModel, BatchedMessagesAreCheaperAtEqualBytes)
     CycleClock clock_a;
     NetworkModel net_a(clock_a, c);
     for (int i = 0; i < 8; i++)
-        net_a.fetchAsync(1000);
+        fetchOne(net_a, 1000);
     CycleClock clock_b;
     NetworkModel net_b(clock_b, c);
-    net_b.fetchBatchAsync(8 * 1000, 8);
+    const std::vector<std::uint64_t> sizes(8, 1000);
+    std::vector<std::uint64_t> arrivals(8);
+    net_b.fetchBatchAsync(sizes, arrivals);
     EXPECT_EQ(net_a.stats().bytesFetched, net_b.stats().bytesFetched);
     EXPECT_LT(clock_b.now(), clock_a.now());
     EXPECT_EQ(net_a.stats().fetchMessages, 8u);
@@ -170,10 +185,9 @@ TEST(NetworkModel, SegmentedBatchStreamsPayloadsInOrder)
     CycleClock clock;
     const CostParams c = simpleCosts();
     NetworkModel net(clock, c);
-    std::vector<std::uint64_t> arrivals;
-    const std::uint64_t last =
-        net.fetchBatchAsyncSegmented({100, 200, 300}, arrivals);
-    ASSERT_EQ(arrivals.size(), 3u);
+    const std::vector<std::uint64_t> sizes = {100, 200, 300};
+    std::vector<std::uint64_t> arrivals(3);
+    const std::uint64_t last = net.fetchBatchAsync(sizes, arrivals);
     // Payloads arrive in order, each after its own serialization; the
     // whole train still rides one message and one latency.
     EXPECT_EQ(arrivals[1] - arrivals[0], 200u);
@@ -200,10 +214,12 @@ TEST(RemoteNode, BatchFetchCopiesScatteredSegments)
     node.rawWrite(9000, d.data(), d.size());
 
     std::vector<std::byte> out_a(64), out_b(128), out_d(32);
-    const std::uint64_t arrival = node.fetchBatchAsync(
-        net, {{0, out_a.data(), out_a.size()},
-              {4096, out_b.data(), out_b.size()},
-              {9000, out_d.data(), out_d.size()}});
+    const std::vector<RemoteFetchSeg> segs = {
+        {0, out_a.data(), out_a.size()},
+        {4096, out_b.data(), out_b.size()},
+        {9000, out_d.data(), out_d.size()}};
+    std::vector<std::uint64_t> arrivals(segs.size());
+    const std::uint64_t arrival = node.fetchBatchAsync(net, segs, arrivals);
     net.waitUntil(arrival);
     EXPECT_EQ(std::memcmp(a.data(), out_a.data(), a.size()), 0);
     EXPECT_EQ(std::memcmp(b.data(), out_b.data(), b.size()), 0);
@@ -223,8 +239,9 @@ TEST(RemoteNode, BatchWritebackPersistsAllSegments)
 
     std::vector<std::byte> a(64, std::byte{0xAA});
     std::vector<std::byte> b(64, std::byte{0xBB});
-    node.writebackBatch(net, {{256, a.data(), a.size()},
-                              {8192, b.data(), b.size()}});
+    const std::vector<RemoteWriteSeg> segs = {{256, a.data(), a.size()},
+                                              {8192, b.data(), b.size()}};
+    node.writebackBatch(net, segs);
 
     std::vector<std::byte> out(64);
     node.rawRead(256, out.data(), out.size());
@@ -263,7 +280,8 @@ TEST(RemoteNode, WritebackPersists)
     RemoteNode node(1 << 16);
 
     std::vector<std::byte> payload(64, std::byte{0xAB});
-    node.writeback(net, 512, payload.data(), payload.size());
+    const RemoteWriteSeg seg{512, payload.data(), payload.size()};
+    node.writebackBatch(net, {&seg, 1});
 
     std::vector<std::byte> out(64);
     node.rawRead(512, out.data(), out.size());
@@ -279,8 +297,9 @@ TEST(RemoteNode, AsyncFetchReportsArrival)
     RemoteNode node(1 << 16);
 
     std::vector<std::byte> out(128);
-    const std::uint64_t arrival =
-        node.fetchAsync(net, 0, out.data(), out.size());
+    const RemoteFetchSeg seg{0, out.data(), out.size()};
+    std::uint64_t arrival = 0;
+    EXPECT_EQ(node.fetchBatchAsync(net, {&seg, 1}, {&arrival, 1}), arrival);
     EXPECT_GT(arrival, clock.now());
 }
 
@@ -319,8 +338,8 @@ TEST(RemoteNode, StoreStartsZeroAndSurvivesMoves)
 }
 
 /**
- * Write through every path that stores bytes (rawWrite, writeback,
- * writebackBatch and a span) at scattered offsets, the last, partial
+ * Write through every path that stores bytes (rawWrite, one- and
+ * two-segment writebackBatch and a span) at scattered offsets, the last, partial
  * chunk included, on a store of @p capacity.
  */
 void
@@ -333,9 +352,12 @@ writeEveryPath(RemoteNode &node, std::uint64_t capacity)
     const std::vector<std::byte> b(5000, std::byte{0xB2});
     const std::vector<std::byte> d(64, std::byte{0xD4});
     node.rawWrite(3, a.data(), a.size());
-    node.writeback(net, (1 << 20) - 2500, b.data(), b.size()); // 2 chunks
-    node.writebackBatch(net, {{(2 << 20) + 12345, d.data(), d.size()},
-                              {capacity - 64, d.data(), d.size()}});
+    const RemoteWriteSeg one{(1 << 20) - 2500, b.data(), b.size()};
+    node.writebackBatch(net, {&one, 1}); // 2 chunks
+    const std::vector<RemoteWriteSeg> two = {
+        {(2 << 20) + 12345, d.data(), d.size()},
+        {capacity - 64, d.data(), d.size()}};
+    node.writebackBatch(net, two);
     std::memset(node.span(3 << 20, 4096), 0xE5, 4096);
     std::memset(node.span(capacity - 70000, 10), 0xF6, 10);
 }

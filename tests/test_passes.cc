@@ -417,8 +417,9 @@ TEST(GuardCoalesce, CollapsesStructFieldsOntoBase)
     for (const auto &block :
          module->findFunction("main")->basicBlocks()) {
         for (const auto &inst : block->instructions()) {
-            if (inst->op() == ir::Opcode::Guard)
+            if (inst->op() == ir::Opcode::Guard) {
                 EXPECT_TRUE(inst->isWrite);
+            }
         }
     }
 }

@@ -510,6 +510,72 @@ TEST(RecordReplay, ClusterShardFailureReplaysBitExact)
     EXPECT_NO_THROW(replayer->finishReplay());
 }
 
+/** An RMW scan with batching off: every prefetch and every dirty
+ *  eviction is a one-segment message. */
+std::pair<std::uint64_t, std::uint64_t>
+unbatchedScan(FlightRecorder *rec)
+{
+    RuntimeConfig cfg;
+    cfg.farHeapBytes = 4ull << 20;
+    cfg.localMemBytes = 256 << 10;
+    cfg.objectSizeBytes = 4096;
+    cfg.prefetchEnabled = true;
+    cfg.fetchBatchMax = 1;
+    cfg.writebackBatchMax = 1;
+    cfg.recorder = rec;
+
+    const CostParams costs;
+    FarMemRuntime rt(cfg, costs);
+    constexpr std::uint64_t kObjects = 256;
+    const std::uint64_t base = rt.allocate(kObjects * 4096);
+    for (std::uint64_t i = 0; i < kObjects; i++)
+        rt.rawWrite(base + i * 4096, &i, sizeof(i));
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = 0; i < kObjects; i++) {
+        auto *p = rt.localize(base + i * 4096, true);
+        std::uint64_t v = 0;
+        std::memcpy(&v, p, sizeof(v));
+        sum += v;
+        v += 3;
+        std::memcpy(p, &v, sizeof(v));
+    }
+    return {sum, rt.clock().now() ^ rt.heapChecksum()};
+}
+
+TEST(RecordReplay, OneSegmentMessagesLogAsBatchesAndReplay)
+{
+    TempFile file("unbatched.tfr");
+    FlightRecorder recorder;
+    const auto recorded = unbatchedScan(&recorder);
+    // Each async operation logs a one-segment header and its segment;
+    // the reserved single-payload kinds 11 and 14 never appear.
+    std::uint64_t fetch_headers = 0, write_headers = 0;
+    for (const FrEvent &e : recorder.snapshot()) {
+        EXPECT_NE(e.kind, 11u);
+        EXPECT_NE(e.kind, 14u);
+        if (e.kind == static_cast<std::uint16_t>(FrKind::BackendFetchBatch)) {
+            EXPECT_EQ(e.arg[0], 1u);
+            fetch_headers++;
+        }
+        if (e.kind ==
+            static_cast<std::uint16_t>(FrKind::BackendWritebackBatch)) {
+            EXPECT_EQ(e.arg[0], 1u);
+            write_headers++;
+        }
+    }
+    EXPECT_GT(fetch_headers, 0u);
+    EXPECT_GT(write_headers, 0u);
+    std::string error;
+    ASSERT_TRUE(recorder.save(file.path(), error)) << error;
+
+    auto replayer = FlightRecorder::loadForReplay(file.path(), error);
+    ASSERT_NE(replayer, nullptr) << error;
+    const auto replayed = unbatchedScan(replayer.get());
+    EXPECT_EQ(recorded.first, replayed.first);
+    EXPECT_EQ(recorded.second, replayed.second);
+    EXPECT_NO_THROW(replayer->finishReplay());
+}
+
 // ---------------------------------------------------------------------
 // tfm-stat aggregation primitives.
 // ---------------------------------------------------------------------

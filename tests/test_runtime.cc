@@ -375,8 +375,9 @@ TEST(StridePrefetcher, InterleavedStreamsKeepSeparateTrackers)
             const std::int64_t got = prefetcher.onDemandMiss(
                 static_cast<std::uint64_t>(obj));
             // Once trained, every stream reports its own stride.
-            if (step >= 2)
+            if (step >= 2) {
                 EXPECT_EQ(got, strides[s]) << "stream " << s;
+            }
         }
     }
     const PrefetcherStats &stats = prefetcher.stats();
@@ -609,8 +610,7 @@ TEST_F(RuntimeTest, BatchedPrefetchCoalescesMessages)
         cfg.localMemBytes = 32 * 4096;
         cfg.prefetchEnabled = true;
         cfg.prefetchDepth = 16;
-        cfg.batchingEnabled = batching;
-        cfg.fetchBatchMax = 16;
+        cfg.fetchBatchMax = batching ? 16 : 1;
         // Heap-allocated: the runtime is pinned in place (mutexes,
         // atomics) and cannot be returned by value.
         auto rt = std::make_unique<FarMemRuntime>(cfg, CostParams{});
@@ -636,7 +636,6 @@ TEST_F(RuntimeTest, BatchedPrefetchCoalescesMessages)
 TEST_F(RuntimeTest, LocalizeJoinsInflightBatchedFetch)
 {
     auto cfg = smallConfig();
-    cfg.batchingEnabled = true;
     cfg.fetchBatchMax = 8;
     FarMemRuntime rt(cfg, CostParams{});
     const std::uint64_t off = rt.allocate(8 * 4096);
@@ -660,7 +659,6 @@ TEST_F(RuntimeTest, WritebackBufferFlushesOnSizeThreshold)
 {
     auto cfg = smallConfig();
     cfg.localMemBytes = 2 * 4096;
-    cfg.batchingEnabled = true;
     cfg.writebackBatchMax = 4;
     cfg.writebackFlushCycles = ~0ull; // isolate the size trigger
     FarMemRuntime rt(cfg, CostParams{});
@@ -686,7 +684,6 @@ TEST_F(RuntimeTest, BufferedWritebackIsVisibleBeforeFlush)
 {
     auto cfg = smallConfig();
     cfg.localMemBytes = 2 * 4096;
-    cfg.batchingEnabled = true;
     cfg.writebackBatchMax = 8;
     cfg.writebackFlushCycles = ~0ull;
     FarMemRuntime rt(cfg, CostParams{});
@@ -711,7 +708,6 @@ TEST_F(RuntimeTest, EvacuateAllDrainsWritebackBuffer)
 {
     auto cfg = smallConfig();
     cfg.localMemBytes = 2 * 4096;
-    cfg.batchingEnabled = true;
     cfg.writebackBatchMax = 8;
     cfg.writebackFlushCycles = ~0ull;
     FarMemRuntime rt(cfg, CostParams{});
@@ -736,7 +732,6 @@ TEST_F(RuntimeTest, WritebackBufferHitResurrectsDirtyObject)
 {
     auto cfg = smallConfig();
     cfg.localMemBytes = 2 * 4096;
-    cfg.batchingEnabled = true;
     cfg.writebackBatchMax = 8;
     cfg.writebackFlushCycles = ~0ull;
     FarMemRuntime rt(cfg, CostParams{});

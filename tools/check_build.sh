@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# One-shot repo health check: configure, build (src/ warnings are
-# errors), and run the full test suite. This is the command the CI (and
+# One-shot repo health check: configure, build (src/ and tests/ warnings
+# are errors), and run the full test suite. This is the command the CI (and
 # any PR author) should run before merging.
 set -euo pipefail
 
@@ -23,7 +23,7 @@ cmake --build "${PB_DIR}" -j "$(nproc)" --target perfbench_anchor_test
 "${PB_DIR}/perfbench_anchor_test"
 echo "check_build: perfbench anchor OK"
 
-# Figure gate: Table 1 and 2 and Fig. 6-15 print every simulated
+# Figure gate: Table 1 and 2 and Fig. 6-17 print every simulated
 # cycle, byte and event-count cell of their tables as one BENCH_JSON
 # line, bench_serving its default-mode SLO summary, and §4.6 each row's
 # code sizes and static guard counts; each cell must equal
@@ -36,7 +36,10 @@ echo "check_build: perfbench anchor OK"
 # (analytics) pin the chunked loops of two applications, whose pinned
 # windows move no cycle either. Table 1 and 2 pin the guard
 # and fault primitives the runtime charges, and Fig. 14 pins TrackFM,
-# AIFM and Fastswap side by side on one application. The two ablations
+# AIFM and Fastswap side by side on one application; Fig. 16 pins
+# memcached on TrackFM, Fastswap and local memory across zipf skews
+# (its keys come from the Zipf sampler too), and Fig. 17 the NAS kernels
+# on all three with FT and SP also under the O1 pipeline. The two ablations
 # pin naive guards at five fast-path costs against chunking, and the
 # chunked stream's prefetch depth sweep; guard_opt pins dynamic guards,
 # revalidations and cycles with the guard optimizer off and on, so a
@@ -61,6 +64,8 @@ for fig in table1:bench_table1_guard_costs \
            fig13:bench_fig13_io_amplification \
            fig14:bench_fig14_analytics \
            fig15:bench_fig15_analytics_chunking \
+           fig16:bench_fig16_memcached \
+           fig17:bench_fig17_nas \
            serving:bench_serving \
            sec46:bench_sec46_compile_costs \
            ablation_guards:bench_ablation_guards \
