@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 #include "core/autotuner.hh"
@@ -53,8 +54,13 @@ exit:
 }
 )";
 
+/**
+ * Run the search on @p program and add its cells to @p json, keyed
+ * e.g. "seq_cycles_512" and "seq_chosen" for @p tag "seq".
+ */
 void
-tune(const char *label, const char *program)
+tune(bench::JsonLine &json, const char *tag, const char *label,
+     const char *program)
 {
     AutotuneConfig config;
     config.system.runtime.farHeapBytes = 4 << 20;
@@ -70,7 +76,14 @@ tune(const char *label, const char *program)
                     trial.objectSizeBytes == result.bestObjectSizeBytes
                         ? "   <-- chosen"
                         : "");
+        const std::string size = std::to_string(trial.objectSizeBytes);
+        json.field((std::string(tag) + "_cycles_" + size).c_str(),
+                   trial.cycles);
+        json.field((std::string(tag) + "_bytes_fetched_" + size).c_str(),
+                   trial.bytesFetched);
     }
+    json.field((std::string(tag) + "_chosen").c_str(),
+               std::uint64_t{result.bestObjectSizeBytes});
 }
 
 } // anonymous namespace
@@ -86,7 +99,13 @@ main()
         "1 MB heaps, 128 KB local; each trial recompiles and runs the "
         "program");
 
-    tune("sequential sweep (Fig. 10's regime)", sequentialProgram);
-    tune("scattered stores (Fig. 9's regime)", scatteredProgram);
+    // Every cell of both sweeps plus the chosen sizes; the build check
+    // compares them exactly against bench/expected/ablation_autotune.json.
+    bench::JsonLine json("ablation_autotune");
+    tune(json, "seq", "sequential sweep (Fig. 10's regime)",
+         sequentialProgram);
+    tune(json, "scattered", "scattered stores (Fig. 9's regime)",
+         scatteredProgram);
+    json.emit();
     return 0;
 }

@@ -17,24 +17,14 @@ makeRemoteBackend(CycleClock &clock, const CostParams &costs,
                   const ClusterConfig &config, FlightRecorder *recorder,
                   std::uint16_t instance)
 {
-    std::unique_ptr<RemoteBackend> tier;
-    if (config.wantsCluster()) {
-        auto cluster = std::make_unique<ShardedCluster>(
-            clock, costs, capacityBytes, objectSizeBytes, config);
-        if (recorder)
-            cluster->attachRecorder(recorder, instance);
-        tier = std::move(cluster);
-    } else {
-        tier = std::make_unique<SingleNodeBackend>(clock, costs,
-                                                   capacityBytes);
-        if (recorder)
-            tier->link(0).attachRecorder(recorder, instance, 0);
-    }
+    auto cluster = std::make_unique<ShardedCluster>(
+        clock, costs, capacityBytes, objectSizeBytes, config);
     if (!recorder)
-        return tier;
+        return cluster;
+    cluster->attachRecorder(recorder, instance);
     // The links log the context streams; the decorator logs the op
     // stream itself.
-    return std::make_unique<RecordingBackend>(std::move(tier), clock,
+    return std::make_unique<RecordingBackend>(std::move(cluster), clock,
                                               *recorder, instance);
 }
 

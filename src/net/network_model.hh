@@ -163,8 +163,8 @@ class NetworkModel
      *  per message (issue -> arrival) on its in/out tracks and feeds
      *  the latency/batch-size histograms. Never charges cycles.
      *  @p trackBase shifts the in/out/remote track ids so each shard of
-     *  a cluster renders as its own set of tracks (0 for the single
-     *  link, obs::shardTrackBase(i) for shard i).
+     *  a cluster renders as its own set of tracks (0 for the link of a
+     *  1-shard tier, obs::shardTrackBase(i) for shard i of a larger one).
      * @{ */
     void
     attachObs(Observability *sink, std::uint32_t stream,
@@ -182,8 +182,8 @@ class NetworkModel
     /** @name Flight recorder
      *  When attached, the link logs one context event per message
      *  ({bytes, payloads, arrival, shard}) onto @p instance's net
-     *  stream; @p shard labels which cluster link this is (0 for the
-     *  single-node backend). Never charges cycles.
+     *  stream; @p shard labels which cluster link this is (0 on a
+     *  1-shard tier). Never charges cycles.
      * @{ */
     void
     attachRecorder(FlightRecorder *recorder, std::uint16_t instance,

@@ -42,6 +42,10 @@ FarMemRuntime::FarMemRuntime(const RuntimeConfig &config,
       prefetcher(config.prefetchDepth)
 {
     main_.owner = this;
+    const std::uint32_t batch_max = std::max(cfg.fetchBatchMax, 1u);
+    prefetchSegs_.reserve(batch_max);
+    prefetchFrames_.reserve(batch_max);
+    prefetchArrivals_.resize(batch_max);
     CycleClock &clock = main_.clock;
     rec_ = cfg.recorder ? cfg.recorder : obs::defaultRecorder();
     if (rec_)
@@ -76,9 +80,9 @@ FarMemRuntime::WorkerContext *
 FarMemRuntime::registerWorker()
 {
     TFM_ASSERT(!rec_, "record/replay needs a runtime with no workers");
-    TFM_ASSERT(!cfg.cluster.wantsCluster(),
-               "workers drive the single-node remote tier (a worker's "
-               "demand fetch charges one link)");
+    TFM_ASSERT(cfg.cluster.shardCount == 1 && cfg.cluster.failures.empty(),
+               "workers drive a 1-shard remote tier with no failure plan "
+               "(a worker's demand fetch charges one link)");
     // Speculation would need cross-shard frame traffic under a single
     // shard lock, so a shared runtime is demand-only.
     TFM_ASSERT(!cfg.prefetchEnabled,
@@ -427,8 +431,8 @@ FarMemRuntime::flushLocked(WorkerContext &c)
             obs_->trace().arg("entries", c.wbBuf.size());
         }
     }
-    std::vector<RemoteWriteSeg> segs;
-    segs.reserve(c.wbBuf.size());
+    std::vector<RemoteWriteSeg> &segs = c.wbSegs;
+    segs.clear();
     for (const PendingWriteback &pending : c.wbBuf) {
         segs.push_back({pending.objId << ost.objectShift(),
                         pending.data.data(), ost.objectSize()});
@@ -502,8 +506,8 @@ FarMemRuntime::prefetchObjects(std::uint64_t obj_id, std::int64_t stride,
     // in. Collected frames are transiently pinned so mid-collection
     // evictions (for later targets) can never steal them before their
     // payload arrives.
-    std::vector<RemoteFetchSeg> segs;
-    std::vector<std::uint64_t> seg_frames;
+    std::vector<RemoteFetchSeg> &segs = prefetchSegs_;
+    std::vector<std::uint64_t> &seg_frames = prefetchFrames_;
 
     const auto issueBatch = [&] {
         if (segs.empty())
@@ -516,7 +520,8 @@ FarMemRuntime::prefetchObjects(std::uint64_t obj_id, std::int64_t stride,
         // Per-segment arrivals: the batch's payloads stream back in
         // order, so the first objects of the window are consumable
         // before the tail has serialized.
-        std::vector<std::uint64_t> arrivals(segs.size());
+        const std::span<std::uint64_t> arrivals =
+            std::span(prefetchArrivals_).first(segs.size());
         backend_->fetchBatchAsync(segs, arrivals);
         for (std::size_t i = 0; i < seg_frames.size(); i++) {
             Frame &f = cache.frame(seg_frames[i]);

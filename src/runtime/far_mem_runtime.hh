@@ -194,6 +194,8 @@ class FarMemRuntime
         std::mutex wbMu; ///< guards wbBuf when shared (see lock order)
         std::vector<PendingWriteback> wbBuf;
         std::uint64_t wbOldestCycle = 0; ///< clock when wbBuf[0] parked
+        /// The flush's segment list, reused so a flush allocates nothing.
+        std::vector<RemoteWriteSeg> wbSegs;
     };
 
     FarMemRuntime(const RuntimeConfig &config, const CostParams &cost_params);
@@ -204,10 +206,10 @@ class FarMemRuntime
      *  context's (the clock the remote backend drives). */
     CycleClock &clock() { return context().clock; }
     const CycleClock &clock() const { return context().clock; }
-    /** The remote tier this runtime drives (single node or cluster). */
+    /** The remote tier this runtime drives (one or more shards). */
     RemoteBackend &backend() { return *backend_; }
     const RemoteBackend &backend() const { return *backend_; }
-    /** Shard 0's link / node: the whole tier in single-node configs. */
+    /** Shard 0's link / node: the whole tier when it has one shard. */
     NetworkModel &net() { return backend_->link(0); }
     RemoteNode &remote() { return backend_->node(0); }
     const CostParams &costs() const { return _costs; }
@@ -556,6 +558,12 @@ class FarMemRuntime
     FrameCache cache;
     RegionAllocator alloc_;
     StridePrefetcher prefetcher;
+    /// The prefetch batch being assembled: its segments, their frames
+    /// and their arrivals. Sized to fetchBatchMax once; prefetch runs on
+    /// the main context only, so one set serves every call.
+    std::vector<RemoteFetchSeg> prefetchSegs_;
+    std::vector<std::uint64_t> prefetchFrames_;
+    std::vector<std::uint64_t> prefetchArrivals_;
     /// Eviction-epoch clock; seq_cst (see DESIGN.md §4k reclamation
     /// proof). Plain increments with no worker registered compile to
     /// the same uncontended RMW.

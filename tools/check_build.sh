@@ -39,9 +39,11 @@ echo "check_build: perfbench anchor OK"
 # AIFM and Fastswap side by side on one application; Fig. 16 pins
 # memcached on TrackFM, Fastswap and local memory across zipf skews
 # (its keys come from the Zipf sampler too), and Fig. 17 the NAS kernels
-# on all three with FT and SP also under the O1 pipeline. The two ablations
-# pin naive guards at five fast-path costs against chunking, and the
-# chunked stream's prefetch depth sweep; guard_opt pins dynamic guards,
+# on all three with FT and SP also under the O1 pipeline. The three
+# ablations pin naive guards at five fast-path costs against chunking,
+# the chunked stream's prefetch depth sweep, and both object-size sweeps
+# of the section 3.2 autotuner with the sizes it picks (4096 B
+# sequential, 512 B scattered); guard_opt pins dynamic guards,
 # revalidations and cycles with the guard optimizer off and on, so a
 # change to a guard path moves a cell there. bench_hybrid pins the guard,
 # paged and hybrid planes of one program, the only bench that runs
@@ -70,6 +72,7 @@ for fig in table1:bench_table1_guard_costs \
            sec46:bench_sec46_compile_costs \
            ablation_guards:bench_ablation_guards \
            ablation_prefetch:bench_ablation_prefetch \
+           ablation_autotune:bench_ablation_autotune \
            guard_opt:bench_guard_opt \
            hybrid:bench_hybrid \
            batching:bench_batching \

@@ -15,6 +15,8 @@
  *     tfmc --no-transform --run program.tir # baseline (host heap)
  */
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +29,7 @@
 
 #include <memory>
 
+#include "cluster/sharded_cluster.hh"
 #include "core/autotuner.hh"
 #include "core/system.hh"
 #include "interp/interpreter.hh"
@@ -123,14 +126,78 @@ usage()
         "                        4096) in a ring; on a trap the ring is\n"
         "                        dumped to <input>.flight.tfr\n"
         "  --shards=<n>          stripe the far heap over n remote shards\n"
-        "  --replicate=<k>       keep k copies of every stripe\n"
-        "  --kill-shard=<s>@<c>  schedule shard s to die at cycle c\n"
-        "                        (repeatable)\n"
+        "                        (1 to 64, default 1)\n"
+        "  --replicate=<k>       keep k copies of every stripe (1 to 8,\n"
+        "                        at most --shards)\n"
+        "  --kill-shard=<s>@<c>  schedule shard s (< --shards) to die at\n"
+        "                        cycle c (repeatable)\n"
         "  --autotune            search object sizes, report the best\n"
         "  --chunk=<p>           none | all | costmodel (default)\n"
         "  --object-size=<n>     AIFM object size in bytes (default 4096)\n"
         "  --local-mem=<n>       local tier size in bytes (default 16M)\n"
         "  --far-heap=<n>        far heap size in bytes (default 256M)\n");
+}
+
+/** Parse all of @p text as a decimal number into @p value. */
+bool
+parseNumber(const char *text, std::uint64_t &value)
+{
+    if (*text < '0' || *text > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    value = std::strtoull(text, &end, 10);
+    return errno == 0 && *end == '\0';
+}
+
+/** Parse the count of flag @p arg ("--name=<n>"), or say why not. */
+bool
+parseCount(const std::string &arg, std::uint32_t &count)
+{
+    const std::size_t eq = arg.find('=');
+    std::uint64_t n = 0;
+    if (!parseNumber(arg.c_str() + eq + 1, n) || n > UINT32_MAX) {
+        std::fprintf(stderr, "tfmc: %s wants a number, got '%s'\n",
+                     arg.substr(0, eq).c_str(), arg.c_str() + eq + 1);
+        return false;
+    }
+    count = static_cast<std::uint32_t>(n);
+    return true;
+}
+
+/**
+ * Refuse a cluster shape the remote tier cannot build, with a
+ * diagnostic instead of the tier's assertion.
+ */
+bool
+clusterFlagsValid(const Options &options)
+{
+    constexpr std::uint32_t max_shards = tfm::ShardedCluster::maxShards;
+    constexpr std::uint32_t max_copies = tfm::ShardedCluster::maxReplicas;
+    if (options.shards < 1 || options.shards > max_shards) {
+        std::fprintf(stderr, "tfmc: --shards needs 1 <= n <= %u\n",
+                     max_shards);
+        return false;
+    }
+    if (options.replicate < 1 || options.replicate > max_copies ||
+        options.replicate > options.shards) {
+        std::fprintf(stderr,
+                     "tfmc: --replicate needs 1 <= k <= %u and k <= "
+                     "--shards (%u)\n",
+                     max_copies, options.shards);
+        return false;
+    }
+    for (const auto &[shard, cycle] : options.killShards) {
+        if (shard >= options.shards) {
+            std::fprintf(stderr,
+                         "tfmc: --kill-shard=%u@%llu names a shard "
+                         "outside --shards (%u)\n",
+                         shard, static_cast<unsigned long long>(cycle),
+                         options.shards);
+            return false;
+        }
+    }
+    return true;
 }
 
 bool
@@ -201,26 +268,28 @@ parseArgs(int argc, char **argv, Options &options)
                 return false;
             }
         } else if (arg.rfind("--shards=", 0) == 0) {
-            options.shards = static_cast<std::uint32_t>(
-                std::strtoull(arg.c_str() + 9, nullptr, 10));
+            if (!parseCount(arg, options.shards))
+                return false;
         } else if (arg.rfind("--replicate=", 0) == 0) {
-            options.replicate = static_cast<std::uint32_t>(
-                std::strtoull(arg.c_str() + 12, nullptr, 10));
+            if (!parseCount(arg, options.replicate))
+                return false;
         } else if (arg.rfind("--kill-shard=", 0) == 0) {
-            const char *spec = arg.c_str() + 13;
-            char *at = nullptr;
-            const std::uint32_t shard = static_cast<std::uint32_t>(
-                std::strtoull(spec, &at, 10));
-            if (!at || *at != '@') {
+            const std::string spec = arg.substr(13);
+            const std::size_t at = spec.find('@');
+            std::uint64_t shard = 0;
+            std::uint64_t cycle = 0;
+            if (at == std::string::npos ||
+                !parseNumber(spec.substr(0, at).c_str(), shard) ||
+                shard > UINT32_MAX ||
+                !parseNumber(spec.c_str() + at + 1, cycle)) {
                 std::fprintf(stderr,
                              "tfmc: --kill-shard wants <shard>@<cycle>, "
                              "got '%s'\n",
-                             spec);
+                             spec.c_str());
                 return false;
             }
-            const std::uint64_t cycle =
-                std::strtoull(at + 1, nullptr, 10);
-            options.killShards.emplace_back(shard, cycle);
+            options.killShards.emplace_back(
+                static_cast<std::uint32_t>(shard), cycle);
         } else if (arg == "--help" || arg == "-h") {
             return false;
         } else if (!arg.empty() && arg[0] == '-') {
@@ -234,7 +303,7 @@ parseArgs(int argc, char **argv, Options &options)
             return false;
         }
     }
-    return !options.inputPath.empty();
+    return clusterFlagsValid(options) && !options.inputPath.empty();
 }
 
 /**
