@@ -9,6 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "aifmlib/aifm_runtime.hh"
 #include "fastswap/fastswap_runtime.hh"
 #include "tfm/chunk.hh"
@@ -95,6 +98,48 @@ BM_GuardSlowPathRemote(benchmark::State &state)
         benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_GuardSlowPathRemote);
+
+/**
+ * The object miss path at steady state: 64 B objects read in a seeded
+ * random order from a populated 6 MB heap through 512 KB of local memory
+ * (1/12 of it, as in the Fig. 16 memcached runs). Nearly every
+ * iteration is guard, miss, CLOCK eviction and fetch; unlike
+ * BM_GuardSlowPathRemote it never evacuates.
+ */
+void
+BM_DemandMissEvict(benchmark::State &state)
+{
+    RuntimeConfig cfg = config();
+    cfg.objectSizeBytes = 64;
+    cfg.localMemBytes = 512 << 10;
+    TfmRuntime rt(cfg, CostParams{});
+    constexpr std::uint64_t heap = 6 << 20;
+    constexpr std::uint64_t objects = heap / 64;
+    const std::uint64_t addr = rt.tfmMalloc(heap);
+    std::uint64_t rng = 0x5eed;
+    const auto next = [&] {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        return rng >> 16;
+    };
+    std::vector<std::uint64_t> page(4096 / 8);
+    for (std::uint64_t at = 0; at < heap; at += 4096) {
+        for (std::uint64_t &word : page)
+            word = next();
+        rt.rawWrite(addr + at, page.data(), 4096);
+    }
+    // Fill local memory so the timed loop starts evicting at once.
+    for (std::uint64_t i = 0; i < cfg.localMemBytes / 64; i++)
+        rt.load<std::uint64_t>(addr + next() % objects * 64);
+    const std::uint64_t start = rt.clock().now();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            rt.load<std::uint64_t>(addr + next() % objects * 64));
+    }
+    state.counters["sim_cycles"] = benchmark::Counter(
+        static_cast<double>(rt.clock().now() - start),
+        benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_DemandMissEvict);
 
 void
 BM_CustodyReject(benchmark::State &state)

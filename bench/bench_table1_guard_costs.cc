@@ -78,11 +78,11 @@ main()
     // which finds the payload already present (zero residual wait).
     auto &far = rt.runtime();
     const std::uint64_t slow_read = medianCycles(rt, 1000, [&] {
-        far.stateTable()[0].setInflight();
+        far.stateTable()[0].setInflight(far.shared());
         rt.load<std::uint64_t>(addr);
     });
     const std::uint64_t slow_write = medianCycles(rt, 1000, [&] {
-        far.stateTable()[0].setInflight();
+        far.stateTable()[0].setInflight(far.shared());
         rt.store<std::uint64_t>(addr, 2);
     });
 

@@ -93,7 +93,8 @@ main()
     rt.load<std::uint64_t>(addr);
     const std::uint64_t tfm_slow_local =
         medianCycles(rt.clock(), 1000, [&] {
-            rt.runtime().stateTable()[0].setInflight();
+            rt.runtime().stateTable()[0].setInflight(
+                rt.runtime().shared());
             rt.load<std::uint64_t>(addr);
         });
 
@@ -114,7 +115,8 @@ main()
     // loops so that none of the cells above moves.
     const std::uint64_t tfm_slow_local_write =
         medianCycles(rt.clock(), 1000, [&] {
-            rt.runtime().stateTable()[0].setInflight();
+            rt.runtime().stateTable()[0].setInflight(
+                rt.runtime().shared());
             rt.store<std::uint64_t>(addr, 1);
         });
 

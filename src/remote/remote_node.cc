@@ -129,14 +129,22 @@ RemoteNode::ZeroFilledBytes::ZeroFilledBytes(std::uint64_t size) : len(size)
     touched = std::make_unique<std::atomic<std::uint64_t>[]>(words(size));
 }
 
+std::uint64_t
+RemoteNode::ZeroFilledBytes::touchedChunks() const
+{
+    std::uint64_t chunks = 0;
+    if (!touched)
+        return chunks;
+    for (std::uint64_t w = 0; w < words(len); w++)
+        chunks += std::popcount(touched[w].load(std::memory_order_relaxed));
+    return chunks;
+}
+
 RemoteNode::ZeroFilledBytes::~ZeroFilledBytes()
 {
     if (bytes == nullptr)
         return;
-    std::uint64_t chunks = 0;
-    for (std::uint64_t w = 0; w < words(len); w++)
-        chunks += std::popcount(touched[w].load(std::memory_order_relaxed));
-    const std::uint64_t touched_bytes = chunks << kChunkShift;
+    const std::uint64_t touched_bytes = touchedChunks() << kChunkShift;
     if (touched_bytes > kMaxParkedBytes) {
         munmap(bytes, len);
         return;

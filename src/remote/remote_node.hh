@@ -148,6 +148,10 @@ class RemoteNode
 
     const RemoteStats &stats() const { return _stats; }
 
+    /** 64 KB chunks of the store that any write path has marked (the
+     *  set a recycled mapping must zero). Only ever grows. */
+    std::uint64_t touchedChunks() const { return store.touchedChunks(); }
+
   private:
     /**
      * Owner of one zero-filled anonymous mapping and of the set of its
@@ -203,6 +207,9 @@ class RemoteNode
                     word.fetch_or(bit, std::memory_order_relaxed);
             }
         }
+
+        /** Chunks marked so far. */
+        std::uint64_t touchedChunks() const;
 
       private:
         /** Words of the touched set of a @p size -byte store. */

@@ -59,6 +59,12 @@ FarMemRuntime::FarMemRuntime(const RuntimeConfig &config,
                                      cfg.objectSizeBytes, cfg.cluster, rec_,
                                      recInstance_);
     }
+    // The store base for localize()'s miss hint, taken once through a
+    // zero-length span (which marks no chunk), and only on a tier that
+    // can hand out spans at all: one shard and no failure plan. rawSpan
+    // still returns nullptr on a replicated tier.
+    if (cfg.cluster.shardCount == 1 && cfg.cluster.failures.empty())
+        remoteBase_ = backend_->rawSpan(0, 0);
     obs_ = cfg.obs ? cfg.obs : obs::defaultSink();
     if (obs_) {
         obsStream_ = obs_->registerStream(
@@ -168,7 +174,7 @@ FarMemRuntime::localize(WorkerContext &c, std::uint64_t offset,
                     late ? f.arrivalCycle - c.clock.now() : 0);
             }
             c.clock.advanceTo(f.arrivalCycle);
-            meta.clearInflight();
+            meta.clearInflight(shared_);
             c.stats.prefetchHits++;
             c.stats.inflightJoins++;
             if (late)
@@ -176,14 +182,20 @@ FarMemRuntime::localize(WorkerContext &c, std::uint64_t offset,
             result = Localized::PrefetchWait;
         }
         if (for_write)
-            meta.setDirty();
+            meta.setDirty(shared_);
         if (outcome)
             *outcome = result;
         return cache.frameData(meta.frame()) + ost.offsetInObject(offset);
     }
 
-    // Demand miss. takeFrame() first: its eviction may park further
-    // entries in (or flush) a writeback buffer.
+    // Demand miss. Ask the host for the remote copy's first line before
+    // choosing a victim, so that cache miss overlaps the eviction's
+    // instead of following it. A prefetch has no side effect: the store
+    // is neither marked, counted nor recorded.
+    if (remoteBase_ && &c == &main_)
+        __builtin_prefetch(remoteBase_ + (obj_id << ost.objectShift()));
+    // takeFrame() first: its eviction may park further entries in (or
+    // flush) a writeback buffer.
     const std::uint64_t missStart = c.clock.now();
     const std::uint64_t frame_idx = takeFrame(c, cache.shardOf(obj_id));
     std::byte *data = cache.frameData(frame_idx);
@@ -199,8 +211,8 @@ FarMemRuntime::localize(WorkerContext &c, std::uint64_t offset,
         // in a writeback buffer: resurrect it locally without any
         // network traffic. The remote copy is stale, so it stays dirty.
         c.clock.advance(_costs.evacuateObjectCycles);
-        meta.makeLocal(frame_idx);
-        meta.setDirty();
+        meta.makeLocal(frame_idx, shared_);
+        meta.setDirty(shared_);
         c.stats.writebackBufferHits++;
         if (obs && obs->trace().enabled()) {
             obs->trace().instant(obsStream_, TrackApp, "wb-resurrect",
@@ -223,10 +235,10 @@ FarMemRuntime::localize(WorkerContext &c, std::uint64_t offset,
     fetch(c, obj_id, data);
     c.clock.advance(_costs.remoteFetchSwCycles);
     // Publish only after the payload is in place: a lock-free reader
-    // that sees present must see the bytes (seq_cst store).
-    meta.makeLocal(frame_idx);
+    // that sees present must see the bytes (seq_cst store when shared).
+    meta.makeLocal(frame_idx, shared_);
     if (for_write)
-        meta.setDirty();
+        meta.setDirty(shared_);
     c.stats.demandFetches++;
     onDemandMiss(obj_id);
     if (obs) {
@@ -338,7 +350,7 @@ FarMemRuntime::evictFrame(WorkerContext &c, std::uint32_t shard,
             pending.parkCycle = c.clock.now();
             pending.data.assign(data, data + ost.objectSize());
             c.wbBuf.push_back(std::move(pending));
-            parkedCount_++;
+            atomicAdd(parkedCount_, 1, shared_);
         } else {
             const RemoteWriteSeg seg{f.objId << ost.objectShift(), data,
                                      ost.objectSize()};
@@ -349,8 +361,8 @@ FarMemRuntime::evictFrame(WorkerContext &c, std::uint32_t shard,
     // the stamp provably entered its section after the unmap (seq_cst
     // total order), re-read the state word, and missed — so a frame is
     // reclaimed only when min(active slots) >= its stamp.
-    meta.makeRemote();
-    retireFrame(shard, frame_idx, ++_evictionEpoch);
+    meta.makeRemote(shared_);
+    retireFrame(shard, frame_idx, atomicAdd(_evictionEpoch, 1, shared_));
     c.stats.evictions++;
     maybeFlushWritebacks(c);
 }
@@ -393,7 +405,7 @@ FarMemRuntime::withParked(std::uint64_t obj_id, bool take, Fn &&fn)
             if (take) {
                 ctx.wbBuf.erase(ctx.wbBuf.begin() +
                                 static_cast<std::ptrdiff_t>(i));
-                parkedCount_--;
+                atomicSub(parkedCount_, 1, shared_);
             }
             return true;
         }
@@ -438,7 +450,7 @@ FarMemRuntime::flushLocked(WorkerContext &c)
                         pending.data.data(), ost.objectSize()});
     }
     onBackend(c, [&] { backend_->writebackBatch(segs); });
-    parkedCount_ -= c.wbBuf.size();
+    atomicSub(parkedCount_, c.wbBuf.size(), shared_);
     c.wbBuf.clear();
     c.stats.writebackFlushes++;
 }
@@ -463,7 +475,7 @@ FarMemRuntime::drainWritebacks()
             backend_->rawWrite(pending.objId << ost.objectShift(),
                                pending.data.data(), ost.objectSize());
         }
-        parkedCount_ -= ctx.wbBuf.size();
+        atomicSub(parkedCount_, ctx.wbBuf.size(), shared_);
         ctx.wbBuf.clear();
     };
     drain(main_);
@@ -526,7 +538,7 @@ FarMemRuntime::prefetchObjects(std::uint64_t obj_id, std::int64_t stride,
         for (std::size_t i = 0; i < seg_frames.size(); i++) {
             Frame &f = cache.frame(seg_frames[i]);
             f.arrivalCycle = arrivals[i];
-            f.pins--;
+            atomicSub(f.pins, 1, shared_);
         }
         main_.stats.prefetchIssued += segs.size();
         if (segs.size() >= 2)
@@ -562,12 +574,12 @@ FarMemRuntime::prefetchObjects(std::uint64_t obj_id, std::int64_t stride,
             if (frame_idx == FrameCache::noFrame)
                 break;
         }
-        meta.makeLocal(frame_idx);
-        meta.setInflight();
+        meta.makeLocal(frame_idx, shared_);
+        meta.setInflight(shared_);
         Frame &f = cache.frame(frame_idx);
         f.objId = tid;
         f.arrivalCycle = ~0ull; // patched when the batch is issued
-        f.pins++;
+        atomicAdd(f.pins, 1, shared_);
         segs.push_back({tid << ost.objectShift(),
                         cache.frameData(frame_idx), ost.objectSize()});
         seg_frames.push_back(frame_idx);
@@ -583,8 +595,8 @@ FarMemRuntime::pinObject(std::uint64_t obj_id)
     ObjectMeta &meta = ost[obj_id];
     TFM_ASSERT(meta.present(), "pinning a remote object");
     Frame &f = cache.frame(meta.frame());
-    f.pins++;
-    meta.setPinned();
+    atomicAdd(f.pins, 1, shared_);
+    meta.setPinned(shared_);
 }
 
 void
@@ -594,8 +606,8 @@ FarMemRuntime::unpinObject(std::uint64_t obj_id)
     TFM_ASSERT(meta.present() && meta.pinned(), "unpinning an unpinned object");
     Frame &f = cache.frame(meta.frame());
     TFM_ASSERT(f.pins > 0, "pin count underflow");
-    if (--f.pins == 0)
-        meta.clearPinned();
+    if (atomicSub(f.pins, 1, shared_) == 0)
+        meta.clearPinned(shared_);
 }
 
 void
@@ -676,7 +688,7 @@ FarMemRuntime::evacuateAll()
             backend_->rawWrite(f.objId << ost.objectShift(),
                                cache.frameData(i), ost.objectSize());
         }
-        meta.makeRemote();
+        meta.makeRemote(shared_);
         retireFrame(cache.shardOfFrame(i), i, _evictionEpoch.load() + 1);
     }
     // With no workers running (the caller's contract) every reader is
@@ -684,7 +696,7 @@ FarMemRuntime::evacuateAll()
     for (std::uint32_t s = 0; s < cache.numShards(); s++)
         cache.reclaimFrames(s, quiescentEpoch);
     prefetcher.reset();
-    _evictionEpoch++;
+    atomicAdd(_evictionEpoch, 1, shared_);
 }
 
 std::uint64_t

@@ -265,7 +265,7 @@ class FarMemRuntime
         const std::uint64_t frame_idx = ObjectMeta::rawFrame(raw);
         cache.frame(frame_idx).refbit.store(true, std::memory_order_relaxed);
         if (for_write)
-            meta.setDirty();
+            meta.setDirty(shared_);
         return cache.frameData(frame_idx) + ost.offsetInObject(offset);
     }
 
@@ -564,21 +564,25 @@ class FarMemRuntime
     std::vector<RemoteFetchSeg> prefetchSegs_;
     std::vector<std::uint64_t> prefetchFrames_;
     std::vector<std::uint64_t> prefetchArrivals_;
-    /// Eviction-epoch clock; seq_cst (see DESIGN.md §4k reclamation
-    /// proof). Plain increments with no worker registered compile to
-    /// the same uncontended RMW.
+    /// Eviction-epoch clock; bumped seq_cst once a worker is registered
+    /// (DESIGN.md §4k reclamation proof), with a relaxed load and store
+    /// before (atomicAdd), so an unshared eviction takes no locked RMW.
     std::atomic<std::uint64_t> _evictionEpoch{0};
     Observability *obs_ = nullptr;
     std::uint32_t obsStream_ = 0;
     FlightRecorder *rec_ = nullptr;
     std::uint16_t recInstance_ = 0;
     std::uint64_t lastMissObj = ~0ull; ///< inter-miss-distance tracking
+    /// Host base of the far heap's one store, for the demand-miss
+    /// prefetch hint; null on a tier with no such store.
+    const std::byte *remoteBase_ = nullptr;
 
     bool shared_ = false; ///< at least one worker registered
     std::vector<std::unique_ptr<WorkerContext>> workers_;
     std::mutex netMu_;   ///< serializes shared backend/device access
     std::mutex allocMu_; ///< serializes the region allocator when shared
-    std::atomic<std::uint64_t> parkedCount_{0}; ///< over every context
+    /// Parked writebacks over every context; updated with atomicAdd.
+    std::atomic<std::uint64_t> parkedCount_{0};
     static thread_local WorkerContext *tlsWorker_;
 };
 

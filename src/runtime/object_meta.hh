@@ -18,9 +18,75 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 namespace tfm
 {
+
+/** @name Atomic updates that are seq_cst only when shared
+ *
+ * With @p shared (a worker is registered, DESIGN.md §4k) each is the
+ * seq_cst operation: a locked RMW or xchg on x86. Without, the runtime
+ * has one thread, and each is a relaxed load and a relaxed store. A
+ * worker thread starts after registerWorker(), so every relaxed write
+ * made before happens-before the worker's first access.
+ * @{ */
+template <typename T>
+inline void
+atomicStore(std::atomic<T> &a, std::type_identity_t<T> v, bool shared)
+{
+    if (shared)
+        a.store(v);
+    else
+        a.store(v, std::memory_order_relaxed);
+}
+
+/** a += d; returns the new value. */
+template <typename T>
+inline T
+atomicAdd(std::atomic<T> &a, std::type_identity_t<T> d, bool shared)
+{
+    if (shared)
+        return a.fetch_add(d) + d;
+    const T v = a.load(std::memory_order_relaxed) + d;
+    a.store(v, std::memory_order_relaxed);
+    return v;
+}
+
+/** a -= d; returns the new value. */
+template <typename T>
+inline T
+atomicSub(std::atomic<T> &a, std::type_identity_t<T> d, bool shared)
+{
+    if (shared)
+        return a.fetch_sub(d) - d;
+    const T v = a.load(std::memory_order_relaxed) - d;
+    a.store(v, std::memory_order_relaxed);
+    return v;
+}
+
+template <typename T>
+inline void
+atomicOr(std::atomic<T> &a, std::type_identity_t<T> m, bool shared)
+{
+    if (shared)
+        a.fetch_or(m);
+    else
+        a.store(a.load(std::memory_order_relaxed) | m,
+                std::memory_order_relaxed);
+}
+
+template <typename T>
+inline void
+atomicAnd(std::atomic<T> &a, std::type_identity_t<T> m, bool shared)
+{
+    if (shared)
+        a.fetch_and(m);
+    else
+        a.store(a.load(std::memory_order_relaxed) & m,
+                std::memory_order_relaxed);
+}
+/** @} */
 
 /**
  * One 8-byte object state entry.
@@ -63,32 +129,42 @@ class ObjectMeta
 
     std::uint64_t frame() const { return raw() & frameMask; }
 
+    /** @name Mutators
+     * Each takes the runtime's shared() state: seq_cst once a worker is
+     * registered, a relaxed load and store before (the atomic helpers
+     * above).
+     * @{ */
     void
-    makeLocal(std::uint64_t frame_idx)
+    makeLocal(std::uint64_t frame_idx, bool shared)
     {
-        bits.store(presentBit | (frame_idx & frameMask));
+        atomicStore(bits, presentBit | (frame_idx & frameMask), shared);
     }
 
-    void makeRemote() { bits.store(0); }
+    void makeRemote(bool shared) { atomicStore(bits, 0, shared); }
 
     /**
-     * Skips the locked read-modify-write when the bit is already set,
-     * so repeat stores to a dirty object cost the guard one plain load.
+     * Skips the read-modify-write when the bit is already set, so
+     * repeat stores to a dirty object cost the guard one plain load.
      * Concurrent workers clear the bit (makeLocal, makeRemote) and set
      * it only under the object's shard lock, so the test cannot race a
      * clear.
      */
     void
-    setDirty()
+    setDirty(bool shared)
     {
         if (!(raw() & dirtyBit))
-            bits.fetch_or(dirtyBit);
+            atomicOr(bits, dirtyBit, shared);
     }
-    void clearDirty() { bits.fetch_and(~dirtyBit); }
-    void setInflight() { bits.fetch_or(inflightBit); }
-    void clearInflight() { bits.fetch_and(~inflightBit); }
-    void setPinned() { bits.fetch_or(pinnedBit); }
-    void clearPinned() { bits.fetch_and(~pinnedBit); }
+    void clearDirty(bool shared) { atomicAnd(bits, ~dirtyBit, shared); }
+    void setInflight(bool shared) { atomicOr(bits, inflightBit, shared); }
+    void
+    clearInflight(bool shared)
+    {
+        atomicAnd(bits, ~inflightBit, shared);
+    }
+    void setPinned(bool shared) { atomicOr(bits, pinnedBit, shared); }
+    void clearPinned(bool shared) { atomicAnd(bits, ~pinnedBit, shared); }
+    /** @} */
 
     /**
      * One coherent snapshot of the word. The concurrent guard fast path
@@ -113,10 +189,13 @@ class ObjectMeta
 
   private:
     /**
-     * seq_cst throughout: the epoch-reclamation proof in DESIGN.md §4k
-     * relies on a single total order over meta publications, epoch
-     * bumps, and worker epoch-slot stores. On x86 the loads compile to
-     * plain movs, so the single-thread fast path is unchanged.
+     * raw() is always seq_cst, a plain mov on x86. The mutators are
+     * seq_cst only once a worker is registered: the epoch-reclamation
+     * proof in DESIGN.md §4k relies on a single total order over meta
+     * publications, epoch bumps, and worker epoch-slot stores. Before
+     * that the runtime has one thread, and a relaxed load and store
+     * (no lock prefix, no xchg) need no order: starting a worker
+     * thread orders every earlier write before the worker's accesses.
      */
     std::atomic<std::uint64_t> bits;
 };

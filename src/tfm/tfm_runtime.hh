@@ -440,7 +440,7 @@ class TfmRuntime
         }
         c.frame->refbit.store(true, std::memory_order_relaxed);
         if (for_write)
-            c.meta->setDirty();
+            c.meta->setDirty(rt.shared());
         return c.window.at(offset);
     }
     /** Refill @p c after a guard translated @p offset to @p ptr; the

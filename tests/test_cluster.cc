@@ -19,6 +19,7 @@
 #include "sim/cost_params.hh"
 #include "sim/cycle_clock.hh"
 #include "sim/stats.hh"
+#include "tfm/tfm_runtime.hh"
 
 namespace tfm
 {
@@ -294,6 +295,119 @@ TEST(ClusterEquivalence, RuntimeWithForcedClusterMatchesDefault)
     EXPECT_EQ(rt.clock().now(), 3893976u);
     EXPECT_EQ(checksum, 699008u);
     EXPECT_EQ(rt.heapChecksum(), 7462023396937499523ull);
+}
+
+/** What one read-only TrackFM scan did on a tier. */
+struct ScanCells
+{
+    std::uint64_t clock = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t heapChecksum = 0;
+    NetStats net;
+    /// Touched 64 KB chunks over every shard's store, after the
+    /// populate and after the scan.
+    std::uint64_t touchedBefore = 0;
+    std::uint64_t touchedAfter = 0;
+};
+
+/**
+ * Allocate 384 KB of 64 B objects and populate the first quarter, so
+ * most of the allocation lies in store chunks no write marked. Then
+ * read it guarded: a seeded random order first (nearly every miss
+ * evicts; local memory holds 1/32 of it) and a sequential pass after
+ * (the prefetcher batches ahead).
+ */
+ScanCells
+readOnlyScan(const ClusterConfig &cluster)
+{
+    RuntimeConfig rc;
+    rc.farHeapBytes = 1 << 20;
+    rc.localMemBytes = 192 * 64;
+    rc.objectSizeBytes = 64;
+    rc.cluster = cluster;
+    TfmRuntime rt(rc, CostParams{});
+    constexpr std::uint64_t kObjs = 6144;
+    const std::uint64_t base = rt.tfmMalloc(kObjs * 64);
+    std::uint64_t rng = 0x51ca;
+    for (std::uint64_t i = 0; i < kObjs / 4; i++) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        rt.rawWrite(base + i * 64, &rng, sizeof(rng));
+    }
+    const auto touched = [&] {
+        std::uint64_t chunks = 0;
+        for (std::uint32_t s = 0; s < rt.runtime().backend().shardCount();
+             s++) {
+            chunks += rt.runtime().backend().node(s).touchedChunks();
+        }
+        return chunks;
+    };
+    ScanCells cells;
+    cells.touchedBefore = touched();
+    for (std::uint64_t k = 0; k < kObjs; k++) {
+        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+        cells.sum += rt.load<std::uint64_t>(base + (rng >> 33) % kObjs * 64);
+    }
+    for (std::uint64_t i = 0; i < kObjs; i++)
+        cells.sum += rt.load<std::uint64_t>(base + i * 64 + 8);
+    cells.touchedAfter = touched();
+    cells.clock = rt.clock().now();
+    cells.net = rt.runtime().backend().netStats();
+    cells.heapChecksum = rt.runtime().heapChecksum();
+    return cells;
+}
+
+/**
+ * The demand-miss prefetch hint (FarMemRuntime::localize) is a host
+ * hint only: on the 1-shard tier, where it runs, and on the tiers where
+ * it is off (two shards, two copies, a failure still to come), a
+ * read-only scan charges the clock and every NetStats field the runtime
+ * charged before the hint existed, and reads the same bytes. Nor does
+ * it mark a store chunk: a read-only scan leaves the touched-chunk set
+ * exactly as the populate left it, as it does with no hint.
+ */
+TEST(ClusterEquivalence, MissHintChangesNothingOnAnyTier)
+{
+    ClusterConfig two_shards;
+    two_shards.shardCount = 2;
+    ClusterConfig two_copies;
+    two_copies.shardCount = 2;
+    two_copies.replicationFactor = 2;
+    ClusterConfig pending_kill;
+    pending_kill.failures.killShard(0, 1ull << 60);
+    struct Tier
+    {
+        const char *name;
+        ClusterConfig cluster;
+        std::uint64_t clock, sum, heapChecksum;
+        std::uint64_t net[10];
+    };
+    // The runtime's charges before the hint existed.
+    // clang-format off
+    const Tier tiers[] = {
+        {"1 shard", ClusterConfig{}, 266142932ull, 9588316636784704154ull,
+         16723246996743959495ull,
+         {777600, 0, 8196, 0, 12150, 0, 565, 0, 8, 0}},
+        {"2 shards", two_shards, 266125012ull, 9588316636784704154ull,
+         16723246996743959495ull,
+         {777600, 0, 8756, 0, 12150, 0, 1125, 0, 8, 0}},
+        {"2 copies", two_copies, 266125012ull, 9588316636784704154ull,
+         16723246996743959495ull,
+         {777600, 0, 8756, 0, 12150, 0, 1125, 0, 8, 0}},
+        {"pending kill", pending_kill, 266142932ull, 9588316636784704154ull,
+         16723246996743959495ull,
+         {777600, 0, 8196, 0, 12150, 0, 565, 0, 8, 0}},
+    };
+    // clang-format on
+    for (const Tier &tier : tiers) {
+        SCOPED_TRACE(tier.name);
+        const ScanCells got = readOnlyScan(tier.cluster);
+        EXPECT_EQ(got.clock, tier.clock);
+        EXPECT_EQ(got.sum, tier.sum);
+        EXPECT_EQ(got.heapChecksum, tier.heapChecksum);
+        expectNetStats(got.net, tier.net);
+        EXPECT_GT(got.touchedBefore, 0u);
+        EXPECT_EQ(got.touchedAfter, got.touchedBefore);
+    }
 }
 
 TEST(ClusterReplication, WriteAllReadOne)

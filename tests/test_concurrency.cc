@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -553,6 +554,135 @@ TEST(ConcurrentRuntime, WorkerParkedWritebacksAreVisible)
     ASSERT_FALSE(rt.runtime().isLocal(tfmOffsetOf(base + 193 * 64)));
     rt.rawRead(span_at, back.data(), back.size());
     EXPECT_EQ(back, span);
+}
+
+/**
+ * Before the first registerWorker() the runtime updates its state words,
+ * pin counts, eviction epoch and parked count with relaxed loads and
+ * stores, not locked RMWs (DESIGN.md §4k). Whatever that unshared phase
+ * leaves must read the same to workers started after registration:
+ * evicted and present objects, parked dirty payloads, in-flight
+ * prefetches and a locality pin still held. One runtime drives evictions,
+ * dirty parks and flushes, compiler-directed prefetches and locality
+ * pins unshared, then three workers read every object and write their
+ * own slice concurrently. A twin runs the same steps with the workers'
+ * traces one after another on the main thread; values and the heap
+ * checksum must agree.
+ */
+TEST(ConcurrentRuntime, UnsharedStateCarriesIntoWorkers)
+{
+    constexpr unsigned kThreads = 3;
+    constexpr std::uint64_t kObjs = 1536; // 6x the 256 local frames
+    constexpr std::uint64_t kSlice = kObjs / kThreads;
+
+    RuntimeConfig rc;
+    rc.farHeapBytes = 1ull << 20;
+    rc.localMemBytes = 256 * 64;
+    rc.objectSizeBytes = 64;
+    rc.prefetchEnabled = false; // workers need it off; prefetch by hand
+    rc.cacheShards = 4;
+    rc.writebackBatchMax = 20;
+    rc.writebackFlushCycles = ~0ull; // only the size threshold flushes
+    const CostParams costs;
+
+    struct Twin
+    {
+        std::unique_ptr<TfmRuntime> rt;
+        std::uint64_t base = 0;
+        HostWindow pin; ///< a locality pin held across registration
+        std::vector<TfmRuntime::Worker *> workers;
+    };
+    const auto unshared_phase = [&](Twin &t) {
+        t.rt = std::make_unique<TfmRuntime>(rc, costs);
+        TfmRuntime &rt = *t.rt;
+        t.base = rt.tfmCalloc(kObjs, 64);
+        EXPECT_NE(t.base, 0u);
+        // Every object written: dirty evictions park and flush.
+        for (std::uint64_t i = 0; i < kObjs; i++)
+            rt.store<std::uint64_t>(t.base + i * 64, mix64(i));
+        // Prefetch windows joined in flight, and some left in flight.
+        for (std::uint64_t i = 0; i < kObjs; i += 97) {
+            rt.prefetchAhead(t.base + i * 64, 1, 8);
+            EXPECT_EQ(rt.load<std::uint64_t>(t.base + (i + 1) * 64),
+                      mix64(i + 1));
+        }
+        // A chunked loop's locality pins, under eviction pressure.
+        HostWindow window;
+        for (std::uint64_t i = 0; i < kObjs; i += 3) {
+            std::byte *p = rt.localityGuard(t.base + i * 64, window, true);
+            std::uint64_t v = 0;
+            std::memcpy(&v, p, sizeof(v));
+            v ^= 0x5a5a;
+            std::memcpy(p, &v, sizeof(v));
+            rt.load<std::uint64_t>(t.base + ((i * 7) % kObjs) * 64);
+        }
+        rt.endChunk(window);
+        rt.localityGuard(t.base + 5 * 64, t.pin, false);
+        EXPECT_GT(rt.runtime().mergedStats().evictions, kObjs);
+        EXPECT_GT(rt.runtime().mergedStats().writebackFlushes, 0u);
+        EXPECT_GT(rt.runtime().mergedStats().inflightJoins, 0u);
+        EXPECT_GT(rt.runtime().pendingWritebacks(), 0u);
+        EXPECT_FALSE(rt.runtime().shared());
+        for (unsigned w = 0; w < kThreads; w++)
+            t.workers.push_back(rt.registerWorker());
+    };
+    const auto expected = [](std::uint64_t i) {
+        return i % 3 == 0 ? mix64(i) ^ 0x5a5a : mix64(i);
+    };
+    // Worker w: read every object, then rewrite its own slice.
+    const auto trace = [&](TfmRuntime &rt, std::uint64_t base, unsigned w,
+                           std::uint64_t &bad) {
+        for (std::uint64_t k = 0; k < kObjs; k++) {
+            const std::uint64_t i = (k + w * kSlice) % kObjs;
+            std::uint64_t v = 0;
+            rt.readGuarded(base + i * 64, &v, sizeof(v));
+            bad += v != expected(i);
+        }
+        for (std::uint64_t i = w * kSlice; i < (w + 1) * kSlice; i++)
+            rt.store<std::uint64_t>(base + i * 64 + 8, mix64(i + kObjs));
+    };
+    const auto finish = [&](Twin &t) {
+        TfmRuntime &rt = *t.rt;
+        EXPECT_TRUE(rt.runtime().isLocal(tfmOffsetOf(t.base + 5 * 64)));
+        rt.endChunk(t.pin);
+        for (std::uint64_t i = 0; i < kObjs; i++) {
+            std::uint64_t got[2] = {};
+            rt.rawRead(t.base + i * 64, got, sizeof(got));
+            EXPECT_EQ(got[0], expected(i)) << "object " << i;
+            EXPECT_EQ(got[1], mix64(i + kObjs)) << "object " << i;
+        }
+        return rt.runtime().heapChecksum();
+    };
+
+    Twin conc;
+    unshared_phase(conc);
+    std::vector<std::uint64_t> bad(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (unsigned w = 0; w < kThreads; w++) {
+        threads.emplace_back([&, w] {
+            conc.rt->bindWorker(conc.workers[w]);
+            trace(*conc.rt, conc.base, w, bad[w]);
+            conc.rt->unbindWorker();
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    Twin seq;
+    unshared_phase(seq);
+    std::uint64_t seq_bad = 0;
+    for (unsigned w = 0; w < kThreads; w++) {
+        seq.rt->bindWorker(seq.workers[w]);
+        trace(*seq.rt, seq.base, w, seq_bad);
+        seq.rt->unbindWorker();
+    }
+
+    for (unsigned w = 0; w < kThreads; w++) {
+        EXPECT_EQ(bad[w], 0u) << "worker " << w;
+        EXPECT_GT(conc.workers[w]->rt->stats.evictions, 0u) << "worker " << w;
+    }
+    EXPECT_EQ(seq_bad, 0u);
+    EXPECT_EQ(finish(conc), finish(seq));
 }
 
 /**

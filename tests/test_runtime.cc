@@ -32,34 +32,51 @@ TEST(ObjectMeta, StartsRemote)
     EXPECT_FALSE(meta.safeForFastPath());
 }
 
+// Every mutator runs in both memory orders: seq_cst once a worker is
+// registered, relaxed before.
 TEST(ObjectMeta, LocalFormatCarriesFrame)
 {
-    ObjectMeta meta;
-    meta.makeLocal(12345);
-    EXPECT_TRUE(meta.present());
-    EXPECT_EQ(meta.frame(), 12345u);
-    EXPECT_TRUE(meta.safeForFastPath());
+    for (bool shared : {false, true}) {
+        ObjectMeta meta;
+        meta.makeLocal(12345, shared);
+        EXPECT_TRUE(meta.present());
+        EXPECT_EQ(meta.frame(), 12345u);
+        EXPECT_TRUE(meta.safeForFastPath());
+    }
 }
 
 TEST(ObjectMeta, InflightBlocksFastPath)
 {
-    ObjectMeta meta;
-    meta.makeLocal(1);
-    meta.setInflight();
-    EXPECT_TRUE(meta.present());
-    EXPECT_FALSE(meta.safeForFastPath());
-    meta.clearInflight();
-    EXPECT_TRUE(meta.safeForFastPath());
+    for (bool shared : {false, true}) {
+        ObjectMeta meta;
+        meta.makeLocal(1, shared);
+        meta.setInflight(shared);
+        EXPECT_TRUE(meta.present());
+        EXPECT_FALSE(meta.safeForFastPath());
+        meta.clearInflight(shared);
+        EXPECT_TRUE(meta.safeForFastPath());
+    }
 }
 
 TEST(ObjectMeta, MakeRemoteClearsEverything)
 {
-    ObjectMeta meta;
-    meta.makeLocal(7);
-    meta.setDirty();
-    meta.makeRemote();
-    EXPECT_FALSE(meta.present());
-    EXPECT_FALSE(meta.dirty());
+    for (bool shared : {false, true}) {
+        ObjectMeta meta;
+        meta.makeLocal(7, shared);
+        meta.setDirty(shared);
+        meta.setPinned(shared);
+        EXPECT_TRUE(meta.dirty());
+        EXPECT_TRUE(meta.pinned());
+        meta.clearPinned(shared);
+        meta.clearDirty(shared);
+        EXPECT_FALSE(meta.pinned());
+        EXPECT_FALSE(meta.dirty());
+        EXPECT_EQ(meta.frame(), 7u);
+        meta.setDirty(shared);
+        meta.makeRemote(shared);
+        EXPECT_FALSE(meta.present());
+        EXPECT_FALSE(meta.dirty());
+    }
 }
 
 TEST(ObjectStateTable, MapsOffsetsToObjects)

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -151,17 +152,45 @@ parseNumber(const char *text, std::uint64_t &value)
 }
 
 /** Parse the count of flag @p arg ("--name=<n>"), or say why not. */
+template <typename T>
 bool
-parseCount(const std::string &arg, std::uint32_t &count)
+parseCount(const std::string &arg, T &count)
 {
     const std::size_t eq = arg.find('=');
     std::uint64_t n = 0;
-    if (!parseNumber(arg.c_str() + eq + 1, n) || n > UINT32_MAX) {
+    if (!parseNumber(arg.c_str() + eq + 1, n) ||
+        n > std::numeric_limits<T>::max()) {
         std::fprintf(stderr, "tfmc: %s wants a number, got '%s'\n",
                      arg.substr(0, eq).c_str(), arg.c_str() + eq + 1);
         return false;
     }
-    count = static_cast<std::uint32_t>(n);
+    count = static_cast<T>(n);
+    return true;
+}
+
+/**
+ * Refuse an object size or local tier the runtime cannot build, with a
+ * diagnostic instead of the runtime's assertion.
+ */
+bool
+memoryFlagsValid(const Options &options)
+{
+    const std::uint32_t size = options.objectSize;
+    if (size < 16 || (size & (size - 1)) != 0) {
+        std::fprintf(stderr,
+                     "tfmc: --object-size needs a power of two >= 16, "
+                     "got %u\n",
+                     size);
+        return false;
+    }
+    if (options.localMem / size < 2) {
+        std::fprintf(stderr,
+                     "tfmc: --local-mem=%llu holds fewer than two "
+                     "%u-byte objects\n",
+                     static_cast<unsigned long long>(options.localMem),
+                     size);
+        return false;
+    }
     return true;
 }
 
@@ -244,14 +273,14 @@ parseArgs(int argc, char **argv, Options &options)
         } else if (arg.rfind("--chunk=", 0) == 0) {
             options.chunk = arg.substr(8);
         } else if (arg.rfind("--object-size=", 0) == 0) {
-            options.objectSize = static_cast<std::uint32_t>(
-                std::strtoull(arg.c_str() + 14, nullptr, 10));
+            if (!parseCount(arg, options.objectSize))
+                return false;
         } else if (arg.rfind("--local-mem=", 0) == 0) {
-            options.localMem =
-                std::strtoull(arg.c_str() + 12, nullptr, 10);
+            if (!parseCount(arg, options.localMem))
+                return false;
         } else if (arg.rfind("--far-heap=", 0) == 0) {
-            options.farHeap =
-                std::strtoull(arg.c_str() + 11, nullptr, 10);
+            if (!parseCount(arg, options.farHeap))
+                return false;
         } else if (arg.rfind("--record=", 0) == 0) {
             options.record = arg.substr(9);
         } else if (arg.rfind("--replay=", 0) == 0) {
@@ -260,8 +289,8 @@ parseArgs(int argc, char **argv, Options &options)
             options.flightRecorder = true;
         } else if (arg.rfind("--flight-recorder=", 0) == 0) {
             options.flightRecorder = true;
-            options.flightRecorderCap =
-                std::strtoull(arg.c_str() + 18, nullptr, 10);
+            if (!parseCount(arg, options.flightRecorderCap))
+                return false;
             if (options.flightRecorderCap == 0) {
                 std::fprintf(stderr,
                              "tfmc: --flight-recorder needs N > 0\n");
@@ -303,7 +332,8 @@ parseArgs(int argc, char **argv, Options &options)
             return false;
         }
     }
-    return clusterFlagsValid(options) && !options.inputPath.empty();
+    return clusterFlagsValid(options) && memoryFlagsValid(options) &&
+           !options.inputPath.empty();
 }
 
 /**
