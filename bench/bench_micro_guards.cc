@@ -164,10 +164,10 @@ BM_FastswapResidentAccess(benchmark::State &state)
     cfg.localMemBytes = 4 << 20;
     FastswapRuntime fs(cfg, CostParams{});
     const std::uint64_t heap = fs.allocate(4096);
-    fs.load<std::uint64_t>(heap);
+    fs.plane().load<std::uint64_t>(heap);
     std::uint64_t start = fs.clock().now();
     for (auto _ : state)
-        benchmark::DoNotOptimize(fs.load<std::uint64_t>(heap));
+        benchmark::DoNotOptimize(fs.plane().load<std::uint64_t>(heap));
     state.counters["sim_cycles"] = benchmark::Counter(
         static_cast<double>(fs.clock().now() - start),
         benchmark::Counter::kAvgIterations);

@@ -52,13 +52,14 @@ main()
     // Local fault: page data arrived via readahead, PTE still unmapped.
     FastswapRuntime fs2(fs_cfg, costs);
     const std::uint64_t heap2 = fs2.allocate(32 << 20);
-    fs2.load<std::uint64_t>(heap2); // major fault + readahead of 8 pages
+    // Major fault + readahead of 8 pages.
+    fs2.plane().load<std::uint64_t>(heap2);
     // Let the readahead payloads land before measuring the pure
     // PTE-fixup cost.
     fs2.clock().advance(1'000'000);
     std::uint64_t minor_page = 1;
     const std::uint64_t fs_minor = medianCycles(fs2.clock(), 7, [&] {
-        fs2.load<std::uint64_t>(heap2 + minor_page * 4096);
+        fs2.plane().load<std::uint64_t>(heap2 + minor_page * 4096);
         minor_page++;
     });
 
@@ -69,13 +70,13 @@ main()
     std::uint64_t major_page = 0;
     const std::uint64_t fs_major_read =
         medianCycles(fs3.clock(), 1000, [&] {
-            fs3.load<std::uint64_t>(heap3 + major_page * 4096);
+            fs3.plane().load<std::uint64_t>(heap3 + major_page * 4096);
             major_page++;
         });
     std::uint64_t major_wpage = major_page;
     const std::uint64_t fs_major_write =
         medianCycles(fs3.clock(), 1000, [&] {
-            fs3.store<std::uint64_t>(heap3 + major_wpage * 4096, 1);
+            fs3.plane().store<std::uint64_t>(heap3 + major_wpage * 4096, 1);
             major_wpage++;
         });
 

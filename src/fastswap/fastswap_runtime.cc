@@ -1,9 +1,6 @@
 #include "fastswap_runtime.hh"
 
-#include <algorithm>
-
 #include "obs/obs.hh"
-#include "sim/logging.hh"
 
 namespace tfm
 {
@@ -32,37 +29,13 @@ pagedConfig(RuntimeConfig config)
 
 FastswapRuntime::FastswapRuntime(const RuntimeConfig &config,
                                  const CostParams &cost_params)
-    : rt(pagedConfig(config), cost_params), plane(rt)
+    : rt(pagedConfig(config), cost_params), plane_(rt)
 {}
-
-void
-FastswapRuntime::fillWindow(HostWindow &window, std::uint64_t offset,
-                            std::size_t len)
-{
-    // The store is the newest copy of every byte only because no object
-    // is ever localized or parked for writeback (prefetcher off, no
-    // guards).
-    TFM_ASSERT(rt.stats().localizeCalls == 0 && rt.pendingWritebacks() == 0,
-               "a Fastswap page window needs the far-heap store to hold "
-               "the newest bytes");
-    const std::uint64_t pageId =
-        (offset + (len ? len - 1 : 0)) / PagedPlane::pageSize;
-    const std::uint64_t begin = pageId * PagedPlane::pageSize;
-    const std::uint64_t end = std::min<std::uint64_t>(
-        begin + PagedPlane::pageSize, rt.config().farHeapBytes);
-    window.host = plane.mappedAndReferenced(pageId)
-                      ? rt.backend().rawSpan(begin, end - begin)
-                      : nullptr;
-    window.begin = begin;
-    window.end = window.host ? end : begin;
-    window.epoch = plane.mapEpoch();
-    window.writable = plane.dirty(pageId);
-}
 
 void
 FastswapRuntime::exportStats(StatSet &set) const
 {
-    const PagedStats &s = plane.stats();
+    const PagedStats &s = plane_.stats();
     set.add("fastswap.minor_faults", s.minorFaults);
     set.add("fastswap.major_faults", s.majorFaults);
     set.add("fastswap.pageouts", s.pageouts);

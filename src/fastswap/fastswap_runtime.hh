@@ -20,11 +20,13 @@
  *    major fault, which is what lets Fastswap amortize faults under
  *    temporal/spatial locality (section 5 "Lessons").
  *
- * Like AifmRuntime, this is a thin wrapper: a FarMemRuntime (4 KB
- * objects, prefetcher off) owns the far heap, clock, remote tier,
+ * FastswapRuntime holds no access path of its own: a FarMemRuntime
+ * (4 KB objects, prefetcher off) owns the far heap, clock, remote tier,
  * flight recorder and trace stream, and one PagedPlane — the same
- * paging model the hybrid arbiter's paged sites use — covers every
- * allocation and charges the faults.
+ * paging model and accessor the hybrid arbiter's paged sites use —
+ * covers every allocation, charges the faults and moves the bytes
+ * (plane()). What is left here is the configuration of that pair, the
+ * unaccounted initialization copies and the fastswap.* statistics.
  */
 
 #ifndef TRACKFM_FASTSWAP_FASTSWAP_RUNTIME_HH
@@ -61,78 +63,9 @@ class FastswapRuntime
     std::uint64_t allocate(std::uint64_t bytes) { return rt.allocate(bytes); }
     void deallocate(std::uint64_t offset) { rt.deallocate(offset); }
 
-    /**
-     * Multi-byte read; accesses spanning page boundaries fault on each
-     * page touched.
-     */
-    void
-    readBytes(std::uint64_t offset, void *dst, std::size_t len)
-    {
-        plane.touch(offset, len, /*for_write=*/false);
-        rt.rawRead(offset, dst, len);
-    }
-
-    /** Multi-byte write; one potential fault per page touched. */
-    void
-    writeBytes(std::uint64_t offset, const void *src, std::size_t len)
-    {
-        plane.touch(offset, len, /*for_write=*/true);
-        rt.rawWrite(offset, src, len);
-    }
-
-    /**
-     * readBytes through @p window, a host window onto one mapped page
-     * (writable once the page is dirty), valid while mapEpoch() holds.
-     * An access inside a valid window is the copy alone: it skips only
-     * the plane's mapped-page branch, which would re-set a reference
-     * bit that is already set. Any other access takes readBytes' path,
-     * then refills the window from the page it left mapped. @p len must
-     * be nonzero.
-     */
-    void
-    readVia(HostWindow &window, std::uint64_t offset, void *dst,
-            std::size_t len)
-    {
-        if (len <= window.bytes(offset, /*for_write=*/false, mapEpoch())) {
-            std::memcpy(dst, window.at(offset), len);
-            return;
-        }
-        readBytes(offset, dst, len);
-        fillWindow(window, offset, len);
-    }
-
-    /** writeBytes through @p window; a hit also needs a dirty page. */
-    void
-    writeVia(HostWindow &window, std::uint64_t offset, const void *src,
-             std::size_t len)
-    {
-        if (len <= window.bytes(offset, /*for_write=*/true, mapEpoch())) {
-            std::memcpy(window.at(offset), src, len);
-            return;
-        }
-        writeBytes(offset, src, len);
-        fillWindow(window, offset, len);
-    }
-
-    /** The epoch page windows are valid at (PagedPlane::mapEpoch()). */
-    std::uint64_t mapEpoch() const { return plane.mapEpoch(); }
-
-    /** Typed access helpers. */
-    template <typename T>
-    T
-    load(std::uint64_t offset)
-    {
-        T value;
-        readBytes(offset, &value, sizeof(T));
-        return value;
-    }
-
-    template <typename T>
-    void
-    store(std::uint64_t offset, const T &value)
-    {
-        writeBytes(offset, &value, sizeof(T));
-    }
+    /** The plane: accounted access, page windows, counters, evacuation. */
+    PagedPlane &plane() { return plane_; }
+    const PagedPlane &plane() const { return plane_; }
 
     /** @name Initialization (no accounting)
      * @{ */
@@ -154,21 +87,13 @@ class FastswapRuntime
     }
     /** @} */
 
-    /** Push every page remote so measurement starts cold. */
-    void evacuateAll() { plane.evacuate(); }
-
-    const PagedStats &stats() const { return plane.stats(); }
     NetStats netStats() const { return rt.backend().netStats(); }
     /** fastswap.* counters, link bytes, the clock, and obs stats. */
     void exportStats(StatSet &set) const;
 
   private:
-    /** Point @p window at the page holding the access's last byte. */
-    void fillWindow(HostWindow &window, std::uint64_t offset,
-                    std::size_t len);
-
     FarMemRuntime rt;
-    PagedPlane plane;
+    PagedPlane plane_;
 };
 
 } // namespace tfm

@@ -148,6 +148,30 @@ PagedPlane::touch(std::uint64_t offset, std::size_t len, bool for_write)
 }
 
 void
+PagedPlane::fillWindow(HostWindow &window, std::uint64_t offset,
+                       std::size_t len)
+{
+    // The store is the newest copy of every byte only because no object
+    // is ever localized or parked for writeback (prefetcher off, no
+    // guards).
+    TFM_ASSERT(rt_.stats().localizeCalls == 0 && rt_.pendingWritebacks() == 0,
+               "a Fastswap page window needs the far-heap store to hold "
+               "the newest bytes");
+    const std::uint64_t pageId = (offset + (len ? len - 1 : 0)) / pageSize;
+    const std::uint64_t begin = pageId * pageSize;
+    const std::uint64_t end = std::min<std::uint64_t>(
+        begin + pageSize, rt_.config().farHeapBytes);
+    const Page &pg = table_[pageId];
+    window.host = pg.resident && !pg.inflight && pg.refbit
+                      ? rt_.backend().rawSpan(begin, end - begin)
+                      : nullptr;
+    window.begin = begin;
+    window.end = window.host ? end : begin;
+    window.epoch = mapEpoch_;
+    window.writable = pg.dirty;
+}
+
+void
 PagedPlane::majorFault(std::uint64_t pageId, bool for_write)
 {
     Observability *obs = rt_.obs();

@@ -1,25 +1,30 @@
 /**
  * @file
- * The 4 KB paging model: kernel-swap residency and fault costs over a
+ * The 4 KB paging model and the one paged accessor over a
  * FarMemRuntime's far heap.
  *
- * This is the one paging model in the repository. FastswapRuntime
- * covers its whole heap with a plane (the kernel-based baseline), and
- * the hybrid path arbiter (DESIGN.md §4l) routes individual allocation
- * sites to TfmRuntime's plane. Either way a resident mapped page costs
- * nothing per access, a first touch takes a page fault that moves a
- * whole 4 KB page, and reclamation charges kernel-style per-page
- * eviction. The plane is a *residency and cost model only*: it shares
- * the owning FarMemRuntime's clock, remote tier (so page transfers are
- * metered, recorded and replayed like object transfers), and
- * observability stream, and it never changes data — callers read and
- * write the far heap through FarMemRuntime::rawRead/rawWrite, so
- * routing a site to the paging plane can change cycle counts but never
- * program results or the heap checksum. That is the legality contract
- * the differential hybrid gate checks. For the same reason page
- * transfers are charge-only (RemoteBackend::fetch and writeback with a
- * null buffer): the far heap already holds every byte, so a fault or a
- * page-out charges, counts and records its 4 KB but copies none.
+ * FastswapRuntime covers its whole heap with a plane (the kernel-based
+ * baseline), and the hybrid path arbiter (DESIGN.md §4l) routes
+ * allocation sites to TfmRuntime's plane. A resident mapped page costs
+ * nothing per access, a first touch takes a fault that moves a whole
+ * 4 KB page, and reclamation charges kernel-style per-page eviction.
+ * The plane shares its owner's clock, remote tier (page transfers are
+ * metered, recorded and replayed like object transfers) and trace
+ * stream. read/write charge the touched pages, then move the bytes with
+ * the owner's rawRead/rawWrite, so routing a site here can change
+ * cycles but never program results or the heap checksum: the contract
+ * the differential hybrid gate checks. Page transfers are therefore
+ * charge-only (a null buffer): a fault or a page-out charges, counts
+ * and records its 4 KB but copies none.
+ *
+ * Which copy of a byte is newest depends on the owner:
+ *  - FastswapRuntime: the far-heap store, always (nothing is localized
+ *    or parked for writeback), so page windows onto the store
+ *    (readVia/writeVia) are legal.
+ *  - TfmRuntime: a guard's frame or a parked writeback can be newer
+ *    than the store, so its paged sites use read/write only, whose raw
+ *    copies merge the newer bytes. A window fill asserts that the store
+ *    is newest.
  */
 
 #ifndef TRACKFM_FASTSWAP_PAGED_PLANE_HH
@@ -27,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "runtime/far_mem_runtime.hh"
@@ -126,11 +132,74 @@ class PagedPlane
     explicit PagedPlane(FarMemRuntime &rt);
 
     /**
-     * Account one @p len byte access at far-heap @p offset, taking
-     * minor/major faults per 4 KB page touched. Charges cycles and
-     * sends page transfers over the remote tier; changes no data.
+     * Read @p len bytes at far-heap @p offset: minor/major faults per
+     * 4 KB page touched, then the bytes through the owner's rawRead.
      */
-    void touch(std::uint64_t offset, std::size_t len, bool for_write);
+    void
+    read(std::uint64_t offset, void *dst, std::size_t len)
+    {
+        touch(offset, len, /*for_write=*/false);
+        rt_.rawRead(offset, dst, len);
+    }
+
+    /** Write @p len bytes at @p offset; one potential fault per page. */
+    void
+    write(std::uint64_t offset, const void *src, std::size_t len)
+    {
+        touch(offset, len, /*for_write=*/true);
+        rt_.rawWrite(offset, src, len);
+    }
+
+    /** Typed access helpers. */
+    template <typename T>
+    T
+    load(std::uint64_t offset)
+    {
+        T value;
+        read(offset, &value, sizeof(T));
+        return value;
+    }
+
+    template <typename T>
+    void
+    store(std::uint64_t offset, const T &value)
+    {
+        write(offset, &value, sizeof(T));
+    }
+
+    /**
+     * read through @p window, a host window onto one mapped page
+     * (writable once the page is dirty), valid while mapEpoch() holds.
+     * A hit is the copy alone: it skips only touch's mapped-page branch,
+     * which would re-set a reference bit that is already set. A miss
+     * takes read's path, then refills the window from the page it left
+     * mapped. @p len must be nonzero; the owner's store must hold the
+     * newest bytes (see the file comment).
+     */
+    void
+    readVia(HostWindow &window, std::uint64_t offset, void *dst,
+            std::size_t len)
+    {
+        if (len <= window.bytes(offset, /*for_write=*/false, mapEpoch())) {
+            std::memcpy(dst, window.at(offset), len);
+            return;
+        }
+        read(offset, dst, len);
+        fillWindow(window, offset, len);
+    }
+
+    /** write through @p window; a hit also needs a dirty page. */
+    void
+    writeVia(HostWindow &window, std::uint64_t offset, const void *src,
+             std::size_t len)
+    {
+        if (len <= window.bytes(offset, /*for_write=*/true, mapEpoch())) {
+            std::memcpy(window.at(offset), src, len);
+            return;
+        }
+        write(offset, src, len);
+        fillWindow(window, offset, len);
+    }
 
     /**
      * Drop every resident page so a measurement can start from a fully
@@ -141,24 +210,15 @@ class PagedPlane
     void evacuate();
 
     /**
-     * Map epoch: bumped at every reclaimOne() and evacuate(), the only
-     * operations that can clear a mapped page's reference or dirty bit
-     * or unmap it. While the epoch is unchanged, a page that was
-     * mappedAndReferenced() stays so and a dirty one stays dirty, so
-     * touching it again would change nothing.
+     * Map epoch, the epoch page windows are valid at: bumped at every
+     * reclaimOne() and evacuate(), the only operations that can clear a
+     * mapped page's reference or dirty bit or unmap it, so while it
+     * holds, touching a mapped, referenced (and dirty) page again would
+     * change nothing.
      */
     std::uint64_t mapEpoch() const { return mapEpoch_; }
-    /** Is @p pageId mapped (resident, not in flight) and referenced? */
-    bool
-    mappedAndReferenced(std::uint64_t pageId) const
-    {
-        const Page &pg = table_[pageId];
-        return pg.resident && !pg.inflight && pg.refbit;
-    }
-    bool dirty(std::uint64_t pageId) const { return table_[pageId].dirty; }
 
     const PagedStats &stats() const { return _stats; }
-    std::uint64_t residentPages() const { return resident_.size(); }
 
     /** Counters under "paged.*". */
     void exportStats(StatSet &set) const;
@@ -174,6 +234,13 @@ class PagedPlane
         std::uint64_t arrival = 0; ///< in-flight completion cycle
     };
 
+    /** Charge one @p len byte access at far-heap @p offset: faults per
+     *  4 KB page touched, page transfers over the remote tier; moves
+     *  no data. */
+    void touch(std::uint64_t offset, std::size_t len, bool for_write);
+    /** Point @p window at the page holding the access's last byte. */
+    void fillWindow(HostWindow &window, std::uint64_t offset,
+                    std::size_t len);
     /** Fault in page @p pageId (resident afterwards). */
     void majorFault(std::uint64_t pageId, bool for_write);
     /** Evict one victim via the CLOCK sweep (budget pressure). */

@@ -302,6 +302,19 @@ struct Interpreter::Impl
             rawAccess(addr, &slot.i, bytes, true);
     }
 
+    /** Trap where the runtime would panic: @p count * @p size bytes
+     *  the far heap cannot hold (an overflowing calloc allocates
+     *  nothing and returns null). */
+    void
+    requireFarHeap(std::uint64_t count, std::uint64_t size = 1)
+    {
+        if (!TfmRuntime::callocOverflows(count, size) &&
+            !rt.runtime().allocator().fits(count * size)) {
+            trap("far heap exhausted: " + std::to_string(count * size) +
+                 "-byte allocation");
+        }
+    }
+
     /**
      * Execute one interpreter intrinsic. @p arg lazily resolves call
      * operands (the reference engine looks values up on demand, so an
@@ -319,16 +332,23 @@ struct Interpreter::Impl
             // Hook inserted by RuntimeInitPass; the runtime in this
             // harness is constructed eagerly, so this is a marker.
             return result;
-        case Builtin::TfmMalloc: {
+        case Builtin::TfmMalloc:
+        case Builtin::PgMalloc: {
             const std::uint64_t bytes = arg(0).i;
-            result.i = rt.tfmMalloc(bytes);
+            requireFarHeap(bytes);
+            result.i = builtin == Builtin::TfmMalloc ? rt.tfmMalloc(bytes)
+                                                     : rt.pagedMalloc(bytes);
             recordAllocation(inst, result.i, bytes);
             sanRecordAlloc(inst, result.i, bytes);
             return result;
         }
-        case Builtin::TfmCalloc: {
+        case Builtin::TfmCalloc:
+        case Builtin::PgCalloc: {
             const std::uint64_t bytes = arg(0).i * arg(1).i;
-            result.i = rt.tfmCalloc(arg(0).i, arg(1).i);
+            requireFarHeap(arg(0).i, arg(1).i);
+            result.i = builtin == Builtin::TfmCalloc
+                           ? rt.tfmCalloc(arg(0).i, arg(1).i)
+                           : rt.pagedCalloc(arg(0).i, arg(1).i);
             recordAllocation(inst, result.i, bytes);
             sanRecordAlloc(inst, result.i, bytes);
             return result;
@@ -346,6 +366,7 @@ struct Interpreter::Impl
         }
         case Builtin::TfmRealloc: {
             const std::uint64_t old_addr = arg(0).i;
+            requireFarHeap(arg(1).i);
             result.i = rt.tfmRealloc(old_addr, arg(1).i);
             if (sanitizing && tfmIsTagged(old_addr))
                 sanAllocs.erase(tfmOffsetOf(old_addr));
@@ -368,20 +389,6 @@ struct Interpreter::Impl
             rt.runtime().evacuateAll();
             rt.evacuatePaged();
             return result;
-        case Builtin::PgMalloc: {
-            const std::uint64_t bytes = arg(0).i;
-            result.i = rt.pagedMalloc(bytes);
-            recordAllocation(inst, result.i, bytes);
-            sanRecordAlloc(inst, result.i, bytes);
-            return result;
-        }
-        case Builtin::PgCalloc: {
-            const std::uint64_t bytes = arg(0).i * arg(1).i;
-            result.i = rt.pagedCalloc(arg(0).i, arg(1).i);
-            recordAllocation(inst, result.i, bytes);
-            sanRecordAlloc(inst, result.i, bytes);
-            return result;
-        }
         case Builtin::PgFree:
             if (sanitizing && pgIsTagged(arg(0).i))
                 sanAllocs.erase(tfmOffsetOf(arg(0).i));

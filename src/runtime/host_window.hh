@@ -12,7 +12,9 @@
  * for pages), and a bump of that epoch is its shootdown. A pinned
  * window holds a pin on its object instead (FarMemRuntime::pinWindow)
  * and no epoch bump invalidates it. Filling and charging stay with the
- * consumer; the window only answers how far an access may go in place.
+ * code that hands the window out (the guard cache, chunk cursors and
+ * iterators over objects; PagedPlane::readVia/writeVia over pages); the
+ * window only answers how far an access may go in place.
  */
 
 #ifndef TRACKFM_RUNTIME_HOST_WINDOW_HH

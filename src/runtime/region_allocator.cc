@@ -49,10 +49,34 @@ RegionAllocator::classSlot(std::uint64_t offset)
 }
 
 std::uint64_t
-RegionAllocator::allocate(std::uint64_t bytes)
+RegionAllocator::bumpOffset(unsigned cls) const
+{
+    // Align every block to min(size class, object size). Large blocks
+    // start on an object boundary and span whole objects; small blocks
+    // are naturally aligned, which also guarantees they never straddle
+    // an object boundary. The bump pointer stays a multiple of 16, so
+    // every block starts on a granule.
+    const std::uint64_t rounded = 1ull << cls;
+    const std::uint64_t align =
+        rounded < objSize ? rounded : static_cast<std::uint64_t>(objSize);
+    return (bump + align - 1) & ~(align - 1);
+}
+
+bool
+RegionAllocator::fits(std::uint64_t bytes) const
 {
     // No class of a larger request fits, and none was ever handed out.
     if (bytes > _heapBytes)
+        return false;
+    const unsigned cls = classOf(bytes);
+    return !freeLists[cls].empty() ||
+           bumpOffset(cls) + (1ull << cls) <= _heapBytes;
+}
+
+std::uint64_t
+RegionAllocator::allocate(std::uint64_t bytes)
+{
+    if (!fits(bytes))
         return badOffset;
     const unsigned cls = classOf(bytes);
     const std::uint64_t rounded = 1ull << cls;
@@ -63,17 +87,7 @@ RegionAllocator::allocate(std::uint64_t bytes)
         offset = reuse.back();
         reuse.pop_back();
     } else {
-        // Align every block to min(size class, object size). Large
-        // blocks start on an object boundary and span whole objects;
-        // small blocks are naturally aligned, which also guarantees
-        // they never straddle an object boundary. The bump pointer
-        // stays a multiple of 16, so every block starts on a granule.
-        const std::uint64_t align = rounded < objSize
-                                        ? rounded
-                                        : static_cast<std::uint64_t>(objSize);
-        offset = (bump + align - 1) & ~(align - 1);
-        if (offset + rounded > _heapBytes)
-            return badOffset;
+        offset = bumpOffset(cls);
         bump = offset + rounded;
     }
 

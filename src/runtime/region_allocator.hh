@@ -60,6 +60,9 @@ class RegionAllocator
      */
     std::uint64_t allocate(std::uint64_t bytes);
 
+    /** Would allocate(@p bytes) succeed now? Changes nothing. */
+    bool fits(std::uint64_t bytes) const;
+
     /** Free an allocation previously returned by allocate(). */
     void deallocate(std::uint64_t offset);
 
@@ -85,6 +88,8 @@ class RegionAllocator
 
     /// log2 of the size class of a request of @p bytes (at least 4).
     static unsigned classOf(std::uint64_t bytes);
+    /// Where a fresh block of class 2^@p cls would start at the bump.
+    std::uint64_t bumpOffset(unsigned cls) const;
     /// log2 class of the live block starting at @p offset; 0 if none.
     unsigned liveClass(std::uint64_t offset) const;
     /// Class-table byte of the granule at @p offset (an aligned

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "fastswap/paged_plane.hh"
 #include "obs/obs.hh"
 #include "sim/logging.hh"
 
@@ -16,57 +15,6 @@ TfmRuntime::TfmRuntime(const RuntimeConfig &config,
 {
     main_.rt = &rt.mainContext();
     main_.owner = this;
-}
-
-TfmRuntime::~TfmRuntime() = default;
-
-PagedPlane &
-TfmRuntime::ensurePaged()
-{
-    if (!paged_)
-        paged_ = std::make_unique<PagedPlane>(rt);
-    return *paged_;
-}
-
-std::uint64_t
-TfmRuntime::pagedMalloc(std::size_t bytes)
-{
-    ensurePaged();
-    return pgEncode(rt.allocate(bytes));
-}
-
-std::uint64_t
-TfmRuntime::pagedCalloc(std::size_t count, std::size_t size)
-{
-    if (size != 0 &&
-        count > std::numeric_limits<std::size_t>::max() / size) {
-        return 0;
-    }
-    const std::size_t bytes = count * size;
-    const std::uint64_t addr = pagedMalloc(bytes);
-    zeroFill(addr, bytes);
-    return addr;
-}
-
-void
-TfmRuntime::pagedRead(std::uint64_t addr, void *dst, std::size_t len)
-{
-    ensurePaged().touch(tfmOffsetOf(addr), len, /*for_write=*/false);
-    rt.rawRead(tfmOffsetOf(addr), dst, len);
-}
-
-void
-TfmRuntime::pagedWrite(std::uint64_t addr, const void *src, std::size_t len)
-{
-    ensurePaged().touch(tfmOffsetOf(addr), len, /*for_write=*/true);
-    rt.rawWrite(tfmOffsetOf(addr), src, len);
-}
-
-void
-TfmRuntime::evacuatePaged()
-{
-    if (paged_)
-        paged_->evacuate();
 }
 
 const char *
@@ -282,12 +230,13 @@ TfmRuntime::tfmRealloc(std::uint64_t addr, std::size_t bytes)
     return fresh;
 }
 
-void
+std::uint64_t
 TfmRuntime::zeroFill(std::uint64_t addr, std::size_t bytes)
 {
     const std::vector<std::byte> zeros(bytes, std::byte{0});
     rt.rawWrite(tfmOffsetOf(addr), zeros.data(), bytes);
     rt.clock().advance(bytes / 16 + 1);
+    return addr;
 }
 
 void

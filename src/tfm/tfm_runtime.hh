@@ -23,14 +23,13 @@
 #include <memory>
 #include <vector>
 
+#include "fastswap/paged_plane.hh"
 #include "guard_stats.hh"
 #include "runtime/far_mem_runtime.hh"
 #include "tagged_ptr.hh"
 
 namespace tfm
 {
-
-class PagedPlane;
 
 /**
  * Which path a traced guard took: section 3.3's optional debug
@@ -64,10 +63,7 @@ const char *guardPathName(GuardPath path);
 class TfmRuntime
 {
   public:
-    // Both out of line: PagedPlane is incomplete here, and an inline
-    // constructor/destructor would instantiate its unique_ptr deleter.
     TfmRuntime(const RuntimeConfig &config, const CostParams &cost_params);
-    ~TfmRuntime();
 
     FarMemRuntime &runtime() { return rt; }
     const FarMemRuntime &runtime() const { return rt; }
@@ -87,22 +83,25 @@ class TfmRuntime
         return tfmEncode(rt.allocate(bytes));
     }
 
+    /** Does count * size overflow size_t (calloc(3) returns null)? */
+    static bool
+    callocOverflows(std::size_t count, std::size_t size)
+    {
+        return size != 0 &&
+               count > std::numeric_limits<std::size_t>::max() / size;
+    }
+
     /**
      * Zero-initialized array allocation. Returns 0 (the null TrackFM
-     * pointer) when count * size overflows size_t, like calloc(3), so
-     * the caller never receives a too-small region.
+     * pointer) when count * size overflows, like calloc(3), so the
+     * caller never receives a too-small region.
      */
     std::uint64_t
     tfmCalloc(std::size_t count, std::size_t size)
     {
-        if (size != 0 &&
-            count > std::numeric_limits<std::size_t>::max() / size) {
+        if (callocOverflows(count, size))
             return 0;
-        }
-        const std::size_t bytes = count * size;
-        const std::uint64_t addr = tfmMalloc(bytes);
-        zeroFill(addr, bytes);
-        return addr;
+        return zeroFill(tfmMalloc(count * size), count * size);
     }
 
     std::uint64_t tfmRealloc(std::uint64_t addr, std::size_t bytes);
@@ -119,27 +118,51 @@ class TfmRuntime
      * The pg_malloc family backs allocation sites the PathArbiterPass
      * routed to the paging plane. Pointers carry the bit-61 tag (so
      * guards custody-reject them and the interpreter's memory choke
-     * point resolves them here); accesses charge fault costs through a
-     * lazily created PagedPlane — the paging model FastswapRuntime also
-     * runs on — sharing this runtime's clock and remote tier, while the
-     * data itself moves through the far heap's raw read/write: results
-     * are plane-independent by construction.
+     * point resolves them here); accesses go through a lazily created
+     * PagedPlane — the paging model and accessor FastswapRuntime also
+     * runs on — which charges faults on this runtime's clock and remote
+     * tier and moves the bytes with rawRead/rawWrite, so results are
+     * plane-independent. A frame or parked writeback can be newer than
+     * the store here, so paged sites take no page window.
      * @{ */
-    std::uint64_t pagedMalloc(std::size_t bytes);
-    std::uint64_t pagedCalloc(std::size_t count, std::size_t size);
+    std::uint64_t
+    pagedMalloc(std::size_t bytes)
+    {
+        ensurePaged();
+        return pgEncode(rt.allocate(bytes));
+    }
+    /** tfmCalloc on the paged plane; the zero fill touches no page. */
+    std::uint64_t
+    pagedCalloc(std::size_t count, std::size_t size)
+    {
+        if (callocOverflows(count, size))
+            return 0;
+        return zeroFill(pagedMalloc(count * size), count * size);
+    }
     void
     pagedFree(std::uint64_t addr)
     {
         rt.deallocate(tfmOffsetOf(addr));
     }
-    /** Fault accounting + copy-out via rawRead. */
-    void pagedRead(std::uint64_t addr, void *dst, std::size_t len);
-    /** Fault accounting + write-through via rawWrite. */
-    void pagedWrite(std::uint64_t addr, const void *src, std::size_t len);
+    void
+    pagedRead(std::uint64_t addr, void *dst, std::size_t len)
+    {
+        ensurePaged().read(tfmOffsetOf(addr), dst, len);
+    }
+    void
+    pagedWrite(std::uint64_t addr, const void *src, std::size_t len)
+    {
+        ensurePaged().write(tfmOffsetOf(addr), src, len);
+    }
     /** The plane, created on first use; nullptr when never used. */
     PagedPlane *pagedPlane() const { return paged_.get(); }
     /** Drop the plane's residency (cold-start measurements). */
-    void evacuatePaged();
+    void
+    evacuatePaged()
+    {
+        if (paged_)
+            paged_->evacuate();
+    }
     /** @} */
 
     /** @name Guards (section 3.3, Fig. 4)
@@ -372,7 +395,9 @@ class TfmRuntime
         return config;
     }
 
-    void zeroFill(std::uint64_t addr, std::size_t bytes);
+    /** Zero @p bytes at @p addr raw, charged as CPU streaming;
+     *  returns @p addr. */
+    std::uint64_t zeroFill(std::uint64_t addr, std::size_t bytes);
 
     /** The calling thread's Worker: its bound one, else main_. */
     Worker &
@@ -449,7 +474,13 @@ class TfmRuntime
                    std::uint64_t epoch);
 
     /** The paged plane, or create it on first paged allocation. */
-    PagedPlane &ensurePaged();
+    PagedPlane &
+    ensurePaged()
+    {
+        if (!paged_)
+            paged_ = std::make_unique<PagedPlane>(rt);
+        return *paged_;
+    }
 
     FarMemRuntime rt;
     Worker main_; ///< the main thread's guard state

@@ -437,7 +437,7 @@ class FastswapBackend : public MemBackend
          AccessHint hint) override
     {
         chargeBase(hint);
-        fs.readBytes(addr, dst, len);
+        fs.plane().read(addr, dst, len);
     }
 
     void
@@ -445,7 +445,7 @@ class FastswapBackend : public MemBackend
           AccessHint hint) override
     {
         chargeBase(hint);
-        fs.writeBytes(addr, src, len);
+        fs.plane().write(addr, src, len);
     }
 
     class Stream : public SeqStream
@@ -453,7 +453,7 @@ class FastswapBackend : public MemBackend
       public:
         Stream(FastswapBackend &backend, std::uint64_t addr,
                std::uint32_t elem_size)
-            : b(backend), clock(backend.fs.clock()),
+            : plane(backend.fs.plane()), clock(backend.fs.clock()),
               seqCycles(backend.fs.costs().seqAccessCycles), cur(addr),
               elemSize(elem_size)
         {}
@@ -462,7 +462,7 @@ class FastswapBackend : public MemBackend
         read(void *dst) override
         {
             clock.advance(seqCycles);
-            b.fs.readVia(window, cur, dst, elemSize);
+            plane.readVia(window, cur, dst, elemSize);
             cur += elemSize;
         }
 
@@ -470,7 +470,7 @@ class FastswapBackend : public MemBackend
         write(const void *src) override
         {
             clock.advance(seqCycles);
-            b.fs.writeVia(window, cur, src, elemSize);
+            plane.writeVia(window, cur, src, elemSize);
             cur += elemSize;
         }
 
@@ -480,7 +480,7 @@ class FastswapBackend : public MemBackend
         {
             return std::min<std::uint64_t>(
                 max,
-                window.bytes(cur, for_write, b.fs.mapEpoch()) / elemSize);
+                window.bytes(cur, for_write, plane.mapEpoch()) / elemSize);
         }
 
         /** Inside the run the page is mapped: nothing but the copy. */
@@ -502,7 +502,7 @@ class FastswapBackend : public MemBackend
         }
 
       private:
-        FastswapBackend &b;
+        PagedPlane &plane;
         /// Looked up once: Fastswap never binds worker clocks.
         CycleClock &clock;
         const std::uint64_t seqCycles;
@@ -535,7 +535,7 @@ class FastswapBackend : public MemBackend
         fs.rawRead(addr, dst, len);
     }
 
-    void dropCaches() override { fs.evacuateAll(); }
+    void dropCaches() override { fs.plane().evacuate(); }
 
     std::uint64_t cycles() const override { return fs.clock().now(); }
 
@@ -545,7 +545,7 @@ class FastswapBackend : public MemBackend
         const NetStats net = fs.netStats();
         BackendSnapshot s;
         s.cycles = cycles();
-        s.farEvents = fs.stats().majorFaults;
+        s.farEvents = fs.plane().stats().majorFaults;
         s.bytesFetched = net.bytesFetched;
         s.bytesTransferred = net.totalBytes();
         return s;

@@ -41,19 +41,19 @@ TEST(Fastswap, FirstTouchIsAMajorFault)
 {
     FastswapRuntime fs(smallConfig(), CostParams{});
     const std::uint64_t heap = fs.allocate(64 * 4096);
-    fs.load<std::uint64_t>(heap);
-    EXPECT_EQ(fs.stats().majorFaults, 1u);
-    EXPECT_EQ(fs.stats().minorFaults, 0u);
+    fs.plane().load<std::uint64_t>(heap);
+    EXPECT_EQ(fs.plane().stats().majorFaults, 1u);
+    EXPECT_EQ(fs.plane().stats().minorFaults, 0u);
 }
 
 TEST(Fastswap, ResidentAccessIsFree)
 {
     FastswapRuntime fs(smallConfig(), CostParams{});
     const std::uint64_t heap = fs.allocate(4096);
-    fs.load<std::uint64_t>(heap);
+    fs.plane().load<std::uint64_t>(heap);
     const std::uint64_t before = fs.clock().now();
     // Hardware-mapped page: no software cost at all.
-    fs.load<std::uint64_t>(heap + 8);
+    fs.plane().load<std::uint64_t>(heap + 8);
     EXPECT_EQ(fs.clock().now(), before);
 }
 
@@ -63,7 +63,7 @@ TEST(Fastswap, MajorFaultCostMatchesTable2)
     FastswapRuntime fs(smallConfig(), c);
     const std::uint64_t heap = fs.allocate(4096);
     const std::uint64_t before = fs.clock().now();
-    fs.load<std::uint64_t>(heap);
+    fs.plane().load<std::uint64_t>(heap);
     const std::uint64_t cost = fs.clock().now() - before;
     // Paper: ~34 K cycles for a remote read fault. Allow 25% slack for
     // the network model's integer rounding.
@@ -75,19 +75,19 @@ TEST(Fastswap, StoreRoundTripsThroughSwap)
 {
     FastswapRuntime fs(smallConfig(2), CostParams{});
     const std::uint64_t heap = fs.allocate(16 * 4096);
-    fs.store<std::uint64_t>(heap, 31337);
+    fs.plane().store<std::uint64_t>(heap, 31337);
     // Evict page 0 by touching many others.
     for (int i = 1; i < 8; i++)
-        fs.load<std::uint64_t>(heap + i * 4096);
-    EXPECT_GT(fs.stats().pageouts, 0u);
-    EXPECT_EQ(fs.load<std::uint64_t>(heap), 31337u);
+        fs.plane().load<std::uint64_t>(heap + i * 4096);
+    EXPECT_GT(fs.plane().stats().pageouts, 0u);
+    EXPECT_EQ(fs.plane().load<std::uint64_t>(heap), 31337u);
 }
 
 TEST(Fastswap, WholePagesAreTransferred)
 {
     FastswapRuntime fs(smallConfig(), CostParams{});
     const std::uint64_t heap = fs.allocate(4096);
-    fs.load<std::uint8_t>(heap); // one byte touched...
+    fs.plane().load<std::uint8_t>(heap); // one byte touched...
     // ...but a full architected page crosses the network (I/O
     // amplification, Fig. 13).
     EXPECT_EQ(fs.netStats().bytesFetched, 4096u);
@@ -98,10 +98,10 @@ TEST(Fastswap, ReadaheadTurnsMajorIntoMinorFaults)
     FastswapRuntime fs(smallConfig(16, true), CostParams{});
     const std::uint64_t heap = fs.allocate(16 * 4096);
     for (int i = 0; i < 8; i++)
-        fs.load<std::uint64_t>(heap + i * 4096);
-    EXPECT_LT(fs.stats().majorFaults, 8u);
-    EXPECT_GT(fs.stats().minorFaults, 0u);
-    EXPECT_GT(fs.stats().readaheads, 0u);
+        fs.plane().load<std::uint64_t>(heap + i * 4096);
+    EXPECT_LT(fs.plane().stats().majorFaults, 8u);
+    EXPECT_GT(fs.plane().stats().minorFaults, 0u);
+    EXPECT_GT(fs.plane().stats().readaheads, 0u);
 }
 
 TEST(Fastswap, MinorFaultCheaperThanMajor)
@@ -109,15 +109,15 @@ TEST(Fastswap, MinorFaultCheaperThanMajor)
     const CostParams c;
     FastswapRuntime fs(smallConfig(16, true), c);
     const std::uint64_t heap = fs.allocate(16 * 4096);
-    fs.load<std::uint64_t>(heap); // major + readahead of page 1
+    fs.plane().load<std::uint64_t>(heap); // major + readahead of page 1
 
     const std::uint64_t before = fs.clock().now();
-    fs.load<std::uint64_t>(heap + 4096); // minor (readahead landed)
+    fs.plane().load<std::uint64_t>(heap + 4096); // minor (readahead landed)
     const std::uint64_t minor_cost = fs.clock().now() - before;
     // Minor faults may wait for the in-flight readahead, but the
     // software cost is the 1.3 K local fault price.
     EXPECT_GE(minor_cost, c.pageFaultLocalCycles);
-    EXPECT_EQ(fs.stats().minorFaults, 1u);
+    EXPECT_EQ(fs.plane().stats().minorFaults, 1u);
 }
 
 TEST(Fastswap, ReclaimChargesAndCounts)
@@ -125,8 +125,8 @@ TEST(Fastswap, ReclaimChargesAndCounts)
     FastswapRuntime fs(smallConfig(2), CostParams{});
     const std::uint64_t heap = fs.allocate(16 * 4096);
     for (int i = 0; i < 8; i++)
-        fs.load<std::uint64_t>(heap + i * 4096);
-    EXPECT_GE(fs.stats().reclaims, 6u);
+        fs.plane().load<std::uint64_t>(heap + i * 4096);
+    EXPECT_GE(fs.plane().stats().reclaims, 6u);
 }
 
 TEST(Fastswap, RawInitDoesNotCharge)
@@ -137,18 +137,18 @@ TEST(Fastswap, RawInitDoesNotCharge)
     const std::uint64_t value = 5;
     fs.rawWrite(heap, &value, sizeof(value));
     EXPECT_EQ(fs.clock().now(), before);
-    EXPECT_EQ(fs.load<std::uint64_t>(heap), 5u);
+    EXPECT_EQ(fs.plane().load<std::uint64_t>(heap), 5u);
 }
 
 TEST(Fastswap, EvacuateAllMakesEverythingRemote)
 {
     FastswapRuntime fs(smallConfig(), CostParams{});
     const std::uint64_t heap = fs.allocate(8 * 4096);
-    fs.store<std::uint64_t>(heap, 9);
-    fs.evacuateAll();
-    const std::uint64_t faults = fs.stats().majorFaults;
-    EXPECT_EQ(fs.load<std::uint64_t>(heap), 9u);
-    EXPECT_EQ(fs.stats().majorFaults, faults + 1);
+    fs.plane().store<std::uint64_t>(heap, 9);
+    fs.plane().evacuate();
+    const std::uint64_t faults = fs.plane().stats().majorFaults;
+    EXPECT_EQ(fs.plane().load<std::uint64_t>(heap), 9u);
+    EXPECT_EQ(fs.plane().stats().majorFaults, faults + 1);
 }
 
 TEST(Fastswap, ReadBytesSpanningPagesFaultsPerPage)
@@ -156,15 +156,15 @@ TEST(Fastswap, ReadBytesSpanningPagesFaultsPerPage)
     FastswapRuntime fs(smallConfig(), CostParams{});
     const std::uint64_t heap = fs.allocate(2 * 4096);
     std::uint8_t buffer[64];
-    fs.readBytes(heap + 4096 - 32, buffer, sizeof(buffer));
-    EXPECT_EQ(fs.stats().majorFaults, 2u);
+    fs.plane().read(heap + 4096 - 32, buffer, sizeof(buffer));
+    EXPECT_EQ(fs.plane().stats().majorFaults, 2u);
 }
 
 TEST(Fastswap, ExportStats)
 {
     FastswapRuntime fs(smallConfig(), CostParams{});
     const std::uint64_t heap = fs.allocate(4096);
-    fs.load<std::uint64_t>(heap);
+    fs.plane().load<std::uint64_t>(heap);
     StatSet set;
     fs.exportStats(set);
     EXPECT_EQ(set.get("fastswap.major_faults"), 1u);
@@ -200,16 +200,16 @@ TEST(Fastswap, AgreesWithTheHybridPagedPlane)
             1 + rng.below(sizeof(fsBuf)), kPages * 4096 - at);
         if (rng.below(10) < 3) {
             std::memset(fsBuf, step & 0xff, len);
-            fs.writeBytes(fsHeap + at, fsBuf, len);
+            fs.plane().write(fsHeap + at, fsBuf, len);
             tfm.pagedWrite(pgHeap + at, fsBuf, len);
         } else {
-            fs.readBytes(fsHeap + at, fsBuf, len);
+            fs.plane().read(fsHeap + at, fsBuf, len);
             tfm.pagedRead(pgHeap + at, pgBuf, len);
             ASSERT_EQ(std::memcmp(fsBuf, pgBuf, len), 0) << "step " << step;
         }
     }
 
-    const PagedStats &a = fs.stats();
+    const PagedStats &a = fs.plane().stats();
     const PagedStats &b = tfm.pagedPlane()->stats();
     EXPECT_EQ(a.majorFaults, b.majorFaults);
     EXPECT_EQ(a.minorFaults, b.minorFaults);
@@ -519,7 +519,7 @@ TEST(PagedPlane, ReclaimOrderMatchesTheVectorClock)
     std::uint8_t buf[64]{};
     for (int step = 0; step < 30000; step++) {
         if (step == 15000) {
-            fs.evacuateAll();
+            fs.plane().evacuate();
             model.evacuate();
         }
         const std::uint64_t pick = rng.below(100);
@@ -534,9 +534,9 @@ TEST(PagedPlane, ReclaimOrderMatchesTheVectorClock)
         const std::size_t len = 1 + rng.below(sizeof(buf));
         const bool write = rng.below(10) < 3;
         if (write)
-            fs.writeBytes(at, buf, len);
+            fs.plane().write(at, buf, len);
         else
-            fs.readBytes(at, buf, len);
+            fs.plane().read(at, buf, len);
         model.touch(at, len, write);
     }
 
@@ -549,10 +549,10 @@ TEST(PagedPlane, ReclaimOrderMatchesTheVectorClock)
         }
     }
     ASSERT_EQ(obs.trace().dropped(), 0u);
-    EXPECT_EQ(reclaimed.size(), fs.stats().reclaims);
+    EXPECT_EQ(reclaimed.size(), fs.plane().stats().reclaims);
     EXPECT_EQ(reclaimed, model.victims);
     EXPECT_EQ(dirty, model.dirtyVictims);
-    EXPECT_EQ(fs.stats().pageouts,
+    EXPECT_EQ(fs.plane().stats().pageouts,
               static_cast<std::uint64_t>(std::count(
                   model.dirtyVictims.begin(), model.dirtyVictims.end(), 1)));
     EXPECT_GT(model.victims.size(), 1000u);
@@ -573,9 +573,9 @@ TEST(Fastswap, ReplicasStayIdenticalUnderChargeOnlyPageOuts)
         for (int step = 0; step < 4000; step++) {
             const std::uint64_t at = heap + rng.below(96 * 4096 - 8);
             if (rng.below(2) == 0)
-                fs.store<std::uint64_t>(at, rng());
+                fs.plane().store<std::uint64_t>(at, rng());
             else
-                fs.load<std::uint64_t>(at);
+                fs.plane().load<std::uint64_t>(at);
         }
     };
     const RuntimeConfig single = smallConfig(8);
@@ -586,8 +586,8 @@ TEST(Fastswap, ReplicasStayIdenticalUnderChargeOnlyPageOuts)
     FastswapRuntime fs(replicated, CostParams{});
     run(ref);
     run(fs);
-    EXPECT_GT(fs.stats().pageouts, 100u);
-    EXPECT_EQ(fs.stats().pageouts, ref.stats().pageouts);
+    EXPECT_GT(fs.plane().stats().pageouts, 100u);
+    EXPECT_EQ(fs.plane().stats().pageouts, ref.plane().stats().pageouts);
 
     RemoteBackend &backend = fs.runtime().backend();
     ASSERT_EQ(backend.shardCount(), 2u);
@@ -683,8 +683,8 @@ TEST(Fastswap, WriteRunNeedsADirtyPage)
 }
 
 /**
- * Copy through page windows on FastswapRuntime itself (windowed) or
- * through readBytes/writeBytes, charging seqAccessCycles per element
+ * Copy through the plane's page windows (windowed) or through its
+ * read/write, charging seqAccessCycles per element
  * either way, with one evacuation halfway.
  */
 void
@@ -696,7 +696,7 @@ runtimeCopy(FastswapRuntime &fs, bool windowed)
         const auto value = static_cast<std::int32_t>(i * 7);
         fs.rawWrite(at[0] + 4 * i, &value, 4);
     }
-    fs.evacuateAll();
+    fs.plane().evacuate();
     HostWindow src;
     HostWindow dst;
     const std::uint64_t seq = fs.costs().seqAccessCycles;
@@ -705,18 +705,18 @@ runtimeCopy(FastswapRuntime &fs, bool windowed)
         // map epoch's bump must send the next access back through the
         // fault path.
         if (i == kStreamElems / 2)
-            fs.evacuateAll();
+            fs.plane().evacuate();
         std::int32_t value = 0;
         fs.clock().advance(seq);
         if (windowed)
-            fs.readVia(src, at[0] + 4 * i, &value, 4);
+            fs.plane().readVia(src, at[0] + 4 * i, &value, 4);
         else
-            fs.readBytes(at[0] + 4 * i, &value, 4);
+            fs.plane().read(at[0] + 4 * i, &value, 4);
         fs.clock().advance(seq);
         if (windowed)
-            fs.writeVia(dst, at[1] + 4 * i, &value, 4);
+            fs.plane().writeVia(dst, at[1] + 4 * i, &value, 4);
         else
-            fs.writeBytes(at[1] + 4 * i, &value, 4);
+            fs.plane().write(at[1] + 4 * i, &value, 4);
     }
 }
 
@@ -724,11 +724,11 @@ void
 expectSameRun(FastswapRuntime &a, FastswapRuntime &b)
 {
     EXPECT_EQ(a.clock().now(), b.clock().now());
-    EXPECT_EQ(a.stats().majorFaults, b.stats().majorFaults);
-    EXPECT_EQ(a.stats().minorFaults, b.stats().minorFaults);
-    EXPECT_EQ(a.stats().reclaims, b.stats().reclaims);
-    EXPECT_EQ(a.stats().pageouts, b.stats().pageouts);
-    EXPECT_EQ(a.stats().readaheads, b.stats().readaheads);
+    EXPECT_EQ(a.plane().stats().majorFaults, b.plane().stats().majorFaults);
+    EXPECT_EQ(a.plane().stats().minorFaults, b.plane().stats().minorFaults);
+    EXPECT_EQ(a.plane().stats().reclaims, b.plane().stats().reclaims);
+    EXPECT_EQ(a.plane().stats().pageouts, b.plane().stats().pageouts);
+    EXPECT_EQ(a.plane().stats().readaheads, b.plane().stats().readaheads);
     const NetStats na = a.netStats();
     const NetStats nb = b.netStats();
     EXPECT_EQ(na.bytesFetched, nb.bytesFetched);
@@ -749,8 +749,8 @@ TEST(Fastswap, RuntimeWindowsMatchSingleAccesses)
     runtimeCopy(windowed, true);
     runtimeCopy(single, false);
     expectSameRun(windowed, single);
-    EXPECT_GT(windowed.stats().minorFaults, 0u);
-    EXPECT_GT(windowed.stats().pageouts, 0u);
+    EXPECT_GT(windowed.plane().stats().minorFaults, 0u);
+    EXPECT_GT(windowed.plane().stats().pageouts, 0u);
 }
 
 /**
@@ -770,7 +770,7 @@ TEST(Fastswap, ClusterTierWindowsMatchElementWise)
     runtimeCopy(windowed, true);
     runtimeCopy(single, false);
     expectSameRun(windowed, single);
-    EXPECT_GT(windowed.stats().reclaims, 0u);
+    EXPECT_GT(windowed.plane().stats().reclaims, 0u);
 }
 
 /** Runs the same faulting read/write mix on a recorder-attached runtime. */
@@ -782,8 +782,9 @@ faultingMix(FastswapRuntime &fs)
         fs.rawWrite(heap + i * 4096, &i, sizeof(i));
     for (std::uint64_t pass = 0; pass < 3; pass++) {
         for (std::uint64_t i = 0; i < 96; i += 1 + pass) {
-            const std::uint64_t v = fs.load<std::uint64_t>(heap + i * 4096);
-            fs.store<std::uint64_t>(heap + i * 4096 + 8, v + pass);
+            const std::uint64_t v =
+                fs.plane().load<std::uint64_t>(heap + i * 4096);
+            fs.plane().store<std::uint64_t>(heap + i * 4096 + 8, v + pass);
         }
     }
     // Stream-driven: two page windows walking the heap in step, one
@@ -792,9 +793,9 @@ faultingMix(FastswapRuntime &fs)
     HostWindow dst;
     for (std::uint64_t at = 0; at < 48 * 4096; at += 8) {
         std::uint64_t v = 0;
-        fs.readVia(src, heap + at, &v, sizeof(v));
+        fs.plane().readVia(src, heap + at, &v, sizeof(v));
         v = v * 3 + at;
-        fs.writeVia(dst, heap + 48 * 4096 + at, &v, sizeof(v));
+        fs.plane().writeVia(dst, heap + 48 * 4096 + at, &v, sizeof(v));
     }
 }
 

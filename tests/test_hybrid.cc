@@ -10,15 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "analysis/access_pattern.hh"
 #include "analysis/guard_safety.hh"
 #include "core/system.hh"
+#include "fastswap/paged_plane.hh"
 #include "ir/parser.hh"
 #include "passes/hot_alloc_pruning.hh"
 #include "passes/path_arbiter.hh"
+#include "tfm/tfm_runtime.hh"
 #include "ir_test_programs.hh"
 
 namespace tfm
@@ -743,6 +746,81 @@ exit:
     EXPECT_EQ(evacuated.get("net.bytes_written_back"),
               kept.get("net.bytes_written_back"));
     EXPECT_EQ(evacuated.get("net.bytes_written_back"), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Paged data plane runtime
+// ---------------------------------------------------------------------
+
+RuntimeConfig
+pagedRuntimeConfig()
+{
+    RuntimeConfig cfg;
+    cfg.farHeapBytes = 4 << 20;
+    cfg.localMemBytes = 16 * 4096;
+    return cfg;
+}
+
+/**
+ * pg_calloc's runtime entry: a reused region comes back zeroed, an
+ * overflowing count * size allocates nothing, and the zero fill is raw
+ * (no page fault, no link traffic), charged as CPU streaming like
+ * tfmCalloc's.
+ */
+TEST(PagedRuntime, CallocZeroesAReusedRegionWithARawFill)
+{
+    TfmRuntime rt(pagedRuntimeConfig(), CostParams{});
+    constexpr std::size_t kBytes = 3 * 4096;
+    const std::uint64_t first = rt.pagedMalloc(kBytes);
+    const std::vector<std::uint8_t> ones(kBytes, 0xa5);
+    rt.pagedWrite(first, ones.data(), kBytes);
+    rt.pagedFree(first);
+
+    const PagedStats before = rt.pagedPlane()->stats();
+    const NetStats netBefore = rt.runtime().backend().netStats();
+    const std::uint64_t callocStart = rt.clock().now();
+    const std::uint64_t again = rt.pagedCalloc(kBytes / 8, 8);
+    const std::uint64_t callocCycles = rt.clock().now() - callocStart;
+    ASSERT_EQ(again, first) << "the freed region must be reused";
+    EXPECT_EQ(rt.pagedPlane()->stats().majorFaults, before.majorFaults);
+    EXPECT_EQ(rt.pagedPlane()->stats().minorFaults, before.minorFaults);
+    EXPECT_EQ(rt.runtime().backend().netStats().totalBytes(),
+              netBefore.totalBytes());
+
+    std::vector<std::uint8_t> back(kBytes, 0xff);
+    rt.pagedRead(again, back.data(), kBytes);
+    EXPECT_EQ(back, std::vector<std::uint8_t>(kBytes, 0));
+
+    const std::uint64_t mallocStart = rt.clock().now();
+    rt.pagedMalloc(kBytes);
+    const std::uint64_t mallocCycles = rt.clock().now() - mallocStart;
+    EXPECT_EQ(callocCycles, mallocCycles + kBytes / 16 + 1);
+
+    const std::uint64_t overflowStart = rt.clock().now();
+    EXPECT_EQ(rt.pagedCalloc(std::numeric_limits<std::size_t>::max() / 2 + 1,
+                             2),
+              0u);
+    EXPECT_EQ(rt.clock().now(), overflowStart);
+}
+
+/**
+ * A page window reads the far-heap store in place, so it is legal only
+ * while the store holds the newest bytes. On TfmRuntime a guard's frame
+ * can be newer: once a guard has localized an object, the paged plane
+ * refuses to fill a window.
+ */
+TEST(PagedRuntimeDeathTest, WindowNeedsTheStoreToHoldTheNewestBytes)
+{
+    TfmRuntime rt(pagedRuntimeConfig(), CostParams{});
+    const std::uint64_t paged = rt.pagedMalloc(4096);
+    const std::uint64_t object = rt.tfmMalloc(64);
+    rt.store<std::uint64_t>(object, 7);
+    ASSERT_GT(rt.runtime().stats().localizeCalls, 0u);
+    HostWindow window;
+    std::uint64_t value = 0;
+    EXPECT_DEATH(rt.pagedPlane()->readVia(window, tfmOffsetOf(paged),
+                                          &value, sizeof(value)),
+                 "newest bytes");
 }
 
 // ---------------------------------------------------------------------

@@ -59,10 +59,10 @@ TEST(FastswapMisc, EvacuateAllFlushesReadaheadState)
     cfg.pagedReadaheadPages = 8;
     FastswapRuntime fs(cfg, CostParams{});
     const std::uint64_t heap = fs.allocate(512 << 10);
-    fs.store<std::uint64_t>(heap, 99); // major fault + readahead
-    fs.evacuateAll();
+    fs.plane().store<std::uint64_t>(heap, 99); // major fault + readahead
+    fs.plane().evacuate();
     // Inflight readahead pages were dropped cleanly; data survives.
-    EXPECT_EQ(fs.load<std::uint64_t>(heap), 99u);
+    EXPECT_EQ(fs.plane().load<std::uint64_t>(heap), 99u);
 }
 
 TEST(ChunkCursorMisc, ElementSizeMustDivideObjectSize)

@@ -372,7 +372,7 @@ TEST(RuntimeTrace, FastswapFaultsProduceSpans)
     FastswapRuntime fs(cfg, CostParams{});
     const std::uint64_t heap = fs.allocate(512 << 10);
     for (std::uint64_t off = 0; off < (512u << 10); off += 4096)
-        fs.store<std::uint64_t>(heap + off, off);
+        fs.plane().store<std::uint64_t>(heap + off, off);
 
     EXPECT_GT(obs.faultLatency.count(), 0u);
     EXPECT_GT(obs.faultLatency.percentile(99), 0u);

@@ -169,8 +169,8 @@ parseCount(const std::string &arg, T &count)
 }
 
 /**
- * Refuse an object size or local tier the runtime cannot build, with a
- * diagnostic instead of the runtime's assertion.
+ * Refuse an object size, local tier or far heap the runtime cannot
+ * build, with a diagnostic instead of the runtime's assertion.
  */
 bool
 memoryFlagsValid(const Options &options)
@@ -189,6 +189,13 @@ memoryFlagsValid(const Options &options)
                      "%u-byte objects\n",
                      static_cast<unsigned long long>(options.localMem),
                      size);
+        return false;
+    }
+    if (options.farHeap < size) {
+        std::fprintf(stderr,
+                     "tfmc: --far-heap=%llu holds less than one %u-byte "
+                     "object\n",
+                     static_cast<unsigned long long>(options.farHeap), size);
         return false;
     }
     return true;
